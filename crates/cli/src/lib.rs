@@ -88,9 +88,9 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
             let db = load(rest.first().ok_or_else(usage)?)?;
             let q = query(&db, rest.get(1).ok_or_else(usage)?)?;
             let engine = build(&db, &q)?;
-            // the same pool drives the sharded recount; on a serial pool
-            // this is the precomputed count
-            writeln!(out, "{}", engine.par_count(&par)).map_err(w)?;
+            // exact and computed at build time (Theorem 2.5), so every
+            // thread count prints it without re-enumerating any answer
+            writeln!(out, "{}", engine.count()).map_err(w)?;
             Ok(())
         }
         "test" => {
@@ -440,9 +440,9 @@ pub fn usage() -> String {
   lowdeg import-edges <edge-list> [path]
 options: --eps <x>       pseudo-linearity parameter (default 0.25)
          --threads <n>   worker threads for preprocessing AND the sharded
-                         enumerate/count answer paths; 0 = auto, 1 = serial
+                         enumerate answer path; 0 = auto, 1 = serial
                          (default: LOWDEG_THREADS, else auto). Answer order
-                         is identical at every thread count
+                         and counts are identical at every thread count
          --format <f>    enumerate output: tsv (default) or ndjson, the
                          latter streamed answer-by-answer (constant memory)"
         .into()
@@ -459,8 +459,17 @@ mod tests {
         Ok(String::from_utf8(out).expect("utf8 output"))
     }
 
+    /// A scratch path no other test (in this process or another) uses:
+    /// tests run in parallel, and one test rewriting a file another is
+    /// reading makes the reader see a torn file.
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        std::env::temp_dir().join(format!("lowdeg_cli_{}_{k}_{name}", std::process::id()))
+    }
+
     fn temp_db() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("lowdeg_cli_test_{}.db", std::process::id()));
+        let path = temp_path("test.db");
         let text = "domain 5\nrel E 2\nrel B 1\nrel R 1\nE 0 1\nE 1 0\nB 0\nB 2\nR 1\nR 3\n";
         std::fs::write(&path, text).expect("temp writable");
         path
@@ -529,8 +538,7 @@ mod tests {
 
     #[test]
     fn import_edges_roundtrip() {
-        let path =
-            std::env::temp_dir().join(format!("lowdeg_cli_edges_{}.txt", std::process::id()));
+        let path = temp_path("edges.txt");
         std::fs::write(&path, "0 1\n1 2\n").unwrap();
         let out = run_str(&["import-edges", path.to_str().unwrap()]).unwrap();
         let s = parse_structure(&out).unwrap();
@@ -557,6 +565,22 @@ mod tests {
         assert_eq!(four.trim(), "2");
         assert!(run_str(&["--threads", "x", "count", db.to_str().unwrap(), "B(x)"]).is_err());
         assert!(run_str(&["--threads"]).is_err());
+    }
+
+    #[test]
+    fn count_prints_build_time_count_at_every_thread_count() {
+        let db = temp_db();
+        let q = "B(x) & R(y) & !E(x, y)";
+        let s = load(db.to_str().unwrap()).unwrap();
+        let engine = Engine::build(&s, &query(&s, q).unwrap(), Epsilon::default_eps()).unwrap();
+        for threads in ["1", "2", "4"] {
+            let out = run_str(&["--threads", threads, "count", db.to_str().unwrap(), q]).unwrap();
+            assert_eq!(
+                out.trim(),
+                engine.count().to_string(),
+                "--threads {threads}"
+            );
+        }
     }
 
     #[test]
@@ -652,8 +676,7 @@ mod tests {
     #[test]
     fn workload_command_groups_variants() {
         let db = temp_db();
-        let qfile =
-            std::env::temp_dir().join(format!("lowdeg_cli_workload_{}.txt", std::process::id()));
+        let qfile = temp_path("workload.txt");
         std::fs::write(
             &qfile,
             "# rewrite variants of one query, then a distinct one\n\

@@ -551,8 +551,8 @@ impl Engine {
         // each group's modeled per-clause cost through the cached cores,
         // bucket every clause shared by ≥ 2 groups under its `(radius, k)`
         // core key, and issue ONE batched acceptance scan per bucket —
-        // every combination's disjoint union assembles once and all of
-        // the bucket's clause matrices evaluate against it. Buckets run
+        // every combination is visited once and all of the bucket's
+        // clause matrices evaluate against its union view. Buckets run
         // costliest-total first, so the most expensive shared acceptance
         // artifacts land in the clause tier before any per-query assembly
         // could rebuild them, and a capacity-bounded cache evicts the

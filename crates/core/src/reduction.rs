@@ -27,8 +27,10 @@
 //!    answers satisfy `φ'` — by evaluating `φ'` on the disjoint union of
 //!    type representatives (sound because `φ'` is `r`-local and the clusters
 //!    of an answer are pairwise `> 2r+1` apart, so `𝒩_r(ā)` *is* that
-//!    disjoint union up to isomorphism). Accepted combinations become the
-//!    exclusive clauses of `ψ₂`; `ψ₁` is the pairwise `¬E` guard.
+//!    disjoint union up to isomorphism). The union is never materialized:
+//!    the matrix is evaluated against a borrowed [`UnionView`] of the
+//!    representatives. Accepted combinations become the exclusive clauses
+//!    of `ψ₂`; `ψ₁` is the pairwise `¬E` guard.
 //!
 //! # Assembly layout
 //!
@@ -54,10 +56,10 @@ use crate::graph_query::{GraphClause, GraphQuery};
 use crate::EngineError;
 use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner};
 use lowdeg_locality::{localize, LocalQuery, TypeId, TypeInterner};
-use lowdeg_logic::eval::{eval, Assignment};
+use lowdeg_logic::eval::{eval, Assignment, Model};
 use lowdeg_logic::{Formula, Query, Var};
 use lowdeg_par::{par_flat_map, par_map, par_partition, ParConfig};
-use lowdeg_storage::{GaifmanGraph, Node, RelId, Signature, Structure};
+use lowdeg_storage::{GaifmanGraph, Node, RelId, Signature, Structure, MAX_ARITY as MAX_REL_ARITY};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -146,7 +148,7 @@ pub struct ReductionCore {
     /// [`Self::iotas_by_size`]).
     pub(crate) iota_rank: Vec<u16>,
     /// Canonical neighborhood types with their representatives (Step 5
-    /// evaluates the matrix on disjoint unions of these).
+    /// evaluates the matrix on [`UnionView`]s of these).
     pub(crate) interner: TypeInterner,
     /// Realized types per cluster size (`types_by_size[s]`).
     pub(crate) types_by_size: Vec<BTreeSet<TypeId>>,
@@ -181,6 +183,14 @@ impl ReductionCore {
     /// The neighborhood-type color `C_t`.
     fn ct(&self, t: TypeId) -> RelId {
         RelId((2 + self.k + self.iotas.len() + t.index()) as u32)
+    }
+
+    /// The id of the injection whose target positions are `positions`.
+    fn iota_id(&self, positions: &[u8]) -> u16 {
+        self.iotas
+            .iter()
+            .position(|io| io.as_slice() == positions)
+            .expect("every injection enumerated") as u16
     }
 
     /// Tuple `j` of the CSR.
@@ -406,7 +416,7 @@ impl Reduction {
                                 fps,
                             )?
                         }
-                        _ => step5(&core, &local, query, budget, par)?,
+                        _ => step5(&core, &local, budget, par)?,
                     };
                     Ok(Step5Product {
                         query: q,
@@ -420,7 +430,7 @@ impl Reduction {
                     product.clause_sigs.clone(),
                 )
             }
-            _ => step5(&core, &local, query, budget, par)?,
+            _ => step5(&core, &local, budget, par)?,
         };
         profiler.add(Stage::Reduce, reduce_started.elapsed().as_nanos() as u64);
 
@@ -457,7 +467,7 @@ impl Reduction {
         let r = local.radius;
         let two_r1 = 2 * r + 1;
         let core = Arc::new(build_core_reference(structure, r, k, eps, par));
-        let (query_out, accepted, clause_sigs) = step5(&core, &local, query, budget, par)?;
+        let (query_out, accepted, clause_sigs) = step5(&core, &local, budget, par)?;
         Ok(Reduction {
             core,
             query: query_out,
@@ -514,9 +524,9 @@ impl Reduction {
 
     /// Workload-planner build: materialize the planned clauses of one
     /// `(radius, k)` bucket into `cache`'s clause tier with a SINGLE
-    /// batched acceptance scan — every combination's disjoint union is
-    /// assembled once and all planned clause matrices evaluate against
-    /// it — so later per-query assemblies stitch the shared artifacts
+    /// batched acceptance scan — every combination is visited once and
+    /// all planned clause matrices evaluate against its union view — so
+    /// later per-query assemblies stitch the shared artifacts
     /// instead of re-running any clause's Step 5 acceptance pass. `jobs`
     /// maps each owning rep query to its clause fingerprints and the
     /// clause indices to prebuild. Queries that fail to localize, whose
@@ -552,7 +562,6 @@ impl Reduction {
         let core = cache.reduction_core(structure.fingerprint(), r, k, eps, || {
             build_core(structure, r, k, eps, par, &profiler)
         });
-        step5_check_and_warm(&core, budget, par)?;
         let mut batch: Vec<ClauseJob> = Vec::new();
         for (local, fps, indices) in &locals {
             for &ci in *indices {
@@ -569,6 +578,7 @@ impl Reduction {
                 }
             }
         }
+        step5_check_and_warm(&core, budget, par, batch.iter().map(|job| job.matrix))?;
         let sets = clause_accept_sets(&core, par, &batch);
         for (job, accepted) in batch.iter().zip(sets) {
             cache.clause_product_insert(
@@ -631,6 +641,19 @@ impl Reduction {
     /// The localized matrix used for the reduction.
     pub fn local_query(&self) -> &LocalQuery {
         &self.local
+    }
+
+    /// The representatives Step 5 evaluates on: for each cluster size `s`
+    /// (index `s`, `0..=k`), the realized types' `(representative,
+    /// distinguished tuple)` pairs in the order the acceptance scan
+    /// enumerates them. Test-only.
+    #[doc(hidden)]
+    pub fn type_representatives(&self) -> Vec<Vec<(&Structure, &[Node])>> {
+        let c = &*self.core;
+        c.types_by_size
+            .iter()
+            .map(|ts| ts.iter().map(|&t| c.interner.representative(t)).collect())
+            .collect()
     }
 
     /// Number of cluster vertices (the `|V|` of Step 3).
@@ -733,12 +756,7 @@ impl Reduction {
                 s += 1;
                 bits &= bits - 1;
             }
-            let io = self
-                .core
-                .iotas
-                .iter()
-                .position(|io| io.as_slice() == &pos_buf[..s])
-                .expect("part is an injection") as u16;
+            let io = self.core.iota_id(&pos_buf[..s]);
             let tid = self
                 .core
                 .tuples
@@ -892,34 +910,36 @@ pub(crate) struct ClausePlan {
 }
 
 /// Step 5: acceptance per partition × type combination, shared between the
-/// production and reference builds.
+/// production and reference builds. The scan emits accepted combinations
+/// in canonical order, so the clause list needs no sort.
 fn step5(
     core: &ReductionCore,
     local: &LocalQuery,
-    query: &Query,
     budget: u64,
     par: &ParConfig,
 ) -> Result<Step5Output, EngineError> {
-    step5_check_and_warm(core, budget, par)?;
-    Ok(step5_enumerate(core, par, |p, tys, _| {
-        accepts_combo(&local.free, &local.matrix, query, &core.interner, p, tys)
-    }))
+    step5_check_and_warm(core, budget, par, [&local.matrix])?;
+    let sigs = accept_scan(core, par, &[(&local.free, &local.matrix)])
+        .pop()
+        .expect("one list per matrix");
+    let accepted = sigs.iter().cloned().collect();
+    Ok(step5_emit(core, accepted, sigs))
 }
 
 /// The budget check plus the representative Gaifman pre-warm that every
 /// Step 5 variant runs before enumerating combinations.
 ///
-/// Pre-warming: `accepts_combo` evaluates `Dist` atoms through the
-/// assembled union's graph, which `Structure::disjoint_union` stitches
-/// from the parts' cached CSRs — without this, every one of the
-/// up-to-`budget` combinations would re-extract a Gaifman graph from
-/// scratch, which is what made the acceptance pass super-linear in
-/// practice (the realized type count grows with `n` until the degree
-/// bound saturates it).
-fn step5_check_and_warm(
+/// Pre-warming: the [`UnionView`] answers `Dist` atoms from the
+/// representatives' own cached Gaifman graphs and reads them for nothing
+/// else, so they are warmed (in parallel, once per core) only when some
+/// matrix about to be evaluated contains a distance guard. Without the
+/// warm, the first combination touching each representative would build
+/// its graph on the scan's critical path.
+fn step5_check_and_warm<'f>(
     core: &ReductionCore,
     budget: u64,
     par: &ParConfig,
+    matrices: impl IntoIterator<Item = &'f Formula>,
 ) -> Result<(), EngineError> {
     let combo_total = step5_combo_total(core);
     if combo_total > budget {
@@ -928,20 +948,22 @@ fn step5_check_and_warm(
             budget,
         });
     }
-    let all_tys: Vec<TypeId> = core.types_by_size.iter().flatten().copied().collect();
-    let rep_serial = ParConfig::serial();
-    par_map(par, &all_tys, |&t| {
-        let (s, _) = core.interner.representative(t);
-        s.gaifman_with(&rep_serial);
-    });
+    if matrices.into_iter().any(Formula::has_dist) {
+        let all_tys: Vec<TypeId> = core.types_by_size.iter().flatten().copied().collect();
+        let rep_serial = ParConfig::serial();
+        par_map(par, &all_tys, |&t| {
+            let (s, _) = core.interner.representative(t);
+            s.gaifman_with(&rep_serial);
+        });
+    }
     Ok(())
 }
 
 /// `Σ_P Π_j |types|` — the number of partition × type combinations Step 5
 /// enumerates against this core. Also the workload planner's cost model
 /// for one clause's acceptance pass: every combination pays one matrix
-/// evaluation on a disjoint union of representatives, so modeled clause
-/// cost is proportional to this total.
+/// evaluation over the union view of its representatives, so modeled
+/// clause cost is proportional to this total.
 pub(crate) fn step5_combo_total(core: &ReductionCore) -> u64 {
     let mut combo_total: u64 = 0;
     for p in &all_partitions(core.k) {
@@ -954,37 +976,35 @@ pub(crate) fn step5_combo_total(core: &ReductionCore) -> u64 {
     combo_total
 }
 
-/// The canonical partition × type-combination enumeration shared by the
-/// monolithic and clause-granular Step 5 paths. `accept` sees
-/// `(partition, types, packed signature)` and decides membership; the
-/// emitted clause order, colors and signatures are a pure function of the
-/// core and the acceptance predicate, so two paths with extensionally
-/// equal predicates produce bit-identical outputs. Budget must have been
-/// checked by the caller ([`step5_check_and_warm`]).
-fn step5_enumerate<F>(core: &ReductionCore, par: &ParConfig, accept: F) -> Step5Output
-where
-    F: Fn(&[Vec<u8>], &[TypeId], &[u64]) -> bool + Sync,
-{
+/// The canonical partition × type-combination scan shared by every Step 5
+/// path. Each combination is visited once: its representatives are laid
+/// side by side in a [`UnionView`] (no union is materialized), its
+/// distinguished tuples are placed at their answer positions, and every
+/// `(free variables, matrix)` pair is evaluated against the view. Returns,
+/// per matrix, the packed signatures it accepts in canonical order —
+/// partitions in [`all_partitions`] order, types in mixed radix with the
+/// last part fastest. Chunk boundaries are fixed and chunks concatenate
+/// in order, so the lists are identical for every thread count. A batch
+/// of `m` matrices costs one scan plus `m` evaluations per combination.
+/// Budget must have been checked by the caller ([`step5_check_and_warm`]).
+fn accept_scan(
+    core: &ReductionCore,
+    par: &ParConfig,
+    matrices: &[(&[Var], &Formula)],
+) -> Vec<Vec<Box<[u64]>>> {
     let k = core.k;
-    let iota_id = |positions: &[u8]| -> u16 {
-        core.iotas
-            .iter()
-            .position(|io| io.as_slice() == positions)
-            .expect("every injection enumerated") as u16
-    };
-
-    let partitions = all_partitions(k);
-    let mut clauses: Vec<GraphClause> = Vec::new();
-    let mut accepted: FxHashSet<Box<[u64]>> = FxHashSet::default();
-    let mut clause_sigs: Vec<Box<[u64]>> = Vec::new();
+    let mut lists: Vec<Vec<Box<[u64]>>> = matrices.iter().map(|_| Vec::new()).collect();
+    if matrices.is_empty() {
+        return lists;
+    }
     /// Combinations checked per parallel work item; fixed so the chunk
-    /// boundaries (and hence the clause order after in-order concatenation)
+    /// boundaries (and hence the list order after in-order concatenation)
     /// never depend on the thread count.
     const COMBO_CHUNK: usize = 1024;
-    for p in &partitions {
+    for p in &all_partitions(k) {
         let ell = p.len();
         // iota of each part: its (sorted) position list
-        let part_iotas: Vec<u16> = p.iter().map(|part| iota_id(part)).collect();
+        let part_iotas: Vec<u16> = p.iter().map(|part| core.iota_id(part)).collect();
         let size_types: Vec<Vec<TypeId>> = p
             .iter()
             .map(|part| core.types_by_size[part.len()].iter().copied().collect())
@@ -994,18 +1014,18 @@ where
         }
         let total: usize = size_types.iter().map(|ts| ts.len()).product();
         let chunk_starts: Vec<usize> = (0..total).step_by(COMBO_CHUNK).collect();
-        // Each chunk decodes its combination indices in mixed radix (last
-        // part fastest — the serial odometer's order) and returns its
-        // accepted (colors, signature) pairs; in-order concatenation keeps
-        // the clause list identical to the serial construction.
-        // accepted (clause colors, packed signature) pairs per chunk
-        type ComboHit = (Vec<Vec<RelId>>, Vec<u64>);
-        let hits: Vec<Vec<ComboHit>> = par_map(par, &chunk_starts, |&start| {
+        // accepted (matrix index, packed signature) pairs per chunk
+        let hits: Vec<Vec<(u16, Box<[u64]>)>> = par_map(par, &chunk_starts, |&start| {
             let end = (start + COMBO_CHUNK).min(total);
             let mut out = Vec::new();
             let mut tys: Vec<TypeId> = vec![TypeId(0); ell];
             let mut signature: Vec<u64> = Vec::with_capacity(k);
+            let mut view = UnionView::default();
+            let mut at: Vec<Node> = vec![Node(0); k];
+            let mut asg = Assignment::default();
             for idx in start..end {
+                // decode the combination index in mixed radix (last part
+                // fastest — the serial odometer's order)
                 let mut rem = idx;
                 for j in (0..ell).rev() {
                     let ts = &size_types[j];
@@ -1016,41 +1036,38 @@ where
                 for j in 0..ell {
                     signature.push(pack_signature(Some((part_iotas[j], tys[j].0))));
                 }
-                for _ in ell..k {
-                    signature.push(pack_signature(None));
+                signature.resize(k, pack_signature(None));
+                view.clear();
+                for (part, &t) in p.iter().zip(&tys) {
+                    let (rep, dist) = core.interner.representative(t);
+                    let offset = view.push(rep);
+                    debug_assert_eq!(part.len(), dist.len());
+                    for (&pos, &d) in part.iter().zip(dist) {
+                        at[pos as usize] = Node(d.0 + offset);
+                    }
                 }
-                if accept(p, &tys, &signature) {
-                    let mut colors: Vec<Vec<RelId>> = Vec::with_capacity(k);
-                    for j in 0..ell {
-                        colors.push(vec![core.ci(part_iotas[j]), core.ct(tys[j])]);
+                let mut shared_sig: Option<Box<[u64]>> = None;
+                for (mi, &(free, matrix)) in matrices.iter().enumerate() {
+                    for (&v, &a) in free.iter().zip(&at) {
+                        asg.bind(v, a);
                     }
-                    for _ in ell..k {
-                        colors.push(vec![core.cbot()]);
+                    if eval(&view, matrix, &mut asg) {
+                        let sig = shared_sig
+                            .get_or_insert_with(|| signature.as_slice().into())
+                            .clone();
+                        out.push((mi as u16, sig));
                     }
-                    out.push((colors, signature.clone()));
                 }
             }
             out
         });
         for chunk in hits {
-            for (colors, signature) in chunk {
-                clauses.push(GraphClause { colors });
-                let sig = signature.into_boxed_slice();
-                accepted.insert(sig.clone());
-                clause_sigs.push(sig);
+            for (mi, sig) in chunk {
+                lists[mi as usize].push(sig);
             }
         }
     }
-
-    (
-        GraphQuery {
-            k,
-            edge: core.edge,
-            clauses,
-        },
-        accepted,
-        clause_sigs,
-    )
+    lists
 }
 
 /// One clause acceptance set to build in a batched scan: the owning
@@ -1063,90 +1080,28 @@ pub(crate) struct ClauseJob<'a> {
 }
 
 /// The acceptance signature sets of several localized clause matrices
-/// over the same core, built in ONE canonical enumeration: each
-/// combination's disjoint union is assembled once ([`assemble_combo`] is
-/// the dominant per-combination cost) and every job's matrix is evaluated
-/// against it, so a batch of `m` clauses costs one scan plus `m` cheap
-/// evaluations per combination instead of `m` full scans. Because `eval`
-/// on a disjunction is the disjunction of the per-clause `eval`s, the
-/// union of a query's clause sets equals the monolithic [`step5`]
-/// acceptance set exactly.
+/// over the same core, built in ONE [`accept_scan`]. Because `eval` on a
+/// disjunction is the disjunction of the per-clause `eval`s, the union of
+/// a query's clause sets equals the monolithic [`step5`] acceptance set
+/// exactly.
 fn clause_accept_sets(
     core: &ReductionCore,
     par: &ParConfig,
     jobs: &[ClauseJob],
 ) -> Vec<FxHashSet<Box<[u64]>>> {
-    let k = core.k;
-    let mut sets: Vec<FxHashSet<Box<[u64]>>> = jobs.iter().map(|_| FxHashSet::default()).collect();
-    if jobs.is_empty() {
-        return sets;
-    }
-    let iota_id = |positions: &[u8]| -> u16 {
-        core.iotas
-            .iter()
-            .position(|io| io.as_slice() == positions)
-            .expect("every injection enumerated") as u16
-    };
-    const COMBO_CHUNK: usize = 1024;
-    for p in &all_partitions(k) {
-        let ell = p.len();
-        let part_iotas: Vec<u16> = p.iter().map(|part| iota_id(part)).collect();
-        let size_types: Vec<Vec<TypeId>> = p
-            .iter()
-            .map(|part| core.types_by_size[part.len()].iter().copied().collect())
-            .collect();
-        if size_types.iter().any(|ts| ts.is_empty()) {
-            continue;
-        }
-        let total: usize = size_types.iter().map(|ts| ts.len()).product();
-        let chunk_starts: Vec<usize> = (0..total).step_by(COMBO_CHUNK).collect();
-        let hits: Vec<Vec<(u16, Box<[u64]>)>> = par_map(par, &chunk_starts, |&start| {
-            let end = (start + COMBO_CHUNK).min(total);
-            let mut out = Vec::new();
-            let mut tys: Vec<TypeId> = vec![TypeId(0); ell];
-            let mut signature: Vec<u64> = Vec::with_capacity(k);
-            for idx in start..end {
-                let mut rem = idx;
-                for j in (0..ell).rev() {
-                    let ts = &size_types[j];
-                    tys[j] = ts[rem % ts.len()];
-                    rem /= ts.len();
-                }
-                signature.clear();
-                for j in 0..ell {
-                    signature.push(pack_signature(Some((part_iotas[j], tys[j].0))));
-                }
-                for _ in ell..k {
-                    signature.push(pack_signature(None));
-                }
-                let (assembled, nodes) = assemble_combo(&core.interner, k, p, &tys);
-                let mut shared_sig: Option<Box<[u64]>> = None;
-                for (ji, job) in jobs.iter().enumerate() {
-                    if eval_on_combo(&assembled, &nodes, job.free, job.matrix) {
-                        let sig = shared_sig
-                            .get_or_insert_with(|| signature.clone().into_boxed_slice())
-                            .clone();
-                        out.push((ji as u16, sig));
-                    }
-                }
-            }
-            out
-        });
-        for chunk in hits {
-            for (ji, sig) in chunk {
-                sets[ji as usize].insert(sig);
-            }
-        }
-    }
-    sets
+    let matrices: Vec<(&[Var], &Formula)> = jobs.iter().map(|j| (j.free, j.matrix)).collect();
+    accept_scan(core, par, &matrices)
+        .into_iter()
+        .map(|sigs| sigs.into_iter().collect())
+        .collect()
 }
 
 /// Stitch a Step 5 output directly from an accepted-signature set: decode
 /// each packed signature back to its partition × type combination, sort by
 /// the canonical enumeration rank, and re-derive the colors.
 ///
-/// Bit-identical to [`step5_enumerate`] with any predicate whose
-/// acceptance set equals `accepted`: the per-part `(ι+1, t)` words recover
+/// Bit-identical to the monolithic [`step5`] whenever its acceptance set
+/// equals `accepted`: the per-part `(ι+1, t)` words recover
 /// the partition (the ordered ι-id list) and the types uniquely, the
 /// canonical rank is `(partition index in all_partitions, mixed-radix
 /// combination index)` — the latter is lexicographic on the per-part type
@@ -1157,16 +1112,10 @@ fn clause_accept_sets(
 /// acceptance sets are cached.
 fn step5_assemble(core: &ReductionCore, accepted: FxHashSet<Box<[u64]>>) -> Step5Output {
     let k = core.k;
-    let iota_id = |positions: &[u8]| -> u16 {
-        core.iotas
-            .iter()
-            .position(|io| io.as_slice() == positions)
-            .expect("every injection enumerated") as u16
-    };
     // canonical rank of each partition, keyed by its ordered ι-id list
     let mut partition_rank: FxHashMap<Vec<u16>, u32> = FxHashMap::default();
     for (i, p) in all_partitions(k).iter().enumerate() {
-        let key: Vec<u16> = p.iter().map(|part| iota_id(part)).collect();
+        let key: Vec<u16> = p.iter().map(|part| core.iota_id(part)).collect();
         partition_rank.insert(key, i as u32);
     }
     // rank of each type within its size class — the mixed-radix digit
@@ -1195,26 +1144,38 @@ fn step5_assemble(core: &ReductionCore, accepted: FxHashSet<Box<[u64]>>) -> Step
         })
         .collect();
     ranked.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    let clause_sigs = ranked.into_iter().map(|(_, _, sig)| sig).collect();
+    step5_emit(core, accepted, clause_sigs)
+}
 
-    let mut clauses: Vec<GraphClause> = Vec::with_capacity(ranked.len());
-    let mut clause_sigs: Vec<Box<[u64]>> = Vec::with_capacity(ranked.len());
-    for (_, _, sig) in ranked {
-        let mut colors: Vec<Vec<RelId>> = Vec::with_capacity(k);
-        for &w in sig.iter() {
-            if w == 0 {
-                colors.push(vec![core.cbot()]);
-            } else {
-                let io = ((w >> 32) - 1) as u16;
-                let ty = TypeId((w & 0xFFFF_FFFF) as u32);
-                colors.push(vec![core.ci(io), core.ct(ty)]);
-            }
-        }
-        clauses.push(GraphClause { colors });
-        clause_sigs.push(sig);
-    }
+/// The Step 5 output for accepted signatures already in canonical order:
+/// one clause per signature, its colors decoded from the packed
+/// `(ι+1, type)` words (`C_ι ∧ C_t` per part, `C_⊥` per padding word).
+fn step5_emit(
+    core: &ReductionCore,
+    accepted: FxHashSet<Box<[u64]>>,
+    clause_sigs: Vec<Box<[u64]>>,
+) -> Step5Output {
+    let clauses = clause_sigs
+        .iter()
+        .map(|sig| GraphClause {
+            colors: sig
+                .iter()
+                .map(|&w| {
+                    if w == 0 {
+                        vec![core.cbot()]
+                    } else {
+                        let io = ((w >> 32) - 1) as u16;
+                        let ty = TypeId((w & 0xFFFF_FFFF) as u32);
+                        vec![core.ci(io), core.ct(ty)]
+                    }
+                })
+                .collect(),
+        })
+        .collect();
     (
         GraphQuery {
-            k,
+            k: core.k,
             edge: core.edge,
             clauses,
         },
@@ -1233,8 +1194,8 @@ fn step5_assemble(core: &ReductionCore, accepted: FxHashSet<Box<[u64]>>) -> Step
 /// monolithically iff some clause accepts it (the union), and
 /// [`step5_assemble`] re-emits exactly the union's combinations in the
 /// canonical order with the canonical colors. Because the misses build in
-/// one shared-assembly scan, a fully cold query costs no more than its
-/// monolithic pass would have.
+/// one shared scan, a fully cold query costs no more than its monolithic
+/// pass would have.
 #[allow(clippy::too_many_arguments)]
 fn step5_clause_shared(
     core: &ReductionCore,
@@ -1247,7 +1208,6 @@ fn step5_clause_shared(
     clause_fps: &[u64],
 ) -> Result<Step5Output, EngineError> {
     debug_assert_eq!(clause_fps.len(), local.clause_matrices.len());
-    step5_check_and_warm(core, budget, par)?;
     let (r, k) = (local.radius, core.k);
     let mut union: FxHashSet<Box<[u64]>> = FxHashSet::default();
     let mut missing: Vec<ClauseJob> = Vec::new();
@@ -1261,6 +1221,7 @@ fn step5_clause_shared(
             }),
         }
     }
+    step5_check_and_warm(core, budget, par, missing.iter().map(|job| job.matrix))?;
     if !missing.is_empty() {
         let sets = clause_accept_sets(core, par, &missing);
         for (job, accepted) in missing.iter().zip(sets) {
@@ -2102,69 +2063,95 @@ fn build_core_reference(
     }
 }
 
-/// The matrix-independent half of a combination check: assemble the
-/// disjoint union of the combination's type representatives — flat
-/// relation concatenation, Gaifman graph stitched from the
-/// representatives' cached CSRs (pre-warmed by [`step5_check_and_warm`]),
-/// no per-combination re-sort or graph extraction — and place the
-/// distinguished tuples at their answer positions. Shared so a batched
-/// clause scan can assemble each combination once and evaluate many
-/// clause matrices against it.
-fn assemble_combo(
-    interner: &TypeInterner,
-    k: usize,
-    partition: &[Vec<u8>],
-    tys: &[TypeId],
-) -> (Structure, Vec<Option<Node>>) {
-    let reps: Vec<(&Structure, &[Node])> =
-        tys.iter().map(|&t| interner.representative(t)).collect();
-    let parts: Vec<&Structure> = reps.iter().map(|&(s, _)| s).collect();
-    let assembled = Structure::disjoint_union(&parts).expect("non-empty union");
-    let mut offsets = Vec::with_capacity(reps.len());
-    let mut off = 0usize;
-    for (s, _) in &reps {
-        offsets.push(off);
-        off += s.cardinality();
-    }
-    let mut assignment_nodes: Vec<Option<Node>> = vec![None; k];
-    for ((part, (_, dist)), &offset) in partition.iter().zip(&reps).zip(&offsets) {
-        debug_assert_eq!(part.len(), dist.len());
-        for (&pos, &d) in part.iter().zip(dist.iter()) {
-            assignment_nodes[pos as usize] = Some(Node((d.index() + offset) as u32));
+/// A Step 5 combination's structure — the disjoint union of its type
+/// representatives — as a borrowed view that [`eval`] runs on directly;
+/// no union is ever materialized. Part `i` occupies the node range
+/// starting at the sum of the preceding parts' cardinalities, the layout
+/// a materialized disjoint union uses, so quantifiers range over the
+/// same domain in the same order. A fact holds iff all its arguments
+/// fall in one part and the fact holds there (no fact of a disjoint
+/// union spans two parts), and two nodes of different parts are at
+/// infinite Gaifman distance. Every question is dispatched to the
+/// owning part by its offset.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct UnionView<'a> {
+    parts: Vec<&'a Structure>,
+    /// `ends[i]`: one past part `i`'s last node id.
+    ends: Vec<u32>,
+}
+
+impl<'a> UnionView<'a> {
+    /// The view over `parts`, in order.
+    pub fn new(parts: &[&'a Structure]) -> Self {
+        let mut view = UnionView::default();
+        for &part in parts {
+            view.push(part);
         }
+        view
     }
-    (assembled, assignment_nodes)
+
+    /// Drop every part, keeping the allocations for reuse.
+    fn clear(&mut self) {
+        self.parts.clear();
+        self.ends.clear();
+    }
+
+    /// Append `part`; returns the node offset its domain starts at.
+    fn push(&mut self, part: &'a Structure) -> u32 {
+        let offset = self.ends.last().copied().unwrap_or(0);
+        self.parts.push(part);
+        self.ends.push(offset + part.cardinality() as u32);
+        offset
+    }
+
+    /// The part owning node `a` and that part's node range.
+    #[inline]
+    fn locate(&self, a: Node) -> (&'a Structure, u32, u32) {
+        let i = self
+            .ends
+            .iter()
+            .position(|&end| a.0 < end)
+            .expect("node inside the union's domain");
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (self.parts[i], start, self.ends[i])
+    }
 }
 
-/// Evaluate one clause matrix against an assembled combination.
-fn eval_on_combo(
-    assembled: &Structure,
-    assignment_nodes: &[Option<Node>],
-    free: &[Var],
-    matrix: &Formula,
-) -> bool {
-    let mut asg = Assignment::default();
-    for (i, &v) in free.iter().enumerate() {
-        asg.bind(
-            v,
-            assignment_nodes[i].expect("partition covers all positions"),
-        );
+impl Model for UnionView<'_> {
+    #[inline]
+    fn cardinality(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0) as usize
     }
-    eval(assembled, matrix, &mut asg)
-}
 
-/// Decide acceptance of a partition + type combination by evaluating the
-/// local matrix on the disjoint union of type representatives.
-fn accepts_combo(
-    free: &[Var],
-    matrix: &Formula,
-    query: &Query,
-    interner: &TypeInterner,
-    partition: &[Vec<u8>],
-    tys: &[TypeId],
-) -> bool {
-    let (assembled, assignment_nodes) = assemble_combo(interner, query.arity(), partition, tys);
-    eval_on_combo(&assembled, &assignment_nodes, free, matrix)
+    fn holds(&self, rel: RelId, t: &[Node]) -> bool {
+        let Some(&first) = t.first() else {
+            return false; // every relation has arity >= 1
+        };
+        let (part, start, end) = self.locate(first);
+        let mut buf = [Node(0); MAX_REL_ARITY];
+        let Some(local) = buf.get_mut(..t.len()) else {
+            return false;
+        };
+        for (slot, &a) in local.iter_mut().zip(t) {
+            if a.0 < start || a.0 >= end {
+                return false; // spans two parts
+            }
+            *slot = Node(a.0 - start);
+        }
+        part.holds(rel, local)
+    }
+
+    fn within_distance(&self, a: Node, b: Node, r: usize) -> bool {
+        if a == b {
+            return true;
+        }
+        let (part, start, end) = self.locate(a);
+        if b.0 < start || b.0 >= end {
+            return false; // different parts: infinitely far apart
+        }
+        Model::within_distance(part, Node(a.0 - start), Node(b.0 - start), r)
+    }
 }
 
 /// All injections `{0..s-1} → {0..k-1}` for `s = 1..=k`, each as its list of

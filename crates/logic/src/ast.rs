@@ -250,6 +250,17 @@ impl Formula {
         }
     }
 
+    /// Whether a distance guard `dist(x, y) ⋈ r` occurs anywhere in the
+    /// formula.
+    pub fn has_dist(&self) -> bool {
+        match self {
+            Formula::Dist { .. } => true,
+            Formula::True | Formula::False | Formula::Atom { .. } | Formula::Eq(..) => false,
+            Formula::Not(f) | Formula::Exists(_, f) | Formula::Forall(_, f) => f.has_dist(),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().any(Formula::has_dist),
+        }
+    }
+
     /// Whether the formula is an atom, equality, or distance guard (possibly
     /// under one negation).
     pub fn is_literal(&self) -> bool {

@@ -6,7 +6,40 @@
 //! every test in the workspace compares against.
 
 use crate::ast::{DistCmp, Formula, Query, Var};
-use lowdeg_storage::{Node, Structure};
+use lowdeg_storage::{Node, RelId, Structure, MAX_ARITY};
+
+/// The read-only view of a structure that [`eval`] needs: the domain
+/// `0..cardinality()` in its linear order, fact membership, and bounded
+/// Gaifman distance. [`Structure`] is the canonical model; a model can
+/// also be a view that answers these questions without materializing a
+/// `Structure` (for example a disjoint union of borrowed parts).
+pub trait Model {
+    /// `|A|`; quantifiers range over `Node(0)..Node(cardinality())`.
+    fn cardinality(&self) -> usize;
+
+    /// Whether `rel(t)` is a fact. A tuple of the wrong arity never is.
+    fn holds(&self, rel: RelId, t: &[Node]) -> bool;
+
+    /// Whether the Gaifman distance between `a` and `b` is at most `r`.
+    fn within_distance(&self, a: Node, b: Node, r: usize) -> bool;
+}
+
+impl Model for Structure {
+    #[inline]
+    fn cardinality(&self) -> usize {
+        Structure::cardinality(self)
+    }
+
+    #[inline]
+    fn holds(&self, rel: RelId, t: &[Node]) -> bool {
+        Structure::holds(self, rel, t)
+    }
+
+    #[inline]
+    fn within_distance(&self, a: Node, b: Node, r: usize) -> bool {
+        self.gaifman().distance_at_most(a, b, r).is_some()
+    }
+}
 
 /// A partial assignment of variables to nodes, indexed by variable id.
 #[derive(Clone, Debug, Default)]
@@ -47,43 +80,51 @@ impl Assignment {
     }
 }
 
-/// Evaluate `f` over `structure` under `asg` (which must bind every free
+/// Evaluate `f` over `model` under `asg` (which must bind every free
 /// variable of `f`).
-pub fn eval(structure: &Structure, f: &Formula, asg: &mut Assignment) -> bool {
+pub fn eval<M: Model + ?Sized>(model: &M, f: &Formula, asg: &mut Assignment) -> bool {
     match f {
         Formula::True => true,
         Formula::False => false,
         Formula::Atom { rel, args } => {
-            let tuple: Vec<Node> = args.iter().map(|&v| asg.require(v)).collect();
-            structure.holds(*rel, &tuple)
+            let mut buf = [Node(0); MAX_ARITY];
+            let Some(tuple) = buf.get_mut(..args.len()) else {
+                return false; // wider than any relation of any signature
+            };
+            for (slot, &v) in tuple.iter_mut().zip(args) {
+                *slot = asg.require(v);
+            }
+            model.holds(*rel, tuple)
         }
         Formula::Eq(x, y) => asg.require(*x) == asg.require(*y),
         Formula::Dist { x, y, cmp, r } => {
-            let within = structure
-                .gaifman()
-                .distance_at_most(asg.require(*x), asg.require(*y), *r)
-                .is_some();
+            let within = model.within_distance(asg.require(*x), asg.require(*y), *r);
             match cmp {
                 DistCmp::LessEq => within,
                 DistCmp::Greater => !within,
             }
         }
-        Formula::Not(g) => !eval(structure, g, asg),
-        Formula::And(gs) => gs.iter().all(|g| eval(structure, g, asg)),
-        Formula::Or(gs) => gs.iter().any(|g| eval(structure, g, asg)),
-        Formula::Exists(vs, g) => eval_exists(structure, vs, g, asg),
-        Formula::Forall(vs, g) => !eval_exists_not(structure, vs, g, asg),
+        Formula::Not(g) => !eval(model, g, asg),
+        Formula::And(gs) => gs.iter().all(|g| eval(model, g, asg)),
+        Formula::Or(gs) => gs.iter().any(|g| eval(model, g, asg)),
+        Formula::Exists(vs, g) => eval_exists(model, vs, g, asg),
+        Formula::Forall(vs, g) => !eval_exists_not(model, vs, g, asg),
     }
 }
 
-fn eval_exists(structure: &Structure, vs: &[Var], g: &Formula, asg: &mut Assignment) -> bool {
+fn eval_exists<M: Model + ?Sized>(
+    model: &M,
+    vs: &[Var],
+    g: &Formula,
+    asg: &mut Assignment,
+) -> bool {
     match vs.split_first() {
-        None => eval(structure, g, asg),
+        None => eval(model, g, asg),
         Some((&v, rest)) => {
             let saved = asg.get(v);
-            for a in structure.domain() {
+            for a in (0..model.cardinality() as u32).map(Node) {
                 asg.bind(v, a);
-                if eval_exists(structure, rest, g, asg) {
+                if eval_exists(model, rest, g, asg) {
                     restore(asg, v, saved);
                     return true;
                 }
@@ -94,14 +135,19 @@ fn eval_exists(structure: &Structure, vs: &[Var], g: &Formula, asg: &mut Assignm
     }
 }
 
-fn eval_exists_not(structure: &Structure, vs: &[Var], g: &Formula, asg: &mut Assignment) -> bool {
+fn eval_exists_not<M: Model + ?Sized>(
+    model: &M,
+    vs: &[Var],
+    g: &Formula,
+    asg: &mut Assignment,
+) -> bool {
     match vs.split_first() {
-        None => !eval(structure, g, asg),
+        None => !eval(model, g, asg),
         Some((&v, rest)) => {
             let saved = asg.get(v);
-            for a in structure.domain() {
+            for a in (0..model.cardinality() as u32).map(Node) {
                 asg.bind(v, a);
-                if eval_exists_not(structure, rest, g, asg) {
+                if eval_exists_not(model, rest, g, asg) {
                     restore(asg, v, saved);
                     return true;
                 }

@@ -249,36 +249,6 @@ impl GaifmanGraph {
         }
     }
 
-    /// The Gaifman graph of a disjoint union, assembled from the parts'
-    /// graphs: part `i`'s nodes are shifted by the sum of the preceding
-    /// part sizes and the CSR arrays concatenate. Edges never cross parts
-    /// (no fact spans two parts of a disjoint union), so this is exact —
-    /// and `O(Σ ‖part‖)` with no re-extraction, which is what makes
-    /// per-combination acceptance checks over unions of small type
-    /// representatives cheap.
-    pub fn disjoint_union(parts: &[&GaifmanGraph]) -> GaifmanGraph {
-        let n: usize = parts.iter().map(|g| g.len()).sum();
-        let m: usize = parts.iter().map(|g| g.neighbors.len()).sum();
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut neighbors: Vec<Node> = Vec::with_capacity(m);
-        let mut max_degree = 0usize;
-        let mut node_off = 0u32;
-        let mut edge_off = 0u32;
-        for g in parts {
-            offsets.extend(g.offsets[1..].iter().map(|&o| o + edge_off));
-            neighbors.extend(g.neighbors.iter().map(|&v| Node(v.0 + node_off)));
-            max_degree = max_degree.max(g.max_degree);
-            node_off += g.len() as u32;
-            edge_off += g.neighbors.len() as u32;
-        }
-        GaifmanGraph {
-            offsets,
-            neighbors,
-            max_degree,
-        }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {

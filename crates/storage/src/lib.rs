@@ -40,7 +40,7 @@ pub use labeled::{Labeled, LabeledBuilder};
 pub use loader::{parse_edge_list, parse_structure, write_structure};
 pub use neighborhood::{ball_of_tuple, Neighborhood};
 pub use relation::Relation;
-pub use signature::{RelId, Signature, SignatureBuilder};
+pub use signature::{RelId, Signature, SignatureBuilder, MAX_ARITY};
 pub use structure::Structure;
 
 /// A domain element of a structure.

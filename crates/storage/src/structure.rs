@@ -43,60 +43,6 @@ impl Structure {
         StructureBuilder::new(signature, n)
     }
 
-    /// The disjoint union of `parts` (all over the same signature): part
-    /// `i`'s domain is shifted by the sum of the preceding cardinalities.
-    ///
-    /// Shifting every component of a tuple by the same offset preserves
-    /// lexicographic order, and all of part `i+1`'s shifted tuples compare
-    /// greater than part `i`'s, so each relation assembles as a flat
-    /// concatenation with **no re-sort and no per-tuple allocation**. When
-    /// every part already carries a cached Gaifman graph the union's graph
-    /// is assembled from them (a CSR concatenation) instead of recomputed —
-    /// the fast path for acceptance checks that evaluate a formula on
-    /// unions of small neighborhood-type representatives.
-    pub fn disjoint_union(parts: &[&Structure]) -> Result<Structure, crate::StorageError> {
-        let Some(first) = parts.first() else {
-            return Err(crate::StorageError::EmptyDomain);
-        };
-        let signature = first.signature.clone();
-        debug_assert!(
-            parts
-                .iter()
-                .all(|p| Arc::ptr_eq(&p.signature, &signature)
-                    || p.signature.len() == signature.len())
-        );
-        let n: usize = parts.iter().map(|p| p.n).sum();
-        if n == 0 {
-            return Err(crate::StorageError::EmptyDomain);
-        }
-        let relations: Vec<Relation> = signature
-            .rel_ids()
-            .map(|rel| {
-                let arity = signature.arity(rel);
-                let total: usize = parts.iter().map(|p| p.relations[rel.index()].len()).sum();
-                let mut flat: Vec<Node> = Vec::with_capacity(total * arity);
-                let mut off = 0u32;
-                for p in parts {
-                    flat.extend(
-                        p.relations[rel.index()]
-                            .as_flat()
-                            .iter()
-                            .map(|&c| Node(c.0 + off)),
-                    );
-                    off += p.n as u32;
-                }
-                Relation::from_sorted_flat(arity, flat)
-            })
-            .collect();
-        let out = Structure::from_parts(signature, n, relations);
-        if parts.iter().all(|p| p.gaifman.get().is_some()) {
-            let graphs: Vec<&GaifmanGraph> =
-                parts.iter().map(|p| p.gaifman.get().unwrap()).collect();
-            out.adopt_gaifman(GaifmanGraph::disjoint_union(&graphs));
-        }
-        Ok(out)
-    }
-
     /// The structure's signature.
     #[inline]
     pub fn signature(&self) -> &Arc<Signature> {

@@ -21,8 +21,10 @@
 //! acceptance pass re-resolved the worker configuration — an
 //! `available_parallelism` syscall — on every cached Gaifman lookup and
 //! re-extracted a Gaifman graph per type combination, which made the
-//! radius-1 suites super-linear in practice. With the cached fast path
-//! and `Structure::disjoint_union` the pass is linear in the realized
+//! radius-1 suites super-linear in practice. Step 5 now evaluates each
+//! combination on a borrowed view of its representatives (`UnionView`,
+//! checked against an explicit union by `step5_union_view`), reading only
+//! their cached Gaifman graphs, so the pass is linear in the realized
 //! combination count.)
 
 use lowdeg_bench::workloads::{
