@@ -55,6 +55,7 @@ use crate::enumerate::EdgeAdjacency;
 use crate::graph_query::{GraphClause, GraphQuery};
 use crate::EngineError;
 use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner};
+use lowdeg_locality::types::Canonicalizer;
 use lowdeg_locality::{localize, LocalQuery, TypeId, TypeInterner};
 use lowdeg_logic::eval::{eval, Assignment, Model};
 use lowdeg_logic::{Formula, Query, Var};
@@ -654,6 +655,13 @@ impl Reduction {
             .iter()
             .map(|ts| ts.iter().map(|&t| c.interner.representative(t)).collect())
             .collect()
+    }
+
+    /// The stored `(representative, local tuple)` of type id `t` — the id
+    /// space of [`CoreDigest::tuple_types`]. Test-only.
+    #[doc(hidden)]
+    pub fn type_representative(&self, t: u32) -> (&Structure, &[Node]) {
+        self.core.interner.representative(TypeId(t))
     }
 
     /// Number of cluster vertices (the `|V|` of Step 3).
@@ -1270,11 +1278,13 @@ fn iota_layout(k: usize, iotas: &[Vec<u8>]) -> (Vec<Vec<u16>>, Vec<u16>, Vec<u32
 ///
 /// Batch assembly throughout: tuples stream into a flat CSR from sharded
 /// anchor ranges; exact neighborhood keys are computed per shard; a single
-/// sort over key-ordered tuple indices groups duplicates, so the expensive
-/// canonical encodings run in parallel once per *distinct* key and the
-/// serial remainder is one `intern_encoded` call per group (in first-
-/// occurrence order — type-id assignment is bit-identical to the reference
-/// build's per-tuple hash-map pass). Vertices are never materialized:
+/// sort over key-ordered tuple indices groups duplicates, so canonical
+/// encodings run in parallel once per *distinct* key — read straight from
+/// the key, with no neighborhood structure built — and the serial
+/// remainder is one `intern_encoded` call per group (in first-occurrence
+/// order — type-id assignment is bit-identical to the reference build's
+/// per-tuple hash-map pass); only a new type's representative is rebuilt
+/// from its key. Vertices are never materialized:
 /// colors and `F`-edges are emitted straight from tuple shards with
 /// arithmetic vertex ids and adopted through the builder's pre-sorted bulk
 /// paths.
@@ -1494,31 +1504,53 @@ pub(crate) fn build_core(
     }
     groups.sort_unstable_by_key(|&(head, _, _)| head);
 
-    // Canonical encodings: the expensive pipeline (neighborhood assembly,
-    // canonical form) fans out over the distinct groups only.
-    let encoded: Vec<(Vec<u8>, Structure, Vec<Node>)> = par_map(par, &groups, |&(head, _, _)| {
-        let t = tslice(head as usize);
-        let nb = structure.neighborhood_of_tuple(t, r);
-        let local_tuple: Vec<Node> = t
-            .iter()
-            .map(|&p| nb.to_local(p).expect("tuple in own neighborhood"))
-            .collect();
-        let enc = lowdeg_locality::types::canonical_encoding(nb.structure(), &local_tuple);
-        (enc, nb.structure().clone(), local_tuple)
-    });
+    // Canonical encodings straight from each group's exact key
+    // `pre(head) ++ suf(set group)`, fanned out over the distinct groups
+    // with one reusable canonicalizer per shard: no neighborhood structure
+    // is built to type a group.
+    let sig = structure.signature();
+    let enc_shards: Vec<(Vec<u32>, Vec<u32>)> = par_partition(
+        par,
+        &groups,
+        partition_parts(par, groups.len()),
+        |_, range| {
+            let mut canon = Canonicalizer::new();
+            let mut lens: Vec<u32> = Vec::with_capacity(range.len());
+            let mut data: Vec<u32> = Vec::new();
+            for &(head, _, _) in range {
+                let head = head as usize;
+                let before = data.len();
+                canon.encode_key(sig, pre(head), suf(esg.tgroup[head] as usize), &mut data);
+                lens.push((data.len() - before) as u32);
+            }
+            (lens, data)
+        },
+    );
 
     // Serial remainder: one intern per distinct key, scattered to members.
+    // A new type's representative is rebuilt from the same key — the
+    // structure `neighborhood_of_tuple(head)` would build.
     let mut interner = TypeInterner::new();
     let mut tuple_ty: Vec<TypeId> = vec![TypeId(0); ntup];
     let mut types_by_size: Vec<BTreeSet<TypeId>> = vec![BTreeSet::new(); k + 1];
-    for (&(head, start, end), (enc, rep_s, rep_t)) in groups.iter().zip(encoded) {
-        let ty = interner.intern_encoded(enc, move || (rep_s, rep_t));
+    let encodings = enc_shards.iter().flat_map(|(lens, data)| {
+        lens.iter().scan(0usize, move |at, &len| {
+            *at += len as usize;
+            Some(&data[*at - len as usize..*at])
+        })
+    });
+    for (&(head, start, end), enc) in groups.iter().zip(encodings) {
+        let h = head as usize;
+        let ty = interner.intern_encoded(enc, || {
+            structure.neighborhood_from_key(pre(h), suf(esg.tgroup[h] as usize))
+        });
         for &j in &order[start as usize..end as usize] {
             tuple_ty[j as usize] = ty;
         }
         // equal keys imply equal tuple length, so one insert covers the run
-        types_by_size[tslice(head as usize).len()].insert(ty);
+        types_by_size[tslice(h).len()].insert(ty);
     }
+    drop(enc_shards);
     drop(order);
     drop(groups);
     drop(pre_data);
@@ -1914,7 +1946,7 @@ fn build_core_reference(
                     .collect();
                 let enc = lowdeg_locality::types::canonical_encoding(nb.structure(), &local_tuple);
                 *e.insert(
-                    interner.intern_encoded(enc, || (nb.structure().clone(), local_tuple.clone())),
+                    interner.intern_encoded(&enc, || (nb.structure().clone(), local_tuple.clone())),
                 )
             }
         };

@@ -38,7 +38,7 @@ pub use error::StorageError;
 pub use gaifman::GaifmanGraph;
 pub use labeled::{Labeled, LabeledBuilder};
 pub use loader::{parse_edge_list, parse_structure, write_structure};
-pub use neighborhood::{ball_of_tuple, Neighborhood};
+pub use neighborhood::{ball_of_tuple, KeyFacts, Neighborhood};
 pub use relation::Relation;
 pub use signature::{RelId, Signature, SignatureBuilder, MAX_ARITY};
 pub use structure::Structure;

@@ -1,8 +1,9 @@
 //! Induced substructures and r-neighborhoods with back-mappings.
 
 use crate::gaifman::GaifmanGraph;
-use crate::signature::RelId;
+use crate::signature::{RelId, Signature};
 use crate::{Node, Relation, Structure};
+use std::sync::Arc;
 
 /// An induced substructure `A|S` together with the embedding of its domain
 /// back into the parent structure.
@@ -22,57 +23,9 @@ impl Neighborhood {
         let mut members: Vec<Node> = nodes.to_vec();
         members.sort_unstable();
         members.dedup();
-
-        let incidence = parent.incidence();
-        let local_of =
-            |p: Node| -> Option<u32> { members.binary_search(&p).ok().map(|i| i as u32) };
-
-        // Gather candidate facts: every fact incident to a member node.
-        // Unary facts have no Gaifman incidence, handle them by scanning the
-        // member list against each unary relation (cheap: binary searches).
-        let mut fact_ids: Vec<(u32, u32)> = Vec::new();
-        for &m in &members {
-            fact_ids.extend_from_slice(incidence.facts_of(m));
-        }
-        fact_ids.sort_unstable();
-        fact_ids.dedup();
-
-        let sig = parent.signature().clone();
-        let mut tuples: Vec<Vec<Vec<Node>>> = vec![Vec::new(); sig.len()];
-
-        let mut scratch: Vec<Node> = Vec::new();
-        'facts: for (rel_raw, idx) in fact_ids {
-            let rel = RelId(rel_raw);
-            let t = parent.relation(rel).tuple(idx as usize);
-            scratch.clear();
-            for &c in t {
-                match local_of(c) {
-                    Some(l) => scratch.push(Node(l)),
-                    None => continue 'facts,
-                }
-            }
-            tuples[rel.index()].push(scratch.clone());
-        }
-
-        // Unary facts on member nodes.
-        for rel in sig.rel_ids() {
-            if sig.arity(rel) != 1 {
-                continue;
-            }
-            let r = parent.relation(rel);
-            for (li, &m) in members.iter().enumerate() {
-                if r.contains(&[m]) {
-                    tuples[rel.index()].push(vec![Node(li as u32)]);
-                }
-            }
-        }
-
-        let relations: Vec<Relation> = sig
-            .rel_ids()
-            .zip(tuples)
-            .map(|(id, ts)| Relation::from_tuples(sig.arity(id), ts))
-            .collect();
-        let structure = Structure::from_parts(sig, members.len(), relations);
+        let mut key: Vec<u32> = Vec::new();
+        local_key(parent, &members, &[], &mut key);
+        let structure = structure_from_key(parent.signature(), members.len(), &key[1..]);
         Neighborhood {
             structure,
             to_parent: members,
@@ -123,15 +76,17 @@ const KEY_SEP: u32 = u32::MAX;
 /// A cheap, exact fingerprint of the induced substructure `A|members`
 /// together with a distinguished tuple, serialized into `out`.
 ///
-/// The key records precisely the data [`Neighborhood::build`] constructs its
-/// structure from — the member count, the tuple relabeled through the
-/// order-preserving bijection onto `0..|members|`, and every internal fact
-/// in relabeled form — so **equal keys guarantee literally identical
-/// neighborhoods and local tuples** (hence identical canonical encodings).
-/// Unlike building the `Neighborhood`, no per-relation sort, no `Relation`
-/// construction and no signature cloning happens: this is the memoization
-/// key that lets callers skip the expensive canonical-encoding pipeline for
-/// repeated local structures.
+/// Layout: a *head* `[|members|, local ranks of the tuple…]` followed by a
+/// *tail* `[SEP, non-unary fact records…, SEP, unary fact records…]`,
+/// where a record is `[relation id, local ranks of its components…]` and
+/// the relation's arity delimits it. Ranks come from the order-preserving
+/// bijection `members → 0..|members|`, so each relation's records appear
+/// in strictly increasing lexicographic order — the order its `Relation`
+/// stores them in. The key therefore holds exactly the induced structure
+/// and the local tuple: **equal keys mean literally identical
+/// neighborhoods and local tuples** (hence identical canonical types), and
+/// [`structure_from_key`] rebuilds the structure from the tail alone — it
+/// is how [`Neighborhood::build`] constructs every induced substructure.
 ///
 /// `members` must be sorted and duplicate-free, and every tuple component
 /// must be a member.
@@ -147,9 +102,8 @@ pub(crate) fn local_key(parent: &Structure, members: &[Node], tuple: &[Node], ou
     out.extend(tuple.iter().map(|&c| local_of(c)));
     out.push(KEY_SEP);
 
-    // Internal non-unary facts, in the same (relation, fact-index) order
-    // `Neighborhood::build` gathers them. Each record is self-delimiting:
-    // the relation id determines the component count.
+    // Internal non-unary facts in (relation, fact-index) order: within a
+    // relation the parent's tuples are sorted, and relabeling is monotone.
     let incidence = parent.incidence();
     let mut fact_ids: Vec<(u32, u32)> = Vec::new();
     for &m in members {
@@ -186,6 +140,64 @@ pub(crate) fn local_key(parent: &Structure, members: &[Node], tuple: &[Node], ou
             }
         }
     }
+}
+
+/// The fact records of a neighborhood key's tail `[SEP, non-unary
+/// records…, SEP, unary records…]`, each record `[relation id, local
+/// components…]` delimited by the relation's arity, as `(relation, local
+/// components)` in key order: every relation's records strictly increasing.
+#[derive(Clone, Debug)]
+pub struct KeyFacts<'a> {
+    signature: &'a Signature,
+    tail: &'a [u32],
+}
+
+impl<'a> KeyFacts<'a> {
+    /// Decode `tail`, the part of a key from
+    /// [`Structure::neighborhood_key_of_tuple`] after its head
+    /// `[|members|, local tuple…]`, under the parent's signature.
+    pub fn new(signature: &'a Signature, tail: &'a [u32]) -> Self {
+        KeyFacts { signature, tail }
+    }
+}
+
+impl<'a> Iterator for KeyFacts<'a> {
+    type Item = (RelId, &'a [u32]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (&w, rest) = self.tail.split_first()?;
+            if w == KEY_SEP {
+                self.tail = rest;
+                continue;
+            }
+            let rel = RelId(w);
+            let (ids, rest) = rest.split_at(self.signature.arity(rel));
+            self.tail = rest;
+            return Some((rel, ids));
+        }
+    }
+}
+
+/// The structure on domain `0..n` whose facts are a key tail's records:
+/// one exactly sized flat buffer per relation, adopted pre-sorted. The one
+/// induced-substructure constructor — [`Neighborhood::build`] and
+/// [`Structure::neighborhood_from_key`] both end here.
+pub(crate) fn structure_from_key(signature: &Arc<Signature>, n: usize, tail: &[u32]) -> Structure {
+    let mut sizes = vec![0usize; signature.len()];
+    for (rel, ids) in KeyFacts::new(signature, tail) {
+        sizes[rel.index()] += ids.len();
+    }
+    let mut data: Vec<Vec<Node>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (rel, ids) in KeyFacts::new(signature, tail) {
+        data[rel.index()].extend(ids.iter().map(|&l| Node(l)));
+    }
+    let relations: Vec<Relation> = signature
+        .rel_ids()
+        .zip(data)
+        .map(|(id, flat)| Relation::from_sorted_flat(signature.arity(id), flat))
+        .collect();
+    Structure::from_parts(signature.clone(), n, relations)
 }
 
 /// The r-ball around a tuple: `⋃_i N_r(a_i)`, sorted and duplicate-free.
@@ -312,6 +324,85 @@ mod tests {
         let e = s.signature().rel("E").unwrap();
         // induced edges: (0,1) and (3,4) → 2 facts
         assert_eq!(nb.structure().relation(e).len(), 2);
+    }
+
+    /// Edges, a ternary relation with repeated components and two unary
+    /// relations over 0..8.
+    fn mixed_arity() -> Structure {
+        let sig = Arc::new(Signature::new(&[("B", 1), ("E", 2), ("T", 3), ("R", 1)]));
+        let rel = |name| sig.rel(name).unwrap();
+        let mut b = Structure::builder(sig.clone(), 8);
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 3), (4, 5), (6, 5), (7, 0)] {
+            b.fact(rel("E"), &[node(u), node(v)]).unwrap();
+        }
+        for t in [[0, 1, 2], [2, 2, 5], [5, 4, 6], [7, 7, 7], [1, 0, 3]] {
+            b.fact(rel("T"), &t.map(node)).unwrap();
+        }
+        for v in [0, 3, 5] {
+            b.fact(rel("B"), &[node(v)]).unwrap();
+        }
+        for v in [1, 5, 7] {
+            b.fact(rel("R"), &[node(v)]).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// The induced substructure the direct way: keep each fact whose
+    /// components are all members, relabel, and let `from_tuples` sort.
+    fn filtered(s: &Structure, members: &[Node]) -> Structure {
+        let sig = s.signature();
+        let relations = sig
+            .rel_ids()
+            .map(|r| {
+                let kept = s
+                    .relation(r)
+                    .iter()
+                    .filter_map(|t| {
+                        t.iter()
+                            .map(|c| members.binary_search(c).ok().map(|l| node(l as u32)))
+                            .collect::<Option<Vec<Node>>>()
+                    })
+                    .collect();
+                Relation::from_tuples(sig.arity(r), kept)
+            })
+            .collect();
+        Structure::from_parts(sig.clone(), members.len(), relations)
+    }
+
+    #[test]
+    fn induced_matches_direct_filter() {
+        let s = mixed_arity();
+        for mask in 0u32..256 {
+            let members: Vec<Node> = (0..8).filter(|i| mask >> i & 1 == 1).map(node).collect();
+            assert_eq!(
+                s.induced(&members).structure(),
+                &filtered(&s, &members),
+                "{mask:08b}"
+            );
+        }
+    }
+
+    #[test]
+    fn neighborhood_from_key_rebuilds_the_neighborhood() {
+        let s = mixed_arity();
+        let mut key = Vec::new();
+        for t in [
+            vec![node(0)],
+            vec![node(5), node(2)],
+            vec![node(7), node(7), node(3)],
+        ] {
+            for r in 0..3 {
+                s.neighborhood_key_of_tuple(&t, r, &mut key);
+                let (head, tail) = key.split_at(1 + t.len());
+                let (rep, local) = s.neighborhood_from_key(head, tail);
+                let nb = s.neighborhood_of_tuple(&t, r);
+                assert_eq!(&rep, nb.structure());
+                assert_eq!(Some(local), nb.tuple_to_local(&t));
+                let facts: usize = KeyFacts::new(s.signature(), tail).count();
+                let stored: usize = s.signature().rel_ids().map(|r| rep.relation(r).len()).sum();
+                assert_eq!(facts, stored, "one key record per fact");
+            }
+        }
     }
 
     #[test]

@@ -182,9 +182,11 @@ impl Structure {
     /// written into `out`: tuples with equal keys have literally identical
     /// relabeled r-neighborhoods (same local structure, same local tuple),
     /// hence identical canonical encodings — without building the
-    /// neighborhood. Much cheaper than the neighborhood itself (no
-    /// `Relation` construction, no per-relation sorting), this is what lets
-    /// the reduction's encoding pass intern each distinct local shape once.
+    /// neighborhood. The key is a head `[|ball|, local tuple…]` followed by
+    /// a tail of relabeled fact records ([`crate::KeyFacts`] decodes it),
+    /// so it is also the flat input of canonical typing, and
+    /// [`Structure::neighborhood_from_key`] rebuilds the neighborhood from
+    /// it.
     pub fn neighborhood_key_of_tuple(&self, tuple: &[Node], r: usize, out: &mut Vec<u32>) {
         let ball = crate::neighborhood::ball_of_tuple(self.gaifman(), tuple, r);
         crate::neighborhood::local_key(self, &ball, tuple, out);
@@ -203,6 +205,18 @@ impl Structure {
         out: &mut Vec<u32>,
     ) {
         crate::neighborhood::local_key(self, members, tuple, out);
+    }
+
+    /// The relabeled neighborhood and local tuple described by a key from
+    /// [`Structure::neighborhood_key_of_tuple`], split as `head ++ tail`
+    /// with `head = [|ball|, local tuple…]`. For the tuple `t` the key was
+    /// computed on, this equals `neighborhood_of_tuple(t, r).structure()`
+    /// and `t`'s local image; it is built through the same constructor,
+    /// with every relation sized exactly.
+    pub fn neighborhood_from_key(&self, head: &[u32], tail: &[u32]) -> (Structure, Vec<Node>) {
+        let structure =
+            crate::neighborhood::structure_from_key(&self.signature, head[0] as usize, tail);
+        (structure, head[1..].iter().map(|&l| Node(l)).collect())
     }
 }
 

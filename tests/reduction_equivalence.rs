@@ -10,7 +10,10 @@
 //! rows peaked at tens of GB on dense LogPower ternary instances), the
 //! Step 5 acceptance sets, and the clause count.
 //! Two builds that agree on a digest answer every engine query
-//! identically. The sweep covers the standing query corpus (binary,
+//! identically. Each type's representative — rebuilt from the exact
+//! neighborhood key, never from a neighborhood `Structure` — must also
+//! equal `neighborhood_of_tuple` of the type's first tuple, with the same
+//! local tuple: Step 5 evaluates on those representatives. The sweep covers the standing query corpus (binary,
 //! quantified, ternary) × the paper's degree classes × pool
 //! configurations (serial, forced-parallel, process default) × seeds; the
 //! CI thread matrix additionally runs the binary under
@@ -30,7 +33,7 @@
 use lowdeg_bench::workloads::{
     colored, colored_padded_clique, degree_classes, RUNNING_EXAMPLE, TERNARY_SCATTER, TWO_HOP,
 };
-use lowdeg_core::reduction::DEFAULT_COMBINATION_BUDGET;
+use lowdeg_core::reduction::{CoreDigest, DEFAULT_COMBINATION_BUDGET};
 use lowdeg_core::Reduction;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
@@ -65,10 +68,39 @@ fn assert_equivalent(s: &Structure, src: &str, par: &ParConfig, label: &str) {
         "{label}: `{src}` radix {radix_dt:?} reference {:?}",
         t.elapsed()
     );
-    assert_eq!(
-        radix.core_digest(),
-        reference.core_digest(),
-        "{label}: `{src}`"
+    let digest = radix.core_digest();
+    assert_eq!(digest, reference.core_digest(), "{label}: `{src}`");
+    assert_representatives(s, &radix, &digest, &format!("{label}: `{src}`"));
+}
+
+/// Every type's representative, rebuilt from the exact neighborhood key of
+/// the type's first tuple, is that tuple's neighborhood — the structure
+/// and the local tuple `neighborhood_of_tuple` gives.
+fn assert_representatives(s: &Structure, red: &Reduction, digest: &CoreDigest, label: &str) {
+    let mut seen = vec![
+        false;
+        digest
+            .tuple_types
+            .iter()
+            .max()
+            .map_or(0, |&t| t as usize + 1)
+    ];
+    for (t, &ty) in digest.tuples.iter().zip(&digest.tuple_types) {
+        if std::mem::replace(&mut seen[ty as usize], true) {
+            continue;
+        }
+        let (rep, local) = red.type_representative(ty);
+        let nb = s.neighborhood_of_tuple(t, red.radius());
+        assert!(rep == nb.structure(), "{label}: type {ty} representative");
+        assert_eq!(
+            Some(local.to_vec()),
+            nb.tuple_to_local(t),
+            "{label}: type {ty} tuple"
+        );
+    }
+    assert!(
+        seen.iter().all(|&s| s),
+        "{label}: every type id is realized"
     );
 }
 
