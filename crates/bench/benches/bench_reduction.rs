@@ -7,6 +7,7 @@ use lowdeg_core::Reduction;
 use lowdeg_gen::DegreeClass;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use std::time::Duration;
 
 fn bench_reduction(c: &mut Criterion) {
@@ -20,7 +21,10 @@ fn bench_reduction(c: &mut Criterion) {
         let s = colored(n, DegreeClass::Bounded(deg), n as u64);
         let q = parse_query(s.signature(), src).expect("parses");
         g.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-            b.iter(|| Reduction::build(&s, &q, Epsilon::new(0.5)).expect("localizable"))
+            b.iter(|| {
+                Reduction::build(&s, &q, Epsilon::new(0.5), &ParConfig::from_env())
+                    .expect("localizable")
+            })
         });
     }
     g.finish();

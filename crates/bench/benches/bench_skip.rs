@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lowdeg_bench::workloads::{colored, RUNNING_EXAMPLE};
 use lowdeg_core::enumerate::SkipMode;
-use lowdeg_core::Engine;
+use lowdeg_core::{Engine, EngineConfig};
 use lowdeg_gen::DegreeClass;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use std::time::Duration;
 
 fn bench_skip(c: &mut Criterion) {
@@ -20,16 +21,20 @@ fn bench_skip(c: &mut Criterion) {
         let s = colored(n, DegreeClass::Bounded(d), d as u64);
         let q = parse_query(s.signature(), RUNNING_EXAMPLE).expect("parses");
         for (label, mode) in [("eager", SkipMode::Eager), ("lazy", SkipMode::Lazy)] {
+            let config = EngineConfig {
+                skip_mode: mode,
+                eps: Epsilon::new(0.5),
+                ..EngineConfig::default()
+            };
+            let par = ParConfig::from_env();
+            let build =
+                || Engine::build_configured(&s, &q, &config, &par, None).expect("localizable");
             g.bench_with_input(
                 BenchmarkId::new(format!("preprocess_{label}"), d),
                 &d,
-                |b, _| {
-                    b.iter(|| {
-                        Engine::build_with(&s, &q, Epsilon::new(0.5), mode).expect("localizable")
-                    })
-                },
+                |b, _| b.iter(build),
             );
-            let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), mode).expect("localizable");
+            let engine = build();
             g.bench_with_input(
                 BenchmarkId::new(format!("enumerate_{label}_20k"), d),
                 &d,

@@ -26,14 +26,15 @@
 //!
 //! A final *workload* scale measures the multi-query setting: four
 //! color-permuted ternary scatter queries sharing one quantifier-free
-//! core, built batched through [`Engine::build_many`] (one cache, one
-//! counting memo) versus four independent warm builds (shared core, the
-//! memo dropped before each build). The batched path must amortize the
-//! lattice walk across the workload.
+//! core, built batched — one [`Engine::build_configured`] per query in
+//! sequence through one cache, so they share one counting memo — versus
+//! four independent warm builds (shared core, the memo dropped before each
+//! build). The batched path must amortize the lattice walk across the
+//! workload.
 
 use lowdeg_bench::workloads::{colored, TERNARY_SCATTER};
 use lowdeg_bench::{fmt_dur, time};
-use lowdeg_core::{ArtifactCache, BuildProfile, Engine, SkipMode, Stage};
+use lowdeg_core::{ArtifactCache, BuildProfile, Engine, EngineConfig, Stage};
 use lowdeg_gen::DegreeClass;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::{parse_query, Query};
@@ -82,12 +83,38 @@ struct ScaleResult {
 
 struct WorkloadResult {
     n: usize,
-    /// Best wall time for one `Engine::build_many` over the whole workload.
+    /// Best wall time for building the whole workload through one cache.
     batched: Duration,
     /// Best wall time for the same workload built one query at a time with
     /// a warm core but the counting memo dropped before each build.
     independent: Duration,
     counts: Vec<u64>,
+}
+
+/// The default engine configuration at ε = [`EPS`].
+fn config() -> EngineConfig {
+    EngineConfig {
+        eps: Epsilon::new(EPS),
+        ..EngineConfig::default()
+    }
+}
+
+/// Build every query in order through `cache` (one shared counting memo)
+/// and return the answer counts.
+fn build_batch(
+    s: &Structure,
+    queries: &[Query],
+    par: &ParConfig,
+    cache: &ArtifactCache,
+) -> Vec<u64> {
+    queries
+        .iter()
+        .map(|q| {
+            Engine::build_configured(s, q, &config(), par, Some(cache))
+                .expect("localizable")
+                .count()
+        })
+        .collect()
 }
 
 /// One timed engine build; returns the wall time, the answer count as a
@@ -98,10 +125,8 @@ fn build_once(
     par: &ParConfig,
     cache: Option<&ArtifactCache>,
 ) -> (Duration, u64, BuildProfile) {
-    let (engine, dt) = time(|| {
-        Engine::build_full(s, q, Epsilon::new(EPS), SkipMode::Eager, par, cache)
-            .expect("localizable")
-    });
+    let (engine, dt) =
+        time(|| Engine::build_configured(s, q, &config(), par, cache).expect("localizable"));
     (dt, engine.count(), engine.profile().clone())
 }
 
@@ -156,7 +181,7 @@ fn bench_scale(n: usize, src: &str, par: &ParConfig) -> ScaleResult {
     }
 }
 
-/// Batched [`Engine::build_many`] vs independent warm builds over the
+/// Batched builds through one cache vs independent warm builds over the
 /// four-query workload. Both modes start from a warm core (extract and
 /// reduce artifacts cached) and a cold counting memo, so the measured gap
 /// is exactly the cross-query sharing of the Lemma 3.5 lattice walk.
@@ -166,15 +191,9 @@ fn bench_workload(n: usize, par: &ParConfig) -> WorkloadResult {
         .iter()
         .map(|src| parse_query(s.signature(), src).expect("parses"))
         .collect();
-    let qrefs: Vec<&Query> = queries.iter().collect();
-    let eps = Epsilon::new(EPS);
     let cache = ArtifactCache::new();
     // Untimed warm-up: primes the shared core and fixes the reference counts.
-    let counts: Vec<u64> = Engine::build_many(&s, &qrefs, eps, SkipMode::Eager, par, &cache)
-        .expect("localizable")
-        .iter()
-        .map(|e| e.count())
-        .collect();
+    let counts = build_batch(&s, &queries, par, &cache);
     let fp = s.fingerprint();
 
     let mut batched = Duration::MAX;
@@ -188,21 +207,17 @@ fn bench_workload(n: usize, par: &ParConfig) -> WorkloadResult {
         for batch in order {
             if batch {
                 cache.invalidate_counting(fp);
-                let (engines, dt) = time(|| {
-                    Engine::build_many(&s, &qrefs, eps, SkipMode::Eager, par, &cache)
-                        .expect("localizable")
-                });
-                let got: Vec<u64> = engines.iter().map(|e| e.count()).collect();
+                let (got, dt) = time(|| build_batch(&s, &queries, par, &cache));
                 assert_eq!(got, counts, "batched workload counts diverged at n = {n}");
                 batched = batched.min(dt);
             } else {
                 let (got, dt) = time(|| {
-                    qrefs
+                    queries
                         .iter()
                         .map(|q| {
                             // a fresh consumer per query: shared core, private memo
                             cache.invalidate_counting(fp);
-                            Engine::build_full(&s, q, eps, SkipMode::Eager, par, Some(&cache))
+                            Engine::build_configured(&s, q, &config(), par, Some(&cache))
                                 .expect("localizable")
                                 .count()
                         })
@@ -305,7 +320,8 @@ const GATE_CACHED_SPEEDUP: f64 = 2.0;
 const GATE_EXTRACT_RATIO: f64 = 0.4;
 /// The Prop 3.3 reduction may take at most this share of an uncached build.
 const GATE_REDUCE_RATIO: f64 = 0.5;
-/// `Engine::build_many` must beat independent warm builds by this factor.
+/// Batched builds through one cache must beat independent warm builds by
+/// this factor.
 const GATE_WORKLOAD_SPEEDUP: f64 = 2.0;
 
 /// Pull a `"key": <number>` field out of a JSON chunk (flat numeric fields

@@ -6,7 +6,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lowdeg_core::{ArtifactCache, Engine, EngineConfig, SkipMode};
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
@@ -31,8 +31,12 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
     let eps = extract_eps(&mut args)?;
     let par = extract_threads(&mut args)?;
     let format = extract_format(&mut args)?;
+    let config = EngineConfig {
+        eps,
+        ..EngineConfig::default()
+    };
     let build = |db: &Structure, q: &lowdeg_logic::Query| {
-        Engine::build_with_config(db, q, eps, SkipMode::Eager, &par).map_err(|e| e.to_string())
+        Engine::build_configured(db, q, &config, &par, None).map_err(|e| e.to_string())
     };
     let mut it = args.into_iter();
     let cmd = it.next().ok_or_else(usage)?;
@@ -79,7 +83,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
             // build through a cache so the report can show the artifact /
             // counting-memo state a long-lived process would accumulate
             let cache = ArtifactCache::new();
-            let engine = Engine::build_full(&db, &q, eps, SkipMode::Eager, &par, Some(&cache))
+            let engine = Engine::build_configured(&db, &q, &config, &par, Some(&cache))
                 .map_err(|e| e.to_string())?;
             write!(out, "{}", engine.explain_with_cache(&cache)).map_err(w)?;
             Ok(())
@@ -202,10 +206,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                 .collect::<Result<_, _>>()?;
             let refs: Vec<&lowdeg_logic::Query> = queries.iter().collect();
             let cache = ArtifactCache::new();
-            let config = EngineConfig {
-                eps,
-                ..EngineConfig::default()
-            };
             let (engines, stats) = Engine::build_workload(&db, &refs, &config, &par, &cache)
                 .map_err(|e| e.to_string())?;
             for (i, (engine, src)) in engines.iter().zip(&sources).enumerate() {

@@ -7,11 +7,13 @@
 //! factor plus an absolute floor that absorbs tiny-`n` noise — the same
 //! thresholds as the repository's `delay_ops` tier-1 test).
 
+use crate::differential::engine_config;
 use crate::json::Json;
 use lowdeg_core::{Engine, SkipMode};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use std::ops::ControlFlow;
 
 /// One gate measurement.
@@ -54,8 +56,9 @@ impl DelayGate {
 fn worst_ops(n: usize, seed: u64, src: &str, mode: SkipMode) -> u64 {
     let s = ColoredGraphSpec::balanced(n, DegreeClass::Bounded(5)).generate(seed);
     let q = parse_query(s.signature(), src).expect("gate query parses");
-    let engine =
-        Engine::build_with(&s, &q, Epsilon::new(0.5), mode).expect("gate query is localizable");
+    let config = engine_config(Epsilon::new(0.5), mode);
+    let engine = Engine::build_configured(&s, &q, &config, &ParConfig::from_env(), None)
+        .expect("gate query is localizable");
     // the streaming visitor: the gate measures the same allocation-free
     // path the throughput benchmark exercises, not the boxed adapter
     let mut worst = 0u64;

@@ -16,10 +16,11 @@
 //! is actually caught and shrunk to a witness.
 
 use lowdeg_core::naive::GenerateAndTest;
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::eval::{answers_naive, check_naive, model_check_naive};
 use lowdeg_logic::Query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -116,6 +117,17 @@ impl Default for CaseConfig {
     }
 }
 
+/// The default [`EngineConfig`] at `eps` with skip mode `mode` — the
+/// configuration every oracle arm builds under unless it varies one more
+/// setting.
+pub(crate) fn engine_config(eps: Epsilon, mode: SkipMode) -> EngineConfig {
+    EngineConfig {
+        skip_mode: mode,
+        eps,
+        ..EngineConfig::default()
+    }
+}
+
 /// Run the full differential check on one pair.
 pub fn differential_case(
     s: &Structure,
@@ -168,7 +180,8 @@ pub fn differential_case(
     // --- engine, all skip modes, default ε ---
     let eps = Epsilon::default_eps();
     for mode in [SkipMode::Eager, SkipMode::Lazy, SkipMode::EagerForce] {
-        let engine = match Engine::build_with(s, q, eps, mode) {
+        let par = ParConfig::from_env();
+        let engine = match Engine::build_configured(s, q, &engine_config(eps, mode), &par, None) {
             Ok(e) => e,
             Err(e) => {
                 stats.rejection = Some(e.to_string());

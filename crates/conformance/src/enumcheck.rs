@@ -13,7 +13,7 @@
 //! state really is per-traversal). Both [`SkipMode`]s run; rejection is
 //! the differential oracle's business.
 
-use crate::differential::Disagreement;
+use crate::differential::{engine_config, Disagreement};
 use crate::parcheck::forced_parallel;
 use lowdeg_core::{Engine, SkipMode};
 use lowdeg_index::Epsilon;
@@ -60,7 +60,7 @@ pub fn enumcheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
     for mode in [SkipMode::Eager, SkipMode::Lazy] {
         let tag = format!("{mode:?}");
-        let e = match Engine::build_with_config(s, q, eps, mode, &serial) {
+        let e = match Engine::build_configured(s, q, &engine_config(eps, mode), &serial, None) {
             Ok(e) => e,
             Err(_) => continue, // rejection is the differential oracle's business
         };

@@ -35,7 +35,7 @@ pub fn latticecheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
     if q.arity() == 0 {
         return bad; // sentences have no reduction — model checking's business
     }
-    let reduction = match Reduction::build(s, q, Epsilon::default_eps()) {
+    let reduction = match Reduction::build(s, q, Epsilon::default_eps(), &ParConfig::from_env()) {
         Ok(r) => r,
         Err(_) => return bad, // rejection is the differential oracle's business
     };

@@ -1,24 +1,22 @@
-//! Counting-memo sharing oracle: per-query vs shared-core vs `build_many`.
+//! Counting-memo sharing oracle: per-query vs shared-core builds.
 //!
 //! The [`ArtifactCache`] keeps one [`lowdeg_core::CountingMemo`] per
 //! quantifier-free core `(structure, r, k, ε)`; the ie-count stage drains
 //! into it, so lattice components counted by any earlier build are probe
 //! hits for every later build against the same core. The contract is
 //! strict because memo entries are *exact* counts: an engine built with a
-//! warm memo — whether warmed by the same query, a sibling query, or a
-//! whole [`Engine::build_many`] batch — must be observably identical to
-//! one built with no cache at all. Same count, same enumeration order,
-//! same per-clause plan statistics.
+//! warm memo — whether warmed by the same query or a sibling query — must
+//! be observably identical to one built with no cache at all. Same count,
+//! same enumeration order, same per-clause plan statistics.
 //!
 //! Each case builds a three-query family (the case query thrice — every
-//! component signature repeats, so sharing is maximally exercised) three
-//! ways: independently with a fresh cache per build, sequentially through
-//! one shared cache, and through `build_many` on another fresh cache.
-//! A shared-memo run in which the repeated builds never hit the memo
+//! component signature repeats, so sharing is maximally exercised) two
+//! ways: independently with a fresh cache per build, and sequentially
+//! through one shared cache. A shared-memo run in which the repeated builds never hit the memo
 //! (while components were actually discovered) would pass vacuously, so
 //! that is reported as a disagreement too.
 
-use crate::differential::Disagreement;
+use crate::differential::{engine_config, Disagreement};
 use crate::parcheck::{plan_stats, PlanStats};
 use lowdeg_core::{ArtifactCache, Engine, SkipMode};
 use lowdeg_index::Epsilon;
@@ -92,9 +90,8 @@ fn compare(
     }
 }
 
-/// Build the case's query family independently, through one shared
-/// counting memo, and through [`Engine::build_many`]; report every
-/// observable difference.
+/// Build the case's query family independently and through one shared
+/// counting memo; report every observable difference.
 pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
     let mut bad = Vec::new();
     let eps = Epsilon::default_eps();
@@ -103,6 +100,7 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
     for mode in [SkipMode::Eager, SkipMode::Lazy] {
         let tag = format!("{mode:?}");
+        let config = engine_config(eps, mode);
 
         // arm 1 — independent: a fresh cache per build, no sharing at all
         let independent: Vec<Observed> = {
@@ -110,7 +108,7 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
             let mut ok = true;
             for qi in &queries {
                 let fresh = ArtifactCache::new();
-                match Engine::build_full(s, qi, eps, mode, &par, Some(&fresh)) {
+                match Engine::build_configured(s, qi, &config, &par, Some(&fresh)) {
                     Ok(e) => out.push(observe(&e)),
                     Err(_) => {
                         ok = false; // rejection is the differential oracle's business
@@ -130,7 +128,7 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
         let mut shared = Vec::with_capacity(FAMILY);
         let mut failed = false;
         for (i, qi) in queries.iter().enumerate() {
-            match Engine::build_full(s, qi, eps, mode, &par, Some(&shared_cache)) {
+            match Engine::build_configured(s, qi, &config, &par, Some(&shared_cache)) {
                 Ok(e) => shared.push(observe(&e)),
                 Err(e) => {
                     bad.push(Disagreement {
@@ -158,22 +156,8 @@ pub fn memocheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
             });
         }
 
-        // arm 3 — build_many: the batch API on its own fresh cache
-        let batch_cache = ArtifactCache::new();
-        let batched = match Engine::build_many(s, &queries, eps, mode, &par, &batch_cache) {
-            Ok(engines) => engines.iter().map(observe).collect::<Vec<_>>(),
-            Err(e) => {
-                bad.push(Disagreement {
-                    check: "memocheck-build".into(),
-                    detail: format!("[{tag}] independent build succeeded, build_many failed: {e}"),
-                });
-                continue;
-            }
-        };
-
         for (i, want) in independent.iter().enumerate() {
             compare(&tag, "shared-core", i, want, &shared[i], &mut bad);
-            compare(&tag, "build_many", i, want, &batched[i], &mut bad);
         }
     }
     bad
@@ -186,7 +170,7 @@ mod tests {
     use lowdeg_logic::parse_query;
 
     #[test]
-    fn all_three_arms_agree() {
+    fn shared_arm_agrees_with_independent() {
         for seed in [1, 2, 3] {
             let s = ColoredGraphSpec::balanced(30, DegreeClass::Bounded(3)).generate(seed);
             for src in [
@@ -205,8 +189,8 @@ mod tests {
     fn permuted_color_family_agrees_and_shares() {
         // Color-permuted ternary queries share one quantifier-free core;
         // after ι-canonicalization their component signatures coincide, so
-        // a batch over the family must both agree with independent builds
-        // and actually serve cross-query hits.
+        // sequential builds through one cache must both agree with
+        // independent builds and actually serve cross-query hits.
         let s = ColoredGraphSpec::balanced(36, DegreeClass::Bounded(3)).generate(9);
         let sources = [
             "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z) & !E(x, z)",
@@ -217,14 +201,12 @@ mod tests {
             .iter()
             .map(|src| parse_query(s.signature(), src).unwrap())
             .collect();
-        let refs: Vec<&Query> = queries.iter().collect();
-        let eps = Epsilon::default_eps();
         let par = ParConfig::serial();
-
+        let config = engine_config(Epsilon::default_eps(), SkipMode::Eager);
         let cache = ArtifactCache::new();
-        let batched = Engine::build_many(&s, &refs, eps, SkipMode::Eager, &par, &cache).unwrap();
-        for (q, e) in refs.iter().zip(&batched) {
-            let solo = Engine::build_with_config(&s, q, eps, SkipMode::Eager, &par).unwrap();
+        for q in &queries {
+            let e = Engine::build_configured(&s, q, &config, &par, Some(&cache)).unwrap();
+            let solo = Engine::build_configured(&s, q, &config, &par, None).unwrap();
             assert_eq!(solo.count(), e.count());
             let a: Vec<Vec<Node>> = solo.enumerate().collect();
             let b: Vec<Vec<Node>> = e.enumerate().collect();

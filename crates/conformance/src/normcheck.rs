@@ -2,7 +2,7 @@
 //! observably identical under the default normalizing build.
 //!
 //! The engine normalizes every query before building
-//! ([`lowdeg_logic::normalize`]), so two queries in the same rewrite class
+//! ([`lowdeg_logic::normalize()`]), so two queries in the same rewrite class
 //! — shuffled conjuncts, double negations, reassociated conjunctions —
 //! collapse onto one canonical form with one fingerprint, one cached
 //! Step 5 acceptance product, and one whole-query count. The contract is

@@ -14,7 +14,7 @@
 //! `EagerForce` is excluded, matching the delay gate: it bypasses the
 //! cost gates and can be quadratic on dense shrunk instances.
 
-use crate::differential::Disagreement;
+use crate::differential::{engine_config, Disagreement};
 use lowdeg_core::enumerate::Enumerator;
 use lowdeg_core::{Engine, SkipMode};
 use lowdeg_index::Epsilon;
@@ -75,11 +75,12 @@ pub fn parcheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
 
     for mode in [SkipMode::Eager, SkipMode::Lazy] {
         let tag = format!("{mode:?}");
-        let a = match Engine::build_with_config(s, q, eps, mode, &serial) {
+        let config = engine_config(eps, mode);
+        let a = match Engine::build_configured(s, q, &config, &serial, None) {
             Ok(e) => e,
             Err(_) => continue, // rejection is the differential oracle's business
         };
-        let b = match Engine::build_with_config(s, q, eps, mode, &parallel) {
+        let b = match Engine::build_configured(s, q, &config, &parallel, None) {
             Ok(e) => e,
             Err(e) => {
                 bad.push(Disagreement {

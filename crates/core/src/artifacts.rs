@@ -10,6 +10,12 @@
 //! builds are guaranteed observably identical and the conformance
 //! `cachecheck` oracle cross-checks that guarantee case by case.
 //!
+//! The cache has four tiers — Gaifman graphs, reduction cores (each slot
+//! also holding the core's counting memo and position memo), whole-query
+//! Step 5 products, and per-clause acceptance sets — each one keyed LRU
+//! map (`Lru`) bounded by [`ArtifactCache::capacity`]. Evicting a core
+//! drops every Step 5 and clause entry derived from it.
+//!
 //! Invalidation is explicit: the cache never watches structures. Callers
 //! that mutate a database (the `dynamic` module's update model) must either
 //! drop the cache, call [`ArtifactCache::invalidate`] with the stale
@@ -28,6 +34,7 @@ use crate::graph_query::PositionMemo;
 use crate::reduction::{ClauseAcceptance, ReductionCore, Step5Product};
 use lowdeg_index::{Epsilon, FxHashMap};
 use lowdeg_storage::{GaifmanGraph, Structure};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -58,78 +65,134 @@ type ClauseKey = (ClusterKey, u64);
 /// thousands of structures.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
+/// One keyed LRU tier: every value sits next to its recency stamp in one
+/// map, and the least recent stamp is the eviction victim. Stamps come
+/// from the cache-wide tick, so they are unique and the victim is
+/// deterministic.
+struct Lru<K, V> {
+    map: FxHashMap<K, (V, u64)>,
+}
+
+impl<K, V> Default for Lru<K, V> {
+    fn default() -> Self {
+        Lru {
+            map: FxHashMap::default(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// The value under `key`, refreshing its stamp on a hit.
+    fn get(&mut self, key: &K, stamp: u64) -> Option<&V> {
+        let (value, used) = self.map.get_mut(key)?;
+        *used = stamp;
+        Some(value)
+    }
+
+    /// The value under `key` (inserted as `V::default()` when absent),
+    /// stamped `stamp`.
+    fn entry(&mut self, key: K, stamp: u64) -> &mut V
+    where
+        V: Default,
+    {
+        let (value, used) = self.map.entry(key).or_insert_with(|| (V::default(), 0));
+        *used = stamp;
+        value
+    }
+
+    fn insert(&mut self, key: K, value: V, stamp: u64) {
+        self.map.insert(key, (value, stamp));
+    }
+
+    /// Remove the least recently used entry and return its key.
+    fn pop_lru(&mut self) -> Option<K> {
+        let key = *self.map.iter().min_by_key(|(_, (_, used))| *used)?.0;
+        self.map.remove(&key);
+        Some(key)
+    }
+
+    /// Keep only the entries whose key satisfies `keep` (the core-eviction
+    /// cascade and [`ArtifactCache::invalidate`] drop by key prefix).
+    fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.map.retain(|key, _| keep(key));
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|(value, _)| value)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.map.iter_mut().map(|(key, (value, _))| (key, value))
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+    }
+}
+
+/// The per-core artifacts: the [`ReductionCore`] itself and the memos
+/// derived from it. They share one recency stamp and are evicted
+/// together; the memos may exist before (or without) the core.
+#[derive(Default)]
+struct CoreSlot {
+    core: Option<Arc<ReductionCore>>,
+    counting: Option<Arc<CountingMemo>>,
+    positions: Option<Arc<PositionMemo>>,
+}
+
+impl CoreSlot {
+    /// Live artifacts in this slot.
+    fn len(&self) -> usize {
+        self.core.is_some() as usize
+            + self.counting.is_some() as usize
+            + self.positions.is_some() as usize
+    }
+}
+
 #[derive(Default)]
 struct CacheInner {
-    gaifman: FxHashMap<u64, GaifmanGraph>,
-    gaifman_used: FxHashMap<u64, u64>,
-    cores: FxHashMap<ClusterKey, Arc<ReductionCore>>,
-    counting: FxHashMap<ClusterKey, Arc<CountingMemo>>,
-    positions: FxHashMap<ClusterKey, Arc<PositionMemo>>,
-    core_used: FxHashMap<ClusterKey, u64>,
-    step5: FxHashMap<Step5Key, Arc<Step5Product>>,
-    step5_used: FxHashMap<Step5Key, u64>,
-    clauses: FxHashMap<ClauseKey, Arc<ClauseAcceptance>>,
-    clause_used: FxHashMap<ClauseKey, u64>,
+    gaifman: Lru<u64, GaifmanGraph>,
+    cores: Lru<ClusterKey, CoreSlot>,
+    step5: Lru<Step5Key, Arc<Step5Product>>,
+    clauses: Lru<ClauseKey, Arc<ClauseAcceptance>>,
 }
 
 impl CacheInner {
     /// Evict least-recently-used entries down to `capacity` per kind. A
-    /// core eviction drops the matching counting memo and every Step 5 /
-    /// clause product derived from that core with it — they are only
-    /// meaningful against their core. Returns
+    /// core eviction drops the core's slot — its counting and position
+    /// memos — and every Step 5 / clause product derived from that core
+    /// with it; they are only meaningful against their core. Returns
     /// `(general evictions, clause-tier evictions)`; cascaded drops count
     /// with the eviction that caused them.
     fn enforce(&mut self, capacity: usize) -> (u64, u64) {
         let mut evicted = 0u64;
         let mut clause_evicted = 0u64;
         while self.gaifman.len() > capacity {
-            let &fp = self
-                .gaifman_used
-                .iter()
-                .min_by_key(|&(_, &t)| t)
-                .expect("non-empty over capacity")
-                .0;
-            self.gaifman.remove(&fp);
-            self.gaifman_used.remove(&fp);
+            self.gaifman.pop_lru();
             evicted += 1;
         }
-        while self.cores.len() > capacity {
-            let &key = self
-                .core_used
-                .iter()
-                .min_by_key(|&(_, &t)| t)
-                .expect("non-empty over capacity")
-                .0;
-            self.cores.remove(&key);
-            self.counting.remove(&key);
-            self.positions.remove(&key);
-            self.core_used.remove(&key);
-            self.step5.retain(|&(core, _), _| core != key);
-            self.step5_used.retain(|&(core, _), _| core != key);
-            self.clauses.retain(|&(core, _), _| core != key);
-            self.clause_used.retain(|&(core, _), _| core != key);
+        while self
+            .cores
+            .values()
+            .filter(|slot| slot.core.is_some())
+            .count()
+            > capacity
+        {
+            let key = self.cores.pop_lru().expect("non-empty over capacity");
+            self.step5.retain(|&(core, _)| core != key);
+            self.clauses.retain(|&(core, _)| core != key);
             evicted += 1;
         }
         while self.step5.len() > capacity {
-            let &key = self
-                .step5_used
-                .iter()
-                .min_by_key(|&(_, &t)| t)
-                .expect("non-empty over capacity")
-                .0;
-            self.step5.remove(&key);
-            self.step5_used.remove(&key);
+            self.step5.pop_lru();
             evicted += 1;
         }
         while self.clauses.len() > capacity {
-            let &key = self
-                .clause_used
-                .iter()
-                .min_by_key(|&(_, &t)| t)
-                .expect("non-empty over capacity")
-                .0;
-            self.clauses.remove(&key);
-            self.clause_used.remove(&key);
+            self.clauses.pop_lru();
             clause_evicted += 1;
         }
         (evicted, clause_evicted)
@@ -141,11 +204,13 @@ impl CacheInner {
 /// synchronized: share it by reference (or `Arc`) between builds.
 ///
 /// The cache is strictly opt-in — every default build path runs cold. It
-/// holds at most [`ArtifactCache::capacity`] reduction cores (each with
-/// its counting memo) and as many Gaifman graphs; beyond that the
-/// least-recently-used entry is evicted ([`ArtifactCache::evictions`]
-/// counts them, and `--explain` surfaces the counter). See the module docs
-/// for the explicit-invalidation contract.
+/// holds at most [`ArtifactCache::capacity`] entries per tier: Gaifman
+/// graphs, reduction cores (each with its counting and position memos),
+/// Step 5 products and clause acceptance sets; beyond that the
+/// least-recently-used entry is evicted ([`ArtifactCache::evictions`] and
+/// [`ArtifactCache::clause_stats`] count them, and `--explain` surfaces
+/// the counters). See the module docs for the explicit-invalidation
+/// contract.
 pub struct ArtifactCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
@@ -170,8 +235,7 @@ impl ArtifactCache {
         Self::default()
     }
 
-    /// Empty cache retaining at most `capacity` entries of each kind
-    /// (reduction cores with their counting memos, and Gaifman graphs).
+    /// Empty cache retaining at most `capacity` entries per tier.
     /// A capacity of `0` is treated as `1` — the cache always admits the
     /// entry being inserted.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -193,7 +257,8 @@ impl ArtifactCache {
         self.capacity
     }
 
-    /// Total LRU evictions so far (all artifact kinds).
+    /// LRU evictions so far in the Gaifman, core and Step 5 tiers (the
+    /// clause tier counts its own, see [`Self::clause_stats`]).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -219,11 +284,7 @@ impl ArtifactCache {
         let stamp = self.touch();
         let cached = {
             let mut inner = self.inner.lock().expect("cache poisoned");
-            let got = inner.gaifman.get(&fp).cloned();
-            if got.is_some() {
-                inner.gaifman_used.insert(fp, stamp);
-            }
-            got
+            inner.gaifman.get(&fp, stamp).cloned()
         };
         match cached {
             Some(g) => {
@@ -234,8 +295,7 @@ impl ArtifactCache {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let g = structure.gaifman_with(par).clone();
                 let mut inner = self.inner.lock().expect("cache poisoned");
-                inner.gaifman.insert(fp, g);
-                inner.gaifman_used.insert(fp, stamp);
+                inner.gaifman.insert(fp, g, stamp);
                 let evicted = inner.enforce(self.capacity);
                 drop(inner);
                 self.record_evictions(evicted);
@@ -258,8 +318,11 @@ impl ArtifactCache {
         let stamp = self.touch();
         {
             let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(hit) = inner.cores.get(&key).cloned() {
-                inner.core_used.insert(key, stamp);
+            if let Some(hit) = inner
+                .cores
+                .get(&key, stamp)
+                .and_then(|slot| slot.core.clone())
+            {
                 drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return hit;
@@ -271,8 +334,7 @@ impl ArtifactCache {
         // work (last insert wins; all candidates are identical by key).
         let built = Arc::new(build());
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.cores.insert(key, built.clone());
-        inner.core_used.insert(key, stamp);
+        inner.cores.entry(key, stamp).core = Some(built.clone());
         let evicted = inner.enforce(self.capacity);
         drop(inner);
         self.record_evictions(evicted);
@@ -284,8 +346,9 @@ impl ArtifactCache {
     /// retained (and evicted) alongside the core entry of the same key.
     /// Every engine built against the same core through this cache drains
     /// its ie-count stage into the one memo, so repeated builds — and
-    /// [`crate::Engine::build_many`] workloads of distinct queries sharing
-    /// a quantifier-free core — skip every previously counted component.
+    /// [`crate::Engine::build_workload`] batches of distinct queries
+    /// sharing a quantifier-free core — skip every previously counted
+    /// component.
     pub fn counting_memo(
         &self,
         fingerprint: u64,
@@ -296,11 +359,11 @@ impl ArtifactCache {
         let key: ClusterKey = (fingerprint, r, k, eps.value().to_bits());
         let stamp = self.touch();
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.core_used.insert(key, stamp);
         inner
+            .cores
+            .entry(key, stamp)
             .counting
-            .entry(key)
-            .or_insert_with(|| Arc::new(CountingMemo::new()))
+            .get_or_insert_with(|| Arc::new(CountingMemo::new()))
             .clone()
     }
 
@@ -321,11 +384,11 @@ impl ArtifactCache {
         let key: ClusterKey = (fingerprint, r, k, eps.value().to_bits());
         let stamp = self.touch();
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.core_used.insert(key, stamp);
         inner
+            .cores
+            .entry(key, stamp)
             .positions
-            .entry(key)
-            .or_insert_with(|| Arc::new(PositionMemo::new()))
+            .get_or_insert_with(|| Arc::new(PositionMemo::new()))
             .clone()
     }
 
@@ -349,8 +412,7 @@ impl ArtifactCache {
         let stamp = self.touch();
         {
             let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(hit) = inner.step5.get(&key).cloned() {
-                inner.step5_used.insert(key, stamp);
+            if let Some(hit) = inner.step5.get(&key, stamp).cloned() {
                 drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
@@ -362,8 +424,7 @@ impl ArtifactCache {
         // identical by key.
         let built = Arc::new(build()?);
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.step5.insert(key, built.clone());
-        inner.step5_used.insert(key, stamp);
+        inner.step5.insert(key, built.clone(), stamp);
         let evicted = inner.enforce(self.capacity);
         drop(inner);
         self.record_evictions(evicted);
@@ -391,8 +452,7 @@ impl ArtifactCache {
         let stamp = self.touch();
         {
             let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(hit) = inner.clauses.get(&key).cloned() {
-                inner.clause_used.insert(key, stamp);
+            if let Some(hit) = inner.clauses.get(&key, stamp).cloned() {
                 drop(inner);
                 self.clause_hits.fetch_add(1, Ordering::Relaxed);
                 return Some(hit);
@@ -417,8 +477,7 @@ impl ArtifactCache {
         let stamp = self.touch();
         let built = Arc::new(product);
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.clauses.insert(key, built.clone());
-        inner.clause_used.insert(key, stamp);
+        inner.clauses.insert(key, built.clone(), stamp);
         let evicted = inner.enforce(self.capacity);
         drop(inner);
         self.record_evictions(evicted);
@@ -438,20 +497,10 @@ impl ArtifactCache {
     /// invalidation hook for callers that mutated a structure in place).
     pub fn invalidate(&self, fingerprint: u64) {
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.gaifman.remove(&fingerprint);
-        inner.gaifman_used.remove(&fingerprint);
-        inner.cores.retain(|&(fp, ..), _| fp != fingerprint);
-        inner.counting.retain(|&(fp, ..), _| fp != fingerprint);
-        inner.positions.retain(|&(fp, ..), _| fp != fingerprint);
-        inner.core_used.retain(|&(fp, ..), _| fp != fingerprint);
-        inner.step5.retain(|&((fp, ..), _), _| fp != fingerprint);
-        inner
-            .step5_used
-            .retain(|&((fp, ..), _), _| fp != fingerprint);
-        inner.clauses.retain(|&((fp, ..), _), _| fp != fingerprint);
-        inner
-            .clause_used
-            .retain(|&((fp, ..), _), _| fp != fingerprint);
+        inner.gaifman.retain(|&fp| fp != fingerprint);
+        inner.cores.retain(|&(fp, ..)| fp != fingerprint);
+        inner.step5.retain(|&((fp, ..), _)| fp != fingerprint);
+        inner.clauses.retain(|&((fp, ..), _)| fp != fingerprint);
     }
 
     /// Drop only the counting memos derived from `fingerprint`, keeping
@@ -459,22 +508,22 @@ impl ArtifactCache {
     /// cold-memo build (what N independent per-query caches would do).
     pub fn invalidate_counting(&self, fingerprint: u64) {
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.counting.retain(|&(fp, ..), _| fp != fingerprint);
+        for (_, slot) in inner
+            .cores
+            .iter_mut()
+            .filter(|((fp, ..), _)| *fp == fingerprint)
+        {
+            slot.counting = None;
+        }
     }
 
     /// Drop everything.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.gaifman.clear();
-        inner.gaifman_used.clear();
         inner.cores.clear();
-        inner.counting.clear();
-        inner.positions.clear();
-        inner.core_used.clear();
         inner.step5.clear();
-        inner.step5_used.clear();
         inner.clauses.clear();
-        inner.clause_used.clear();
     }
 
     /// `(hits, misses)` across the keyed artifact kinds (diagnostics; the
@@ -486,27 +535,35 @@ impl ArtifactCache {
         )
     }
 
-    /// Number of retained entries across all artifact kinds.
+    /// Number of retained entries across all artifact kinds: Gaifman
+    /// graphs, reduction cores, counting memos, position memos, Step 5
+    /// products and clause acceptance sets.
     pub fn entries(&self) -> usize {
         let inner = self.inner.lock().expect("cache poisoned");
         inner.gaifman.len()
-            + inner.cores.len()
-            + inner.counting.len()
+            + inner.cores.values().map(CoreSlot::len).sum::<usize>()
             + inner.step5.len()
             + inner.clauses.len()
+    }
+
+    /// The live counting memos (snapshotted so their counters are read
+    /// outside the cache lock).
+    fn counting_memos(&self) -> Vec<Arc<CountingMemo>> {
+        let inner = self.inner.lock().expect("cache poisoned");
+        inner
+            .cores
+            .values()
+            .filter_map(|slot| slot.counting.clone())
+            .collect()
     }
 
     /// Aggregated `(hits, misses, components)` over the retained counting
     /// memos (diagnostics; surfaced by `--explain`).
     pub fn counting_stats(&self) -> (u64, u64, usize) {
-        let memos: Vec<Arc<CountingMemo>> = {
-            let inner = self.inner.lock().expect("cache poisoned");
-            inner.counting.values().cloned().collect()
-        };
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut components = 0usize;
-        for m in memos {
+        for m in self.counting_memos() {
             let (h, mi) = m.stats();
             hits += h;
             misses += mi;
@@ -520,13 +577,9 @@ impl ArtifactCache {
     /// surfaced by `--explain` and the `clausecheck` oracle's vacuity
     /// check).
     pub fn combo_stats(&self) -> (u64, u64) {
-        let memos: Vec<Arc<CountingMemo>> = {
-            let inner = self.inner.lock().expect("cache poisoned");
-            inner.counting.values().cloned().collect()
-        };
         let mut hits = 0u64;
         let mut misses = 0u64;
-        for m in memos {
+        for m in self.counting_memos() {
             let (h, mi) = m.combo_stats();
             hits += h;
             misses += mi;
@@ -806,6 +859,168 @@ mod tests {
         cache.prime_gaifman(&a, &par);
         cache.clear();
         assert_eq!(cache.entries(), 0);
+    }
+
+    fn eps() -> Epsilon {
+        Epsilon::new(0.5)
+    }
+
+    fn product() -> Step5Product {
+        Step5Product {
+            query: crate::GraphQuery {
+                k: 1,
+                edge: lowdeg_storage::RelId(0),
+                clauses: Vec::new(),
+            },
+            accepted: Default::default(),
+            clause_sigs: Vec::new(),
+        }
+    }
+
+    fn acceptance() -> ClauseAcceptance {
+        ClauseAcceptance {
+            accepted: Default::default(),
+        }
+    }
+
+    /// Probe the Step 5 tier at `(fp, 0, k)` / `query_fp`; `true` when the
+    /// probe missed and built.
+    fn step5_built(cache: &ArtifactCache, fp: u64, k: usize, query_fp: u64) -> bool {
+        let mut built = false;
+        cache
+            .step5_product(fp, 0, k, eps(), query_fp, || {
+                built = true;
+                Ok(product())
+            })
+            .unwrap();
+        built
+    }
+
+    /// Fetch the core at `(s, 0, k)`; `true` when it had to be built.
+    fn core_built(cache: &ArtifactCache, s: &Structure, k: usize) -> bool {
+        let mut built = false;
+        cache.reduction_core(s.fingerprint(), 0, k, eps(), || {
+            built = true;
+            let par = lowdeg_par::ParConfig::serial();
+            crate::reduction::build_core(s, 0, k, eps(), &par, &Profiler::new())
+        });
+        built
+    }
+
+    #[test]
+    fn lru_hit_refreshes_recency() {
+        let cache = ArtifactCache::with_capacity(2);
+        assert!(step5_built(&cache, 1, 1, 10));
+        assert!(step5_built(&cache, 1, 1, 20));
+        // the hit makes 10 the most recent entry, so 20 is the victim
+        assert!(!step5_built(&cache, 1, 1, 10));
+        assert!(step5_built(&cache, 1, 1, 30));
+        assert_eq!(cache.evictions(), 1);
+        assert!(!step5_built(&cache, 1, 1, 10), "refreshed entry survives");
+        assert!(!step5_built(&cache, 1, 1, 30));
+        assert!(step5_built(&cache, 1, 1, 20), "least recent entry evicted");
+    }
+
+    #[test]
+    fn lru_over_capacity_inserts_evict_least_recent() {
+        let cache = ArtifactCache::with_capacity(1);
+        assert!(step5_built(&cache, 1, 1, 10));
+        assert!(step5_built(&cache, 1, 1, 20));
+        assert_eq!(cache.evictions(), 1);
+        assert!(!step5_built(&cache, 1, 1, 20), "newest entry kept");
+        // the clause tier keeps its own eviction counter
+        cache.clause_product_insert(1, 0, 1, eps(), 100, acceptance());
+        cache.clause_product_insert(1, 0, 1, eps(), 200, acceptance());
+        assert_eq!(cache.clause_stats().2, 1);
+        assert_eq!(cache.evictions(), 1, "clause evictions count apart");
+        assert!(cache.clause_product_cached(1, 0, 1, eps(), 200).is_some());
+        assert!(cache.clause_product_cached(1, 0, 1, eps(), 100).is_none());
+    }
+
+    #[test]
+    fn core_eviction_cascades_to_derived_entries() {
+        let cache = ArtifactCache::with_capacity(1);
+        let s = sample(4);
+        let fp = s.fingerprint();
+        assert!(core_built(&cache, &s, 1));
+        let memo = cache.counting_memo(fp, 0, 1, eps());
+        let positions = cache.position_memo(fp, 0, 1, eps());
+        assert!(step5_built(&cache, fp, 1, 10));
+        cache.clause_product_insert(fp, 0, 1, eps(), 100, acceptance());
+        assert_eq!(cache.evictions(), 0);
+        // a second core over capacity evicts the first and everything
+        // derived from it, as ONE eviction
+        assert!(core_built(&cache, &s, 2));
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(
+            cache.clause_stats().2,
+            0,
+            "cascaded drops are not clause evictions"
+        );
+        assert!(cache.clause_product_cached(fp, 0, 1, eps(), 100).is_none());
+        assert!(step5_built(&cache, fp, 1, 10), "Step 5 entry dropped");
+        assert!(!Arc::ptr_eq(&memo, &cache.counting_memo(fp, 0, 1, eps())));
+        assert!(!Arc::ptr_eq(
+            &positions,
+            &cache.position_memo(fp, 0, 1, eps())
+        ));
+        assert_eq!(cache.evictions(), 1);
+    }
+
+    #[test]
+    fn invalidate_leaves_other_fingerprints_untouched() {
+        let cache = ArtifactCache::new();
+        let par = lowdeg_par::ParConfig::serial();
+        let (a, b) = (sample(5), sample(6));
+        let mut memos = Vec::new();
+        for s in [&a, &b] {
+            let fp = s.fingerprint();
+            cache.prime_gaifman(s, &par);
+            assert!(core_built(&cache, s, 1));
+            memos.push((
+                cache.counting_memo(fp, 0, 1, eps()),
+                cache.position_memo(fp, 0, 1, eps()),
+            ));
+            assert!(step5_built(&cache, fp, 1, 10));
+            cache.clause_product_insert(fp, 0, 1, eps(), 100, acceptance());
+        }
+        cache.invalidate(a.fingerprint());
+        let fp = b.fingerprint();
+        let (hits, _) = cache.stats();
+        cache.prime_gaifman(&sample(6), &par);
+        assert_eq!(cache.stats().0, hits + 1, "b's Gaifman graph survives");
+        assert!(!core_built(&cache, &b, 1));
+        assert!(!step5_built(&cache, fp, 1, 10));
+        assert!(cache.clause_product_cached(fp, 0, 1, eps(), 100).is_some());
+        assert!(Arc::ptr_eq(
+            &memos[1].0,
+            &cache.counting_memo(fp, 0, 1, eps())
+        ));
+        assert!(Arc::ptr_eq(
+            &memos[1].1,
+            &cache.position_memo(fp, 0, 1, eps())
+        ));
+        // and a's entries are gone
+        let fa = a.fingerprint();
+        assert!(cache.clause_product_cached(fa, 0, 1, eps(), 100).is_none());
+        assert!(step5_built(&cache, fa, 1, 10));
+        assert!(core_built(&cache, &a, 1));
+    }
+
+    #[test]
+    fn entries_counts_every_tier() {
+        let cache = ArtifactCache::new();
+        let par = lowdeg_par::ParConfig::serial();
+        let s = sample(7);
+        let fp = s.fingerprint();
+        cache.position_memo(fp, 0, 1, eps());
+        assert_eq!(cache.entries(), 1, "a position memo is a live entry");
+        cache.prime_gaifman(&s, &par);
+        core_built(&cache, &s, 1);
+        cache.counting_memo(fp, 0, 1, eps());
+        step5_built(&cache, fp, 1, 10);
+        cache.clause_product_insert(fp, 0, 1, eps(), 100, acceptance());
+        assert_eq!(cache.entries(), 6, "one entry in each of the six tiers");
     }
 
     #[test]

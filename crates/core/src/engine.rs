@@ -1,10 +1,7 @@
 //! The public façade tying the pipeline together.
 
 use crate::artifacts::{ArtifactCache, BuildProfile, Profiler, Stage};
-use crate::counting::{
-    count_graph_query_with_adjacency, count_graph_query_with_adjacency_memo,
-    count_graph_query_with_combo_memo,
-};
+use crate::counting::count_graph_query;
 use crate::enumerate::{Enumerator, SkipLimits, SkipMode, VertexStream};
 use crate::reduction::{Reduction, DEFAULT_COMBINATION_BUDGET};
 use crate::testing::TestIndex;
@@ -22,31 +19,28 @@ use std::sync::Arc;
 /// → clause indices to prebuild under that core).
 type ClauseBuckets = BTreeMap<(usize, usize), (u64, BTreeMap<usize, Vec<usize>>)>;
 
-/// Build-time configuration beyond the structure/query pair.
+/// Build-time configuration beyond the structure/query pair, consumed by
+/// [`Engine::build_configured`] and [`Engine::build_workload`].
 ///
-/// The two-argument entry points ([`Engine::build`], [`Engine::build_with`])
-/// cover the common cases; `EngineConfig` is the explicit form, and the only
-/// way to override the eager-machinery cost gates per engine or to request
-/// the post-build warm-up.
+/// [`Engine::build`] covers the common case (the default configuration at
+/// a given ε); `EngineConfig` is the explicit form — the way to pick a
+/// [`SkipMode`] (the E10 ablation), request the post-build warm-up, or
+/// switch off normalization or clause sharing. The eager-machinery cost
+/// gates are the compiled-in [`crate::enumerate::EK_COST_LIMIT`] and
+/// [`crate::enumerate::EAGER_SKIP_LIMIT`]; [`Engine::skip_limits`] reports
+/// them.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// How the `skip` function is materialized (see [`SkipMode`]).
     pub skip_mode: SkipMode,
     /// The ε of the Storing Theorem tries.
     pub eps: Epsilon,
-    /// Override for the `E_k` materialization cost gate
-    /// ([`crate::enumerate::EK_COST_LIMIT`]). `None` defers to the
-    /// `LOWDEG_EK_COST_LIMIT` environment variable, then the constant.
-    pub ek_cost_limit: Option<u64>,
-    /// Override for the eager table size gate
-    /// ([`crate::enumerate::EAGER_SKIP_LIMIT`]). `None` = the constant.
-    pub eager_skip_limit: Option<u64>,
     /// Run the post-build warm-up: prefault the enumeration plans and probe
     /// the first answer, charging both to the `warm-up` build stage instead
     /// of the first delay sample of the real enumeration.
     pub warm_up: bool,
     /// Run the query-rewrite normalization pass
-    /// ([`lowdeg_logic::normalize`]) before building, so syntactic rewrite
+    /// ([`lowdeg_logic::normalize()`]) before building, so syntactic rewrite
     /// variants of one query share cached Step 5 acceptance products and
     /// whole-query counts, and [`Engine::build_workload`] can group them
     /// onto one shared engine. On by default; the built engine is
@@ -72,27 +66,10 @@ impl Default for EngineConfig {
         EngineConfig {
             skip_mode: SkipMode::Eager,
             eps: Epsilon::default_eps(),
-            ek_cost_limit: None,
-            eager_skip_limit: None,
             warm_up: false,
             normalize: true,
             clause_sharing: true,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The effective cost gates: explicit overrides win, then the
-    /// environment, then the compiled-in constants.
-    pub fn skip_limits(&self) -> SkipLimits {
-        let mut limits = SkipLimits::from_env();
-        if let Some(v) = self.ek_cost_limit {
-            limits.ek_cost_limit = v;
-        }
-        if let Some(v) = self.eager_skip_limit {
-            limits.eager_skip_limit = v;
-        }
-        limits
     }
 }
 
@@ -167,71 +144,35 @@ enum EngineKind {
 }
 
 impl Engine {
-    /// Preprocess `query` over `structure` with the default eager skip
-    /// tables.
+    /// Preprocess `query` over `structure` with the default
+    /// [`EngineConfig`] at the given ε, no artifact cache, and the thread
+    /// count from `LOWDEG_THREADS`.
     pub fn build(structure: &Structure, query: &Query, eps: Epsilon) -> Result<Self, EngineError> {
-        Self::build_with(structure, query, eps, SkipMode::Eager)
+        let config = EngineConfig {
+            eps,
+            ..EngineConfig::default()
+        };
+        Self::build_configured(structure, query, &config, &ParConfig::from_env(), None)
     }
 
-    /// Preprocess with an explicit [`SkipMode`] (the E10 ablation). Thread
-    /// count comes from `LOWDEG_THREADS` (see
-    /// [`Engine::build_with_config`]).
-    pub fn build_with(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        mode: SkipMode,
-    ) -> Result<Self, EngineError> {
-        Self::build_with_config(structure, query, eps, mode, &ParConfig::from_env())
-    }
-
-    /// Preprocess with an explicit [`SkipMode`] and worker-pool
-    /// configuration. The *build* phase parallelizes (reduction, counting,
-    /// skip-table construction) and the built engine is identical for every
-    /// thread count. [`Engine::enumerate`] / [`Engine::for_each_answer`] /
+    /// Preprocess `query` over `structure` as `config` says, on the worker
+    /// pool `par`, optionally fed by a cross-build [`ArtifactCache`].
+    ///
+    /// The *build* phase parallelizes (reduction, counting, skip-table
+    /// construction) and the built engine is identical for every thread
+    /// count. [`Engine::enumerate`] / [`Engine::for_each_answer`] /
     /// [`Engine::test`] stay single-threaded — the constant-delay and
     /// constant-time guarantees are per-operation RAM bounds that threads
     /// cannot (and must not) change; the sharded
     /// [`Engine::par_for_each_answer`] trades the delay guarantee for
     /// throughput while keeping the exact same answer order.
-    pub fn build_with_config(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        mode: SkipMode,
-        par: &ParConfig,
-    ) -> Result<Self, EngineError> {
-        Self::build_full(structure, query, eps, mode, par, None)
-    }
-
-    /// The full entry point: as [`Engine::build_with_config`], optionally
-    /// fed by a cross-build [`ArtifactCache`]. A warm cache skips the
-    /// *extract* stage of the reduction — the whole query-independent
-    /// [`crate::ReductionCore`] (Gaifman graph, near-pair store, cluster
-    /// tuples, type interning, colored graph) — leaving only the per-query
-    /// Step 5 acceptance pass; the resulting engine is bit-identical to a
-    /// cold build — the conformance `cachecheck` oracle enforces this.
-    /// Per-stage timings are recorded in [`Engine::profile`].
-    pub fn build_full(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        mode: SkipMode,
-        par: &ParConfig,
-        cache: Option<&ArtifactCache>,
-    ) -> Result<Self, EngineError> {
-        let config = EngineConfig {
-            skip_mode: mode,
-            eps,
-            ..EngineConfig::default()
-        };
-        Self::build_configured(structure, query, &config, par, cache)
-    }
-
-    /// The fully explicit entry point: as [`Engine::build_full`], driven by
-    /// an [`EngineConfig`] — the only way to override the eager-machinery
-    /// cost gates per engine, to request the post-build warm-up, or to
-    /// disable the query-rewrite normalization pass.
+    ///
+    /// A warm cache skips the *extract* stage of the reduction — the whole
+    /// query-independent [`crate::ReductionCore`] (Gaifman graph,
+    /// near-pair store, cluster tuples, type interning, colored graph) —
+    /// and the engine is bit-identical to a cold build; the conformance
+    /// `cachecheck` oracle enforces this. Per-stage timings are recorded in
+    /// [`Engine::profile`].
     ///
     /// With normalization on (the default), the engine is built from the
     /// query's canonical normal form: the Step 5 acceptance product and
@@ -248,8 +189,27 @@ impl Engine {
         par: &ParConfig,
         cache: Option<&ArtifactCache>,
     ) -> Result<Self, EngineError> {
+        Self::build_limited(structure, query, config, SkipLimits::default(), par, cache)
+    }
+
+    /// [`Engine::build_configured`] under explicit eager-machinery cost
+    /// gates (tests use tiny limits to force every eager level to
+    /// degrade).
+    pub(crate) fn build_limited(
+        structure: &Structure,
+        query: &Query,
+        config: &EngineConfig,
+        limits: SkipLimits,
+        par: &ParConfig,
+        cache: Option<&ArtifactCache>,
+    ) -> Result<Self, EngineError> {
+        let raw = |query: &Query, query_fp: Option<u64>, clause_fps: Option<&[u64]>| {
+            Self::build_raw(
+                structure, query, config, limits, par, cache, query_fp, clause_fps,
+            )
+        };
         if !config.normalize {
-            return Self::build_raw(structure, query, config, par, cache, None, None);
+            return raw(query, None, None);
         }
         let nf = normalize(query);
         let info = NormalizationInfo {
@@ -264,12 +224,8 @@ impl Engine {
         } else {
             Vec::new()
         };
-        match Self::build_raw(
-            structure,
+        match raw(
             &nf.query,
-            config,
-            par,
-            cache,
             Some(nf.fingerprint),
             config.clause_sharing.then_some(clause_fps.as_slice()),
         ) {
@@ -283,7 +239,7 @@ impl Engine {
             // parses through it. The original query is the user's contract
             // — build it directly, without the fingerprinted cache key.
             Err(EngineError::Localize(_)) if !nf.is_trivial() => {
-                let mut engine = Self::build_raw(structure, query, config, par, cache, None, None)?;
+                let mut engine = raw(query, None, None)?;
                 engine.normalization = Some(NormalizationInfo {
                     fallback: true,
                     ..info
@@ -302,10 +258,12 @@ impl Engine {
     /// is on — the reduction then stitches its Step 5 product from
     /// clause-keyed cache entries and the count sums clause-memoized
     /// combination counts, both bit-identical to the monolithic passes.
+    #[allow(clippy::too_many_arguments)]
     fn build_raw(
         structure: &Structure,
         query: &Query,
         config: &EngineConfig,
+        limits: SkipLimits,
         par: &ParConfig,
         cache: Option<&ArtifactCache>,
         query_fp: Option<u64>,
@@ -313,7 +271,6 @@ impl Engine {
     ) -> Result<Self, EngineError> {
         let eps = config.eps;
         let mode = config.skip_mode;
-        let limits = config.skip_limits();
         let arity = query.arity();
         if arity == 0 {
             let truth = lowdeg_locality::model_check(structure, query)?;
@@ -326,7 +283,7 @@ impl Engine {
             });
         }
         let profiler = Profiler::new();
-        let reduction = Reduction::build_clause_keyed(
+        let reduction = Reduction::build_keyed(
             structure,
             query,
             eps,
@@ -367,35 +324,21 @@ impl Engine {
             _ => None,
         };
         let count = memoized.unwrap_or_else(|| {
+            // Clause-granular counting: each graph clause realizes one
+            // (partition, types) combination, so clause answer sets are
+            // disjoint and the query count is the sum of per-clause counts
+            // — memoized under the clause's packed signature so queries
+            // sharing a combination share its signed count.
+            let signatures = config.clause_sharing.then(|| reduction.clause_signatures());
             let c = profiler.time(Stage::IeCount, || {
-                // Clause-granular counting: each graph clause realizes one
-                // (partition, types) combination, so clause answer sets are
-                // disjoint and the query count is the sum of per-clause
-                // counts — memoized under the clause's packed signature so
-                // queries sharing a combination share its signed count.
-                match &memo {
-                    Some(m)
-                        if config.clause_sharing
-                            && reduction.clause_signatures().len()
-                                == reduction.query().clauses.len() =>
-                    {
-                        count_graph_query_with_combo_memo(
-                            reduction.graph(),
-                            reduction.query(),
-                            reduction.clause_signatures(),
-                            &adjacency,
-                            par,
-                            m,
-                        )
-                    }
-                    _ => count_graph_query_with_adjacency_memo(
-                        reduction.graph(),
-                        reduction.query(),
-                        &adjacency,
-                        par,
-                        memo.as_deref(),
-                    ),
-                }
+                count_graph_query(
+                    reduction.graph(),
+                    reduction.query(),
+                    &adjacency,
+                    par,
+                    memo.as_deref(),
+                    signatures,
+                )
                 .expect("reduced clauses are well-formed generalized conjunctions")
             });
             if let (Some(m), Some(fp)) = (&memo, query_fp) {
@@ -414,7 +357,7 @@ impl Engine {
                 eps,
             )
         });
-        let enumerator = Enumerator::build_full_with_adjacency(
+        let enumerator = Enumerator::build(
             reduction.graph(),
             reduction.query(),
             adjacency,
@@ -442,30 +385,6 @@ impl Engine {
         })
     }
 
-    /// Batch-build one engine per query against a single structure,
-    /// sharing every cross-query artifact through `cache`: the Gaifman
-    /// graph, the query-independent [`crate::ReductionCore`] per distinct
-    /// `(r, k)`, and — the batch-specific win — the per-core
-    /// [`crate::counting::CountingMemo`], so a lattice component counted
-    /// for one query is a probe hit for every later query realizing the
-    /// same color combination. Each engine is bit-identical to what
-    /// [`Engine::build_full`] would produce for its query alone (with or
-    /// without a cache) — the conformance `memocheck` oracle enforces
-    /// this. Queries build in order; the first error aborts the batch.
-    pub fn build_many(
-        structure: &Structure,
-        queries: &[&Query],
-        eps: Epsilon,
-        mode: SkipMode,
-        par: &ParConfig,
-        cache: &ArtifactCache,
-    ) -> Result<Vec<Self>, EngineError> {
-        queries
-            .iter()
-            .map(|q| Self::build_full(structure, q, eps, mode, par, Some(cache)))
-            .collect()
-    }
-
     /// The workload planner: batch-build engines for `queries`, grouping
     /// the batch by shared quantifier-free cores. Queries whose normal
     /// forms agree (same [`NormalizationInfo::fingerprint`]) are rewrite
@@ -477,8 +396,6 @@ impl Engine {
     /// order, and membership tests are bit-identical to what
     /// [`Engine::build_configured`] would produce per query.
     ///
-    /// Supersedes [`Engine::build_many`], which still builds one engine
-    /// per query (sharing only the reduction core and counting memo).
     /// With [`EngineConfig::normalize`] off — or for queries that fall
     /// back to their original syntax (localize failure) — no grouping
     /// happens and every query gets its own engine.
@@ -692,14 +609,19 @@ impl Engine {
                             query.vars.clone(),
                         );
                         if let Ok(inner) = inner {
-                            if let Ok(reduction) =
-                                Reduction::build(structure, &inner, Epsilon::default_eps())
-                            {
-                                let count = count_graph_query_with_adjacency(
+                            if let Ok(reduction) = Reduction::build(
+                                structure,
+                                &inner,
+                                Epsilon::default_eps(),
+                                &ParConfig::from_env(),
+                            ) {
+                                let count = count_graph_query(
                                     reduction.graph(),
                                     reduction.query(),
                                     reduction.adjacency(),
                                     &ParConfig::serial(),
+                                    None,
+                                    None,
                                 )
                                 .expect("reduced clauses are well-formed");
                                 return Ok(count > 0);
@@ -1073,6 +995,16 @@ mod tests {
     use lowdeg_logic::parse_query;
     use std::collections::BTreeSet;
 
+    /// The engine of `q` over `s` in skip mode `mode`, ε = 0.5, no cache.
+    fn build_mode(s: &Structure, q: &Query, mode: SkipMode) -> Engine {
+        let config = EngineConfig {
+            skip_mode: mode,
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        Engine::build_configured(s, q, &config, &ParConfig::from_env(), None).unwrap()
+    }
+
     fn check_engine(seed: u64, n: usize, src: &str) {
         let s = ColoredGraphSpec::balanced(n, DegreeClass::Bounded(3)).generate(seed);
         let q = parse_query(s.signature(), src).unwrap();
@@ -1080,7 +1012,7 @@ mod tests {
         let oracle_set: BTreeSet<Vec<Node>> = oracle.iter().cloned().collect();
 
         for mode in [SkipMode::Eager, SkipMode::Lazy] {
-            let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), mode).unwrap();
+            let engine = build_mode(&s, &q, mode);
             assert_eq!(
                 engine.count(),
                 oracle.len() as u64,
@@ -1143,42 +1075,6 @@ mod tests {
     #[test]
     fn ternary_end_to_end() {
         check_engine(4, 12, "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z) & !E(x, z)");
-    }
-
-    #[test]
-    fn build_many_matches_individual_builds() {
-        let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(3)).generate(7);
-        let sources = [
-            "B(x) & R(y) & !E(x, y)",
-            "R(x) & G(y) & !E(x, y)",
-            "G(x) & B(y) & !E(x, y)",
-        ];
-        let queries: Vec<_> = sources
-            .iter()
-            .map(|src| parse_query(s.signature(), src).unwrap())
-            .collect();
-        let refs: Vec<&lowdeg_logic::Query> = queries.iter().collect();
-        let cache = crate::ArtifactCache::new();
-        let par = ParConfig::serial();
-        let batch = Engine::build_many(&s, &refs, Epsilon::new(0.5), SkipMode::Eager, &par, &cache)
-            .unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (engine, q) in batch.iter().zip(&queries) {
-            let solo = Engine::build_with(&s, q, Epsilon::new(0.5), SkipMode::Eager).unwrap();
-            assert_eq!(engine.count(), solo.count());
-            let a: Vec<Vec<Node>> = engine.enumerate().collect();
-            let b: Vec<Vec<Node>> = solo.enumerate().collect();
-            assert_eq!(a, b, "batched build must be observably identical");
-        }
-        // the batch shared one core (one miss, then hits) and its memo
-        let (hits, _misses) = cache.stats();
-        assert!(hits > 0, "later queries must reuse the shared core");
-        let (memo_hits, memo_misses, components) = cache.counting_stats();
-        assert!(memo_misses > 0 && components > 0);
-        assert!(
-            memo_hits > 0,
-            "color-permuted queries must share counted components"
-        );
     }
 
     #[test]
@@ -1251,11 +1147,14 @@ mod tests {
         let v = parse_query(s.signature(), "B(x) & !E(x, y) & !!R(y)").unwrap();
         let cache = crate::ArtifactCache::new();
         let par = ParConfig::serial();
-        let eps = Epsilon::new(0.5);
-        let cold = Engine::build_full(&s, &q, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
+        let config = EngineConfig {
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        let cold = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
         assert!(cold.profile().nanos(Stage::IeCount) > 0);
         let (hits_before, _, _) = cache.counting_stats();
-        let warm = Engine::build_full(&s, &v, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
+        let warm = Engine::build_configured(&s, &v, &config, &par, Some(&cache)).unwrap();
         assert_eq!(warm.count(), cold.count());
         assert_eq!(
             warm.profile().nanos(Stage::IeCount),
@@ -1280,7 +1179,7 @@ mod tests {
         ] {
             let q = parse_query(s.signature(), src).unwrap();
             for mode in [SkipMode::Eager, SkipMode::Lazy] {
-                let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), mode).unwrap();
+                let engine = build_mode(&s, &q, mode);
                 let serial: Vec<Vec<Node>> = engine.enumerate().collect();
                 assert_eq!(
                     engine.par_enumerate(&forced),
@@ -1332,18 +1231,23 @@ mod tests {
             "warm-up charged to its stage"
         );
         assert_eq!(plain.profile().nanos(Stage::WarmUp), 0);
-        // a tiny ek_cost_limit degrades eager levels but keeps answers
-        let degraded_cfg = EngineConfig {
-            ek_cost_limit: Some(0),
+        // tiny cost gates degrade eager levels but keep answers
+        let plain_cfg = EngineConfig {
             eps: Epsilon::new(0.5),
             ..EngineConfig::default()
         };
-        let degraded =
-            Engine::build_configured(&s, &q, &degraded_cfg, &ParConfig::serial(), None).unwrap();
-        assert_eq!(degraded.skip_limits().ek_cost_limit, 0);
-        let c: Vec<Vec<Node>> = degraded.enumerate().collect();
+        let tiny = SkipLimits {
+            ek_cost_limit: 0,
+            eager_skip_limit: 0,
+        };
+        let degraded = |s: &Structure, q: &Query| {
+            Engine::build_limited(s, q, &plain_cfg, tiny, &ParConfig::serial(), None).unwrap()
+        };
+        let degraded1 = degraded(&s, &q);
+        assert_eq!(degraded1.skip_limits(), tiny);
+        let c: Vec<Vec<Node>> = degraded1.enumerate().collect();
         assert_eq!(c, b);
-        let en = degraded.enumerator().unwrap();
+        let en = degraded1.enumerator().unwrap();
         assert!(en
             .plans()
             .iter()
@@ -1352,8 +1256,7 @@ mod tests {
         // non-vacuous: this structure is dense enough for Large levels
         let s2 = ColoredGraphSpec::balanced(400, DegreeClass::Bounded(2)).generate(1);
         let q2 = parse_query(s2.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-        let degraded2 =
-            Engine::build_configured(&s2, &q2, &degraded_cfg, &ParConfig::serial(), None).unwrap();
+        let degraded2 = degraded(&s2, &q2);
         let en2 = degraded2.enumerator().unwrap();
         let larges = en2
             .plans()

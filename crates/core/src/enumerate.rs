@@ -76,20 +76,13 @@ pub const EAGER_SKIP_LIMIT: u64 = 4_000_000;
 /// `E_k` relation. The paper's table is pseudo-linear only when
 /// `n ≫ d̃^{3k}`; below that regime (i.e. on any practically dense
 /// instance) the level degrades to the lazy skip, which needs no `E_k` at
-/// all (see [`SkipMode::Lazy`]). Overridable per engine via
-/// [`SkipLimits`] / `EngineConfig`, or process-wide via the
-/// [`EK_COST_LIMIT_ENV`] environment variable.
+/// all (see [`SkipMode::Lazy`]).
 pub const EK_COST_LIMIT: u64 = 50_000_000;
 
-/// Environment variable overriding [`EK_COST_LIMIT`] process-wide. An
-/// explicit [`SkipLimits`] value passed through `EngineConfig` still wins
-/// over the environment.
-pub const EK_COST_LIMIT_ENV: &str = "LOWDEG_EK_COST_LIMIT";
-
 /// The effective cost gates of the eager skip machinery. Every level build
-/// consults one of these instead of the raw constants, so callers (the
-/// `EngineConfig`, the E10 ablation, stress tests) can move the
-/// eager-vs-lazy frontier without recompiling.
+/// consults one of these instead of the raw constants; production builds
+/// run under the default (the compiled-in constants), while tests move the
+/// eager-vs-lazy frontier to force degradation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SkipLimits {
     /// Cap on the estimated `E_k` materialization cost
@@ -106,23 +99,6 @@ impl Default for SkipLimits {
             ek_cost_limit: EK_COST_LIMIT,
             eager_skip_limit: EAGER_SKIP_LIMIT,
         }
-    }
-}
-
-impl SkipLimits {
-    /// The process-wide defaults: [`EK_COST_LIMIT_ENV`] when set to a
-    /// parseable `u64`, otherwise the compiled-in constants. Unparseable
-    /// values are ignored rather than erroring — the variable is a tuning
-    /// knob, not configuration that must round-trip.
-    pub fn from_env() -> SkipLimits {
-        let mut limits = SkipLimits::default();
-        if let Some(v) = std::env::var(EK_COST_LIMIT_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            limits.ek_cost_limit = v;
-        }
-        limits
     }
 }
 
@@ -768,35 +744,12 @@ pub struct ClausePlan {
 }
 
 impl ClausePlan {
-    /// Preprocess one clause.
-    pub fn build(
-        graph: &Structure,
-        gq: &GraphQuery,
-        clause: &GraphClause,
-        adjacency: &EdgeAdjacency,
-        mode: SkipMode,
-        eps: Epsilon,
-        par: &ParConfig,
-    ) -> Self {
-        Self::build_full(
-            graph,
-            gq,
-            clause,
-            adjacency,
-            mode,
-            eps,
-            SkipLimits::from_env(),
-            par,
-            &Profiler::new(),
-            &PositionMemo::new(),
-        )
-    }
-
-    /// As [`ClausePlan::build`], recording `fixpoint` / `skip-tables` stage
-    /// timings in `profiler` (cumulative across levels; on a multi-thread
-    /// pool, concurrent levels sum their task times).
+    /// Preprocess one clause under the cost gates `limits`, drawing its
+    /// candidate lists from `positions` and recording `fixpoint` /
+    /// `skip-tables` stage timings in `profiler` (cumulative across levels;
+    /// on a multi-thread pool, concurrent levels sum their task times).
     #[allow(clippy::too_many_arguments)]
-    pub fn build_full(
+    pub fn build(
         graph: &Structure,
         gq: &GraphQuery,
         clause: &GraphClause,
@@ -1296,62 +1249,24 @@ pub struct Enumerator {
 }
 
 impl Enumerator {
-    /// Preprocess every clause of the reduced query, with the thread count
-    /// taken from `LOWDEG_THREADS` (see [`Enumerator::build_with_config`]).
-    pub fn build(graph: &Structure, gq: &GraphQuery, mode: SkipMode, eps: Epsilon) -> Self {
-        Self::build_with_config(graph, gq, mode, eps, &ParConfig::from_env())
-    }
-
-    /// Preprocess every clause of the reduced query, running per-clause plan
-    /// construction (and the inner `E_k` / skip-table passes) on the given
-    /// worker pool. Parallel and serial builds produce identical plans;
-    /// enumeration through [`Enumerator::stream`] is single-threaded (the
-    /// delay-accounted reference path), while the engine's sharded answer
-    /// path (`Engine::par_for_each_answer`) fans [`ClausePlan::iter_slice`]
+    /// Preprocess every clause of the reduced query over the shared
+    /// `E`-adjacency (the engine passes the reduction core's CSR, so
+    /// counting and enumeration share one copy) under the cost gates
+    /// `limits`, running per-clause plan construction (and the inner `E_k`
+    /// / skip-table passes) on the given worker pool. Parallel and serial
+    /// builds produce identical plans; enumeration through
+    /// [`Enumerator::stream`] is single-threaded (the delay-accounted
+    /// reference path), while the engine's sharded answer path
+    /// (`Engine::par_for_each_answer`) fans [`ClausePlan::iter_slice`]
     /// cursors over the same pool.
-    pub fn build_with_config(
-        graph: &Structure,
-        gq: &GraphQuery,
-        mode: SkipMode,
-        eps: Epsilon,
-        par: &ParConfig,
-    ) -> Self {
-        Self::build_full(graph, gq, mode, eps, par, &Profiler::new())
-    }
-
-    /// As [`Enumerator::build_with_config`], recording the `fixpoint` and
-    /// `skip-tables` stage timings in `profiler`. The profiler is shared
-    /// across the par-mapped clause builds ([`Profiler`] is atomic), so on a
-    /// multi-thread pool the recorded nanos are cumulative task time, not
-    /// wall time.
-    pub fn build_full(
-        graph: &Structure,
-        gq: &GraphQuery,
-        mode: SkipMode,
-        eps: Epsilon,
-        par: &ParConfig,
-        profiler: &Profiler,
-    ) -> Self {
-        let adjacency = Arc::new(EdgeAdjacency::build(graph, gq.edge));
-        Self::build_full_with_adjacency(
-            graph,
-            gq,
-            adjacency,
-            mode,
-            eps,
-            SkipLimits::from_env(),
-            par,
-            profiler,
-            None,
-        )
-    }
-
-    /// As [`Enumerator::build_full`], adopting a caller-built `E`-adjacency
-    /// instead of constructing one, and explicit eager-machinery cost gates
-    /// (see [`SkipLimits`]). The engine shares a single CSR between the
-    /// ie-count stage and the enumerator.
+    ///
+    /// `fixpoint` and `skip-tables` stage timings go to `profiler`, shared
+    /// across the par-mapped clause builds ([`Profiler`] is atomic), so on
+    /// a multi-thread pool the recorded nanos are cumulative task time, not
+    /// wall time. `positions` is the per-core candidate-list memo; `None`
+    /// memoizes within this build only.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_full_with_adjacency(
+    pub fn build(
         graph: &Structure,
         gq: &GraphQuery,
         adjacency: Arc<EdgeAdjacency>,
@@ -1368,7 +1283,7 @@ impl Enumerator {
         let local = PositionMemo::new();
         let positions = positions.unwrap_or(&local);
         let plans = par_map(par, &gq.clauses, |c| {
-            ClausePlan::build_full(
+            ClausePlan::build(
                 graph, gq, c, &adjacency, mode, eps, limits, par, profiler, positions,
             )
         });
@@ -1541,6 +1456,34 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
+    /// The enumerator of `gq` over `g` under `limits`, built on the `LOWDEG_THREADS` pool.
+    fn build_limited(
+        g: &Structure,
+        gq: &GraphQuery,
+        mode: SkipMode,
+        limits: SkipLimits,
+    ) -> Enumerator {
+        let adjacency = Arc::new(EdgeAdjacency::build(g, gq.edge));
+        let par = ParConfig::from_env();
+        let eps = Epsilon::new(0.5);
+        Enumerator::build(
+            g,
+            gq,
+            adjacency,
+            mode,
+            eps,
+            limits,
+            &par,
+            &Profiler::new(),
+            None,
+        )
+    }
+
+    /// The enumerator of `gq` over `g` under the default cost gates.
+    fn build(g: &Structure, gq: &GraphQuery, mode: SkipMode) -> Enumerator {
+        build_limited(g, gq, mode, SkipLimits::default())
+    }
+
     /// Build a colored graph directly (vertices with colors A/B, symmetric
     /// edges) plus a k-position alternating-color query over it.
     fn colored_graph(
@@ -1607,7 +1550,7 @@ mod tests {
         }
 
         for mode in [SkipMode::Eager, SkipMode::Lazy] {
-            let en = Enumerator::build(&g, &gq, mode, Epsilon::new(0.5));
+            let en = build(&g, &gq, mode);
             let got: Vec<Vec<Node>> = en.vertex_tuples().collect();
             let got_set: BTreeSet<Vec<Node>> = got.iter().cloned().collect();
             assert_eq!(got.len(), got_set.len(), "duplicates in {mode:?}");
@@ -1676,7 +1619,7 @@ mod tests {
         for k in [1usize, 2, 3] {
             let (g, gq) = colored_graph(40, &edges, &color_a, &color_b, k);
             for mode in [SkipMode::Eager, SkipMode::Lazy] {
-                let en = Enumerator::build(&g, &gq, mode, Epsilon::new(0.5));
+                let en = build(&g, &gq, mode);
                 for plan in en.plans() {
                     let full: Vec<Vec<Node>> = plan.iter(en.adjacency()).collect();
                     for parts in [1usize, 2, 3, 7] {
@@ -1699,7 +1642,7 @@ mod tests {
     #[test]
     fn iter_slice_bounds_are_clamped() {
         let (g, gq) = colored_graph(8, &[(0, 4), (1, 5)], &[0, 1, 2], &[4, 5, 6], 2);
-        let en = Enumerator::build(&g, &gq, SkipMode::Lazy, Epsilon::new(0.5));
+        let en = build(&g, &gq, SkipMode::Lazy);
         let plan = &en.plans()[0];
         let top = plan.top_len();
         assert_eq!(plan.iter_slice(en.adjacency(), 3, 3).count(), 0);
@@ -1717,7 +1660,7 @@ mod tests {
         let color_a: Vec<u32> = (0..30).collect();
         let color_b: Vec<u32> = (30..60).collect();
         let (g, gq) = colored_graph(60, &edges, &color_a, &color_b, 2);
-        let en = Enumerator::build(&g, &gq, SkipMode::Lazy, Epsilon::new(0.5));
+        let en = build(&g, &gq, SkipMode::Lazy);
         let max_ops = en.max_ops_per_output();
         assert!(max_ops > 0, "query must have answers");
         // constant-delay bound: a small multiple of k and the max degree
@@ -1731,7 +1674,7 @@ mod tests {
     fn prefault_and_warm_up_are_safe() {
         let (g, gq) = colored_graph(8, &[(0, 4), (1, 5)], &[0, 1, 2], &[4, 5, 6], 2);
         for mode in [SkipMode::Eager, SkipMode::Lazy] {
-            let en = Enumerator::build(&g, &gq, mode, Epsilon::new(0.5));
+            let en = build(&g, &gq, mode);
             en.prefault();
             let profiler = Profiler::new();
             en.warm_up(&profiler);
@@ -1744,40 +1687,18 @@ mod tests {
     }
 
     #[test]
-    fn skip_limits_env_override() {
-        // from_env with no var set = defaults
+    fn tiny_skip_limits_degrade_every_level() {
         let d = SkipLimits::default();
         assert_eq!(d.ek_cost_limit, EK_COST_LIMIT);
         assert_eq!(d.eager_skip_limit, EAGER_SKIP_LIMIT);
         // a tiny explicit limit degrades every eager level to lazy
         let (g, gq) = colored_graph(8, &[(0, 4), (1, 5)], &[0, 1, 2], &[4, 5, 6], 2);
-        let adjacency = Arc::new(EdgeAdjacency::build(&g, gq.edge));
         let tiny = SkipLimits {
             ek_cost_limit: 0,
             eager_skip_limit: 0,
         };
-        let en = Enumerator::build_full_with_adjacency(
-            &g,
-            &gq,
-            adjacency.clone(),
-            SkipMode::Eager,
-            Epsilon::new(0.5),
-            tiny,
-            &ParConfig::with_threads(1),
-            &Profiler::new(),
-            None,
-        );
-        let en_default = Enumerator::build_full_with_adjacency(
-            &g,
-            &gq,
-            adjacency,
-            SkipMode::Eager,
-            Epsilon::new(0.5),
-            SkipLimits::default(),
-            &ParConfig::with_threads(1),
-            &Profiler::new(),
-            None,
-        );
+        let en = build_limited(&g, &gq, SkipMode::Eager, tiny);
+        let en_default = build(&g, &gq, SkipMode::Eager);
         for plan in en.plans() {
             for level in plan.levels.iter().flatten() {
                 assert!(!level.eager_built, "0-limit must degrade to lazy");

@@ -23,8 +23,8 @@ pub struct Explain {
     pub count: u64,
     /// Per-stage build timings (all zero for sentences).
     pub profile: BuildProfile,
-    /// The effective eager-machinery cost gates the build ran under
-    /// (constants, `LOWDEG_EK_COST_LIMIT`, or `EngineConfig` overrides).
+    /// The effective eager-machinery cost gates the build ran under (the
+    /// compiled-in constants for every public builder).
     pub skip_limits: SkipLimits,
     /// State of the [`ArtifactCache`] the engine was built through
     /// (`None` when built cache-less or not requested).
@@ -383,10 +383,15 @@ mod tests {
         let config = EngineConfig {
             skip_mode: SkipMode::Eager,
             eps: Epsilon::new(0.5),
-            ek_cost_limit: Some(0), // force every eager level to degrade
             ..EngineConfig::default()
         };
-        let engine = Engine::build_configured(&s, &q, &config, &ParConfig::serial(), None).unwrap();
+        // force every eager level to degrade
+        let tiny = SkipLimits {
+            ek_cost_limit: 0,
+            eager_skip_limit: 0,
+        };
+        let engine =
+            Engine::build_limited(&s, &q, &config, tiny, &ParConfig::serial(), None).unwrap();
         // run one full enumeration so the memo watermarks are recorded
         engine.for_each_answer(|_| ControlFlow::Continue(()));
         let ex = engine.explain();
@@ -408,15 +413,18 @@ mod tests {
 
     #[test]
     fn explain_with_cache_reports_counters() {
-        use crate::{ArtifactCache, SkipMode};
+        use crate::{ArtifactCache, EngineConfig};
         use lowdeg_par::ParConfig;
         let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(3)).generate(61);
         let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
         let cache = ArtifactCache::with_capacity(8);
         let par = ParConfig::serial();
-        let eps = Epsilon::new(0.5);
-        let _first = Engine::build_full(&s, &q, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
-        let warm = Engine::build_full(&s, &q, eps, SkipMode::Eager, &par, Some(&cache)).unwrap();
+        let config = EngineConfig {
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        let _first = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
+        let warm = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
         let ex = warm.explain_with_cache(&cache);
         let c = ex.cache.as_ref().expect("cache report");
         assert_eq!(c.capacity, 8);

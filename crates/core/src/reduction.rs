@@ -34,7 +34,7 @@
 //!
 //! # Assembly layout
 //!
-//! The production build ([`build_core`]) never materializes per-vertex
+//! The production build (`build_core`) never materializes per-vertex
 //! records. Cluster tuples live in one flat CSR (`tuple_data`/`tuple_off`,
 //! filled by sharded enumeration over anchor ranges), canonical types are
 //! interned through a sorted-run dedup of the exact neighborhood keys (the
@@ -44,7 +44,7 @@
 //! ι-id order, so `v_(b̄,ι) = base_n + 1 + block[j] + rank(ι)`. The color
 //! and `F`-edge streams are emitted per tuple shard and adopted through
 //! the builder's pre-sorted bulk paths; no `(tuple, ι) → vertex` hash map
-//! exists anywhere. [`build_core_reference`] keeps the original per-vertex
+//! exists anywhere. `build_core_reference` keeps the original per-vertex
 //! construction alive as a differential oracle: it materializes the vertex
 //! records and the lookup map, then *asserts* they coincide with the
 //! arithmetic layout before converting into the same [`ReductionCore`]
@@ -114,7 +114,8 @@ struct VertexInfo {
 /// Vertices are implicit: tuple `j`'s vertices occupy the id block
 /// `base_n + 1 + block[j] .. base_n + 1 + block[j+1]`, one per injection of
 /// matching size in ι-id order, so a `(tuple, ι)` pair maps to its vertex
-/// by pure arithmetic and a vertex decodes back through [`Self::v_tuple`].
+/// by pure arithmetic and a vertex decodes back through its `v_tuple`
+/// entry.
 #[derive(Debug)]
 pub struct ReductionCore {
     /// The colored graph `G` (colors and edges only; acceptance is per
@@ -271,96 +272,60 @@ pub struct CoreDigest {
 }
 
 impl Reduction {
-    /// Run the full preprocessing. `φ` must have arity ≥ 1 and be
-    /// localizable. Thread count comes from `LOWDEG_THREADS` (see
-    /// [`Reduction::build_with_config`]).
-    pub fn build(structure: &Structure, query: &Query, eps: Epsilon) -> Result<Self, EngineError> {
-        Self::build_with_budget(structure, query, eps, DEFAULT_COMBINATION_BUDGET)
-    }
-
-    /// As [`Reduction::build`], with an explicit type-combination budget.
-    pub fn build_with_budget(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        budget: u64,
-    ) -> Result<Self, EngineError> {
-        Self::build_with_config(structure, query, eps, budget, &ParConfig::from_env())
-    }
-
-    /// As [`Reduction::build_full`] without a cache or profiler.
-    pub fn build_with_config(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        budget: u64,
-        par: &ParConfig,
-    ) -> Result<Self, EngineError> {
-        Self::build_full(structure, query, eps, budget, par, None, &Profiler::new())
-    }
-
-    /// The full entry point: explicit budget, an explicit worker-pool
-    /// configuration, an optional cross-build [`ArtifactCache`], and a
-    /// [`Profiler`] receiving the `extract` / `reduce` stage timings.
+    /// Run the full preprocessing on the worker pool `par`. `φ` must have
+    /// arity ≥ 1 and be localizable.
     ///
     /// The parallel passes (cluster-tuple enumeration, canonical encoding,
-    /// `E`-edge generation) are order-preserving, so the result is identical
-    /// for every thread count — and identical with or without a cache: the
-    /// cache only memoizes the query-independent [`ReductionCore`] (Gaifman
-    /// graph, near-pair store, cluster vertices with interned types, the
-    /// colored graph `G`), which is itself a deterministic function of the
-    /// structure content and `(r, k, ε)`.
-    pub fn build_full(
+    /// `E`-edge generation) are order-preserving, so the result is
+    /// identical for every thread count.
+    pub fn build(
         structure: &Structure,
         query: &Query,
         eps: Epsilon,
-        budget: u64,
         par: &ParConfig,
-        cache: Option<&ArtifactCache>,
-        profiler: &Profiler,
     ) -> Result<Self, EngineError> {
-        Self::build_keyed(structure, query, eps, budget, par, cache, profiler, None)
-    }
-
-    /// As [`Reduction::build_full`], additionally keyed by the query's
-    /// *normalized fingerprint* (`lowdeg_logic::NormalForm::fingerprint`).
-    /// With both a cache and a fingerprint, the per-query Step 5 acceptance
-    /// product is memoized under `(core key, fingerprint)` — rewrite
-    /// variants of one query (and repeated builds of the same query) skip
-    /// the acceptance pass entirely. `None` preserves the uncached per-call
-    /// behavior; the result is bit-identical either way.
-    ///
-    /// Contract: when `query_fp` is `Some`, `query` must be the *canonical*
-    /// query of that fingerprint (the [`lowdeg_logic::normalize`] output),
-    /// so every caller probing the same key would build the same product.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_keyed(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        budget: u64,
-        par: &ParConfig,
-        cache: Option<&ArtifactCache>,
-        profiler: &Profiler,
-        query_fp: Option<u64>,
-    ) -> Result<Self, EngineError> {
-        Self::build_clause_keyed(
-            structure, query, eps, budget, par, cache, profiler, query_fp, None,
+        Self::build_keyed(
+            structure,
+            query,
+            eps,
+            DEFAULT_COMBINATION_BUDGET,
+            par,
+            None,
+            &Profiler::new(),
+            None,
+            None,
         )
     }
 
-    /// As [`Reduction::build_keyed`], additionally carrying the query's
-    /// per-clause canonical fingerprints (`NormalForm::clauses`, in clause
-    /// order). With a cache, each clause's Step 5 acceptance set is then
-    /// memoized under `(cluster key, clause fingerprint)` — queries that
-    /// share a clause (across a workload batch or across warm builds)
-    /// share its acceptance work, and the whole-query product is stitched
+    /// The one production builder behind [`Reduction::build`] and the
+    /// engine: an explicit type-combination `budget`, an optional
+    /// cross-build [`ArtifactCache`], and a [`Profiler`] receiving the
+    /// `extract` / `reduce` stage timings.
+    ///
+    /// The result is identical with or without a cache: the cache only
+    /// memoizes deterministic products. The query-independent
+    /// [`ReductionCore`] (Gaifman graph, near-pair store, cluster vertices
+    /// with interned types, the colored graph `G`) is keyed by the
+    /// structure content and `(r, k, ε)`. With a cache and the query's
+    /// *normalized fingerprint* `query_fp`
+    /// (`lowdeg_logic::NormalForm::fingerprint`), the per-query Step 5
+    /// acceptance product is memoized under `(core key, fingerprint)`, so
+    /// rewrite variants of one query (and repeated builds of the same
+    /// query) skip the acceptance pass entirely. With the per-clause
+    /// canonical fingerprints `clause_fps` as well (`NormalForm::clauses`,
+    /// in clause order), each clause's acceptance set is memoized under
+    /// `(cluster key, clause fingerprint)`, so queries that share a clause
+    /// share its acceptance work and the whole-query product is stitched
     /// from the per-clause sets bit-identically to the monolithic pass.
     ///
-    /// `clause_fps` is advisory: if its length doesn't match the localized
-    /// clause decomposition (or it is `None`), the monolithic path runs.
+    /// Contract: when `query_fp` is `Some`, `query` must be the
+    /// *canonical* query of that fingerprint (the `lowdeg_logic::normalize`
+    /// output), so every caller probing the same key would build the same
+    /// product. `clause_fps` is advisory: if its length doesn't match the
+    /// localized clause decomposition (or it is `None`), the monolithic
+    /// path runs.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_clause_keyed(
+    pub(crate) fn build_keyed(
         structure: &Structure,
         query: &Query,
         eps: Epsilon,
@@ -2322,7 +2287,7 @@ mod tests {
     /// `φ(A)` and `ψ(G)`.
     fn assert_bijection(structure: &Structure, src: &str) {
         let q = parse_query(structure.signature(), src).unwrap();
-        let red = Reduction::build(structure, &q, eps()).unwrap();
+        let red = Reduction::build(structure, &q, eps(), &ParConfig::from_env()).unwrap();
         let oracle = answers_naive(structure, &q);
         let oracle_set: BTreeSet<Vec<Node>> = oracle.iter().cloned().collect();
 
@@ -2394,7 +2359,7 @@ mod tests {
     fn forward_is_total_and_injective() {
         let s = small(7);
         let q = parse_query(s.signature(), "B(x) & R(y)").unwrap();
-        let red = Reduction::build(&s, &q, eps()).unwrap();
+        let red = Reduction::build(&s, &q, eps(), &ParConfig::from_env()).unwrap();
         let mut images = BTreeSet::new();
         for a in s.domain() {
             for b in s.domain() {
@@ -2408,7 +2373,7 @@ mod tests {
     fn graph_is_binary_signature() {
         let s = small(8);
         let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-        let red = Reduction::build(&s, &q, eps()).unwrap();
+        let red = Reduction::build(&s, &q, eps(), &ParConfig::from_env()).unwrap();
         assert!(red.graph().signature().is_binary());
         assert!(red.cluster_count() > 0);
         assert_eq!(red.arity(), 2);
@@ -2423,9 +2388,7 @@ mod tests {
             let s = small(seed);
             for src in ["B(x) & R(y) & !E(x, y)", "exists z. E(x, z) & E(z, y)"] {
                 let q = parse_query(s.signature(), src).unwrap();
-                let radix =
-                    Reduction::build_with_config(&s, &q, eps(), DEFAULT_COMBINATION_BUDGET, &par)
-                        .unwrap();
+                let radix = Reduction::build(&s, &q, eps(), &par).unwrap();
                 let reference =
                     Reduction::build_reference(&s, &q, eps(), DEFAULT_COMBINATION_BUDGET, &par)
                         .unwrap();
@@ -2461,7 +2424,10 @@ mod tests {
     fn budget_violation_reported() {
         let s = small(9);
         let q = parse_query(s.signature(), "B(x) & R(y)").unwrap();
-        let err = Reduction::build_with_budget(&s, &q, eps(), 0).unwrap_err();
+        let par = ParConfig::from_env();
+        let err =
+            Reduction::build_keyed(&s, &q, eps(), 0, &par, None, &Profiler::new(), None, None)
+                .unwrap_err();
         assert!(matches!(err, EngineError::CombinationBudget { .. }));
     }
 }

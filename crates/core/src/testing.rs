@@ -10,6 +10,7 @@ use crate::reduction::Reduction;
 use crate::EngineError;
 use lowdeg_index::{Epsilon, FactIndex};
 use lowdeg_logic::Query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 
 /// The constant-time membership tester.
@@ -27,9 +28,10 @@ pub struct TestIndex {
 }
 
 impl TestIndex {
-    /// Preprocess `structure` for `query` (pseudo-linear).
+    /// Preprocess `structure` for `query` (pseudo-linear), with the thread
+    /// count from `LOWDEG_THREADS`.
     pub fn build(structure: &Structure, query: &Query, eps: Epsilon) -> Result<Self, EngineError> {
-        let reduction = Reduction::build(structure, query, eps)?;
+        let reduction = Reduction::build(structure, query, eps, &ParConfig::from_env())?;
         Ok(Self::from_reduction(reduction, eps))
     }
 

@@ -18,6 +18,7 @@ use lowdeg_core::Reduction;
 use lowdeg_index::Epsilon;
 use lowdeg_locality::types::{canonical_encoding, Canonicalizer};
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Signature, Structure};
 use std::sync::Arc;
 
@@ -283,7 +284,8 @@ fn key_fed_encodings_match_structure_fed_on_cli_build_shape() {
         let s = colored(n, lowdeg_gen::DegreeClass::Bounded(2), 1);
         for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
             let q = parse_query(s.signature(), src).expect("query parses");
-            let red = Reduction::build(&s, &q, Epsilon::new(0.5)).expect("reduction");
+            let red = Reduction::build(&s, &q, Epsilon::new(0.5), &ParConfig::from_env())
+                .expect("reduction");
             let r = red.radius();
             let mut canon = Canonicalizer::new();
             let (mut key, mut from_key) = (Vec::new(), Vec::new());

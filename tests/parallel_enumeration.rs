@@ -16,7 +16,7 @@
 
 use lowdeg_bench::workloads::{colored, degree_classes};
 use lowdeg_conformance::{QueryGen, ALL_SHAPES};
-use lowdeg_core::{Engine, SkipMode};
+use lowdeg_core::{Engine, EngineConfig, SkipMode};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
 use lowdeg_par::ParConfig;
@@ -131,7 +131,13 @@ proptest! {
                 for mode in [SkipMode::Eager, SkipMode::Lazy] {
                     // engines may legitimately reject (non-localizable);
                     // that is a skip, not a failure
-                    let Ok(engine) = Engine::build_with(&s, &q, Epsilon::new(0.5), mode)
+                    let config = EngineConfig {
+                        skip_mode: mode,
+                        eps: Epsilon::new(0.5),
+                        ..EngineConfig::default()
+                    };
+                    let par = ParConfig::from_env();
+                    let Ok(engine) = Engine::build_configured(&s, &q, &config, &par, None)
                     else {
                         continue;
                     };
@@ -148,7 +154,18 @@ proptest! {
 fn serial_pool_falls_back() {
     let s = colored(24, lowdeg_gen::DegreeClass::Bounded(3), 9);
     let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-    let engine = Engine::build_with(&s, &q, Epsilon::new(0.5), SkipMode::Eager).unwrap();
+    let engine = Engine::build_configured(
+        &s,
+        &q,
+        &EngineConfig {
+            skip_mode: SkipMode::Eager,
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        },
+        &ParConfig::from_env(),
+        None,
+    )
+    .unwrap();
     let serial: Vec<Vec<Node>> = engine.enumerate().collect();
     for par in [ParConfig::serial(), ParConfig::with_threads(4)] {
         assert_eq!(engine.par_enumerate(&par), serial);

@@ -4,11 +4,12 @@
 //! structures from several degree classes.
 
 use lowdeg_core::enumerate::SkipMode;
-use lowdeg_core::Engine;
+use lowdeg_core::{Engine, EngineConfig};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::eval::{answers_naive, model_check_naive};
 use lowdeg_logic::parse_query;
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 use std::collections::BTreeSet;
 
@@ -46,7 +47,17 @@ fn check_query(structure: &Structure, src: &str, mode: SkipMode) {
     let oracle = answers_naive(structure, &q);
     let oracle_set: BTreeSet<Vec<Node>> = oracle.iter().cloned().collect();
 
-    let engine = match Engine::build_with(structure, &q, Epsilon::new(0.5), mode) {
+    let engine = match Engine::build_configured(
+        structure,
+        &q,
+        &EngineConfig {
+            skip_mode: mode,
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        },
+        &ParConfig::from_env(),
+        None,
+    ) {
         Ok(e) => e,
         Err(e) => panic!("`{src}` failed to build: {e}"),
     };

@@ -1,5 +1,5 @@
 //! Differential suite for the radix-built Prop 3.3 assembly (DESIGN.md
-//! §13): `Reduction::build_with_config` — sorted/partitioned batch passes
+//! §13): `Reduction::build` — sorted/partitioned batch passes
 //! over near-pairs and cluster tuples, arithmetic block layout, no
 //! per-vertex hash interning — must be observationally identical to
 //! `Reduction::build_reference`, the retained per-vertex construction.
@@ -58,8 +58,7 @@ fn assert_equivalent(s: &Structure, src: &str, par: &ParConfig, label: &str) {
     let q = parse_query(s.signature(), src).expect("query parses");
     let eps = Epsilon::new(EPS);
     let t = std::time::Instant::now();
-    let radix = Reduction::build_with_config(s, &q, eps, DEFAULT_COMBINATION_BUDGET, par)
-        .expect("radix build");
+    let radix = Reduction::build(s, &q, eps, par).expect("radix build");
     let radix_dt = t.elapsed();
     let t = std::time::Instant::now();
     let reference = Reduction::build_reference(s, &q, eps, DEFAULT_COMBINATION_BUDGET, par)
@@ -169,17 +168,9 @@ fn parallel_pools_agree_with_serial_digest() {
     for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
         let q = parse_query(s.signature(), src).expect("query parses");
         let eps = Epsilon::new(EPS);
-        let serial = Reduction::build_with_config(
-            &s,
-            &q,
-            eps,
-            DEFAULT_COMBINATION_BUDGET,
-            &ParConfig::serial(),
-        )
-        .expect("serial build");
+        let serial = Reduction::build(&s, &q, eps, &ParConfig::serial()).expect("serial build");
         for par in pools() {
-            let other = Reduction::build_with_config(&s, &q, eps, DEFAULT_COMBINATION_BUDGET, &par)
-                .expect("pool build");
+            let other = Reduction::build(&s, &q, eps, &par).expect("pool build");
             assert_eq!(
                 serial.core_digest(),
                 other.core_digest(),

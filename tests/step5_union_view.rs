@@ -23,6 +23,7 @@ use lowdeg_core::Reduction;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::eval::{eval, Assignment, Model};
 use lowdeg_logic::{parse_query, Formula, Var};
+use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 
 /// Sampled combinations per partition.
@@ -130,7 +131,8 @@ fn eval_at(model: &(impl Model + ?Sized), free: &[Var], at: &[Node], f: &Formula
 /// combinations checked.
 fn check_reduction(s: &Structure, src: &str, label: &str, seed: u64) -> usize {
     let q = parse_query(s.signature(), src).expect("query parses");
-    let red = Reduction::build(s, &q, Epsilon::new(0.5)).expect("reduction builds");
+    let red = Reduction::build(s, &q, Epsilon::new(0.5), &ParConfig::from_env())
+        .expect("reduction builds");
     let k = q.arity();
     let battery = if k == 2 {
         BINARY_BATTERY
@@ -219,7 +221,7 @@ fn view_matches_explicit_union_on_padded_clique() {
 fn atoms_spanning_parts_are_false_and_parts_are_infinitely_far() {
     let s = colored(64, lowdeg_gen::DegreeClass::Bounded(4), 9);
     let q = parse_query(s.signature(), TWO_HOP).unwrap();
-    let red = Reduction::build(&s, &q, Epsilon::new(0.5)).unwrap();
+    let red = Reduction::build(&s, &q, Epsilon::new(0.5), &ParConfig::from_env()).unwrap();
     let reps = red.type_representatives();
     let (a, da) = reps[1][0];
     let (b, db) = reps[1][reps[1].len() - 1];
