@@ -28,6 +28,7 @@ use lowdeg_logic::{parse_query, Formula, Query};
 use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Structure};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 struct Cfg {
@@ -104,6 +105,21 @@ fn header(id: &str, claim: &str) {
 const EPS: f64 = 0.5;
 
 /// The engine of `q` over `s` in skip mode `mode` (E10's ablation axis).
+/// RAM-operation delays of the first `cap` answers (the quantity Theorem
+/// 2.7 bounds).
+fn op_delays(engine: &Engine, cap: usize) -> Vec<u64> {
+    let mut ops = Vec::new();
+    engine.for_each_answer_with_ops(|_, d| {
+        ops.push(d);
+        if ops.len() >= cap {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    ops
+}
+
 fn build_mode(s: &Structure, q: &Query, mode: SkipMode) -> Engine {
     let config = EngineConfig {
         skip_mode: mode,
@@ -297,11 +313,7 @@ fn e4_enum_delay(cfg: &Cfg) {
         let (engine, prep) =
             time(|| Engine::build(&s, &q, Epsilon::new(EPS)).expect("localizable"));
         // RAM-operation delays: the quantity Theorem 2.7 actually bounds
-        let mut ops: Vec<u64> = engine
-            .enumerate_with_ops()
-            .take(out_cap)
-            .map(|(_, o)| o)
-            .collect();
+        let mut ops = op_delays(&engine, out_cap);
         ops.sort_unstable();
         let max_ops = ops.last().copied().unwrap_or(0);
         let p99_ops = ops
@@ -649,12 +661,7 @@ fn e10_skip_ablation(cfg: &Cfg) {
                 })
                 .unwrap_or(0);
             let (_, delays) = DelayRecorder::record(engine.enumerate().take(out_cap));
-            let max_ops = engine
-                .enumerate_with_ops()
-                .take(out_cap)
-                .map(|(_, o)| o)
-                .max()
-                .unwrap_or(0);
+            let max_ops = op_delays(&engine, out_cap).into_iter().max().unwrap_or(0);
             println!(
                 "{d:>5} {label:<6} {:>12} {entries:>12} {:>11} {:>11} {max_ops:>9}",
                 fmt_dur(prep),
@@ -691,9 +698,8 @@ fn e10_forced(cfg: &Cfg) {
                         .sum()
                 })
                 .unwrap_or(0);
-            let max_ops = engine
-                .enumerate_with_ops()
-                .map(|(_, o)| o)
+            let max_ops = op_delays(&engine, usize::MAX)
+                .into_iter()
                 .max()
                 .unwrap_or(0);
             println!(
@@ -775,12 +781,7 @@ fn e12_epsilon_sweep(cfg: &Cfg) {
             std::hint::black_box(engine.test(&probes[i % probes.len()]));
             i += 1;
         });
-        let max_ops = engine
-            .enumerate_with_ops()
-            .take(50_000)
-            .map(|(_, o)| o)
-            .max()
-            .unwrap_or(0);
+        let max_ops = op_delays(&engine, 50_000).into_iter().max().unwrap_or(0);
         println!(
             "{eps:>6} {:>12} {:>12} {max_ops:>12}",
             fmt_dur(prep),

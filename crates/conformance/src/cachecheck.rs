@@ -1,139 +1,69 @@
-//! Cold-build vs warm-cache equivalence oracle.
+//! Cold-build vs cached-build equivalence row.
 //!
 //! The [`ArtifactCache`] memoizes the reduction's *extract* products
-//! (Gaifman graph, near-pair store, cluster tuples and canonical encodings)
-//! across engine builds. The contract is strict: an engine built through a
-//! warm cache must be *observably identical* to one built cold — same
-//! count, same enumeration order, same per-clause plan statistics. This
-//! oracle builds every case three ways (no cache; through a fresh cache,
-//! which populates it; through the now-warm cache) and reports any
-//! divergence as a [`Disagreement`] — plugging into the runner's shrink +
-//! JSON-witness machinery like `parcheck`.
+//! (Gaifman graph, near-pair store, cluster tuples and canonical
+//! encodings) and, per quantifier-free core, a
+//! [`lowdeg_core::CountingMemo`] of exact Lemma 3.5 component counts that
+//! every later build against the same core probes. The contract is
+//! strict: an engine built through a cache — priming it, or warmed by
+//! earlier builds — must be *observably identical* to one built with no
+//! cache at all. This row builds every case cold (the reference arm) and
+//! then three times through one fresh cache, comparing each cached build
+//! against the cold one.
 //!
 //! A warm build that never hits the cache would vacuously pass, so the
-//! oracle also checks the cache actually served hits on the second build.
+//! row also requires core-tier hits (`cachecheck-no-hit`) and, whenever
+//! the builds discovered counting components, counting-memo hits
+//! (`memocheck-no-hit`).
 
-use crate::differential::{engine_config, Disagreement};
-use crate::parcheck::plan_stats;
-use lowdeg_core::{ArtifactCache, Engine, SkipMode};
-use lowdeg_index::Epsilon;
-use lowdeg_logic::Query;
+use crate::differential::Disagreement;
+use crate::oracle::{observe, per_mode, Oracle};
+use lowdeg_core::{ArtifactCache, Engine};
 use lowdeg_par::ParConfig;
-use lowdeg_storage::{Node, Structure};
 
-/// Build `(s, q)` cold and through a warm [`ArtifactCache`]; report every
-/// observable difference between the engines.
-pub fn cachecheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
-    let mut bad = Vec::new();
-    let eps = Epsilon::default_eps();
-    let par = ParConfig::serial();
+/// Builds through the shared cache: one priming, two warm.
+const CACHED_BUILDS: usize = 3;
 
-    for mode in [SkipMode::Eager, SkipMode::Lazy] {
-        let tag = format!("{mode:?}");
-        let config = engine_config(eps, mode);
-        let cold = match Engine::build_configured(s, q, &config, &par, None) {
-            Ok(e) => e,
-            Err(_) => continue, // rejection is the differential oracle's business
-        };
-        let cache = ArtifactCache::new();
-        // first cached build populates, second must be served from the cache
-        let primed = match Engine::build_configured(s, q, &config, &par, Some(&cache)) {
-            Ok(e) => e,
-            Err(e) => {
-                bad.push(Disagreement {
-                    check: "cachecheck-build".into(),
-                    detail: format!(
-                        "[{tag}] cold build succeeded, cache-priming build failed: {e}"
-                    ),
-                });
-                continue;
+/// The artifact-cache row.
+pub const ORACLE: Oracle = Oracle {
+    name: "cachecheck",
+    check: |case, out| {
+        let par = ParConfig::serial();
+        per_mode(case, |tag, config, cold| {
+            let want = observe(&cold);
+            let cache = ArtifactCache::new();
+            for i in 1..=CACHED_BUILDS {
+                let arm = format!("cached build {i}");
+                let built = Engine::build_configured(case.s, case.q, config, &par, Some(&cache));
+                let Some(e) = out.candidate(&format!("[{tag}] {arm}"), built) else {
+                    return;
+                };
+                out.compare(&format!("[{tag}] cold vs {arm}"), &want, &observe(&e));
             }
-        };
-        let warm = match Engine::build_configured(s, q, &config, &par, Some(&cache)) {
-            Ok(e) => e,
-            Err(e) => {
-                bad.push(Disagreement {
-                    check: "cachecheck-build".into(),
-                    detail: format!("[{tag}] cold build succeeded, warm-cache build failed: {e}"),
-                });
-                continue;
+            if case.q.arity() > 0 && cache.stats().0 == 0 {
+                let detail = format!("[{tag}] {CACHED_BUILDS} cached builds never hit the cache");
+                out.fail("no-hit", detail);
             }
-        };
-        let (hits, _misses) = cache.stats();
-        if q.arity() > 0 && hits == 0 {
-            bad.push(Disagreement {
-                check: "cachecheck-no-hit".into(),
-                detail: format!("[{tag}] second cached build never hit the cache"),
-            });
-        }
-
-        for (label, cached) in [("primed", &primed), ("warm", &warm)] {
-            if cold.count() != cached.count() {
-                bad.push(Disagreement {
-                    check: "cachecheck-count".into(),
-                    detail: format!(
-                        "[{tag}] cold count {} vs {label} count {}",
-                        cold.count(),
-                        cached.count()
-                    ),
-                });
+            let (hits, misses, components) = cache.counting_stats();
+            if hits == 0 && misses > 0 {
+                let detail = format!("[{tag}] {components} components, {misses} misses, no hit");
+                out.bad.push(Disagreement::new("memocheck-no-hit", detail));
             }
-
-            let ea: Vec<Vec<Node>> = cold.enumerate().collect();
-            let eb: Vec<Vec<Node>> = cached.enumerate().collect();
-            if ea != eb {
-                let first = ea
-                    .iter()
-                    .zip(&eb)
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(ea.len().min(eb.len()));
-                bad.push(Disagreement {
-                    check: "cachecheck-enumeration-order".into(),
-                    detail: format!(
-                        "[{tag}] enumeration diverges at output {first}: cold {:?} vs {label} {:?} \
-                         ({} vs {} outputs total)",
-                        ea.get(first),
-                        eb.get(first),
-                        ea.len(),
-                        eb.len()
-                    ),
-                });
-            }
-
-            if let (Some(ena), Some(enb)) = (cold.enumerator(), cached.enumerator()) {
-                let (sa, sb) = (plan_stats(ena), plan_stats(enb));
-                if sa != sb {
-                    bad.push(Disagreement {
-                        check: "cachecheck-plan-stats".into(),
-                        detail: format!("[{tag}] plan stats differ: cold {sa:?} vs {label} {sb:?}"),
-                    });
-                }
-            }
-        }
-    }
-    bad
-}
+        })
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowdeg_core::EngineConfig;
     use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
     use lowdeg_logic::parse_query;
+    use lowdeg_storage::Node;
 
     #[test]
     fn cold_and_warm_builds_agree() {
-        for seed in [1, 2, 3] {
-            let s = ColoredGraphSpec::balanced(30, DegreeClass::Bounded(3)).generate(seed);
-            for src in [
-                "B(x) & R(y) & !E(x, y)",
-                "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z) & !E(x, z)",
-                "exists z. E(x, z) & E(z, y)",
-            ] {
-                let q = parse_query(s.signature(), src).unwrap();
-                let bad = cachecheck_case(&s, &q);
-                assert!(bad.is_empty(), "seed {seed} `{src}`: {bad:?}");
-            }
-        }
+        crate::oracle::assert_corpus_clean(&ORACLE);
     }
 
     #[test]
@@ -141,11 +71,10 @@ mod tests {
         // a single cache serving two different databases must key them apart
         let cache = ArtifactCache::new();
         let par = ParConfig::serial();
-        let eps = Epsilon::default_eps();
+        let config = EngineConfig::default(); // eager skip mode, default ε
         for seed in [4, 5] {
             let s = ColoredGraphSpec::balanced(26, DegreeClass::Bounded(3)).generate(seed);
             let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-            let config = engine_config(eps, SkipMode::Eager);
             let cold = Engine::build_configured(&s, &q, &config, &par, None).unwrap();
             let cached = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
             assert_eq!(cold.count(), cached.count(), "seed {seed}");
@@ -154,5 +83,39 @@ mod tests {
             assert_eq!(a, b, "seed {seed}");
         }
         assert!(cache.entries() >= 4, "two structures, two artifact kinds");
+    }
+
+    #[test]
+    fn permuted_color_family_agrees_and_shares() {
+        // Color-permuted ternary queries share one quantifier-free core;
+        // after ι-canonicalization their component signatures coincide, so
+        // sequential builds through one cache must both agree with
+        // independent builds and actually serve cross-query hits.
+        let s = ColoredGraphSpec::balanced(36, DegreeClass::Bounded(3)).generate(9);
+        let sources = [
+            "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z) & !E(x, z)",
+            "R(x) & G(y) & B(z) & !E(x, y) & !E(y, z) & !E(x, z)",
+            "G(x) & B(y) & R(z) & !E(x, y) & !E(y, z) & !E(x, z)",
+        ];
+        let queries: Vec<_> = sources
+            .iter()
+            .map(|src| parse_query(s.signature(), src).unwrap())
+            .collect();
+        let par = ParConfig::serial();
+        let config = EngineConfig::default(); // eager skip mode, default ε
+        let cache = ArtifactCache::new();
+        for q in &queries {
+            let e = Engine::build_configured(&s, q, &config, &par, Some(&cache)).unwrap();
+            let solo = Engine::build_configured(&s, q, &config, &par, None).unwrap();
+            assert_eq!(solo.count(), e.count());
+            let a: Vec<Vec<Node>> = solo.enumerate().collect();
+            let b: Vec<Vec<Node>> = e.enumerate().collect();
+            assert_eq!(a, b);
+        }
+        let (hits, misses, _) = cache.counting_stats();
+        assert!(
+            misses == 0 || hits > 0,
+            "permuted family produced components ({misses} misses) without any sharing"
+        );
     }
 }

@@ -1,8 +1,8 @@
-//! Clause-sharing oracle: the clause-granular workload planner must be
+//! Clause-sharing row: the clause-granular workload planner must be
 //! observably identical to the whole-core planner, and must actually
 //! share.
 //!
-//! From a multi-clause case query this oracle derives a *partial-overlap
+//! From a multi-clause case query this row derives a *partial-overlap
 //! family*: two-clause disjunctions over the query's own canonical
 //! clauses, arranged so every clause rides in at least two family members
 //! but no two members are the same query (a wheel `c_i ∨ c_{i+1}` for
@@ -10,10 +10,10 @@
 //! family then builds twice through [`Engine::build_workload`]: once with
 //! `clause_sharing` enabled (clause acceptance sets and combination
 //! counts stitch from the [`ArtifactCache`]'s clause tier) and once with
-//! the previous whole-core planner (`clause_sharing: false`), each on a
-//! fresh cache. The contract is strict: per query, both arms must agree
-//! on the count, the full enumeration *order*, and the per-clause plan
-//! statistics; the planner statistics must agree on the distinct-clause
+//! the whole-core planner (`clause_sharing: false`, the reference arm),
+//! each on a fresh cache. The contract is strict: per query, both arms
+//! must agree on the count, the full enumeration *order*, and the
+//! per-clause plan statistics; the planner statistics must agree on the distinct-clause
 //! decomposition; and — the memo-vacuity check — the sharing arm must
 //! report clause-tier hits while the whole-core arm must report none, so
 //! a regression that silently stops sharing (and would keep every answer
@@ -23,28 +23,10 @@
 //! failed to localize) keep the bit-identity contract but waive the
 //! vacuity check — a fallback build never probes the clause tier.
 
-use crate::differential::Disagreement;
-use crate::parcheck::{plan_stats, PlanStats};
+use crate::oracle::{observe, with_formula, Oracle, Verdict};
 use lowdeg_core::{ArtifactCache, Engine, EngineConfig};
-use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, ClauseForm, Formula, Query};
 use lowdeg_par::ParConfig;
-use lowdeg_storage::{Node, Structure};
-
-/// One engine's observable surface, for cross-arm comparison.
-struct Observed {
-    count: u64,
-    answers: Vec<Vec<Node>>,
-    stats: Option<Vec<PlanStats>>,
-}
-
-fn observe(e: &Engine) -> Observed {
-    Observed {
-        count: e.count(),
-        answers: e.enumerate().collect(),
-        stats: e.enumerator().map(plan_stats),
-    }
-}
 
 /// A family member: the disjunction of the given canonical clauses, over
 /// the canonical query's free list and variable table. `None` when the
@@ -55,13 +37,7 @@ fn member(canonical: &Query, clauses: &[&ClauseForm]) -> Option<Query> {
     } else {
         Formula::Or(clauses.iter().map(|c| c.formula.clone()).collect())
     };
-    Query::new(
-        canonical.signature.clone(),
-        canonical.free.clone(),
-        formula,
-        canonical.vars.clone(),
-    )
-    .ok()
+    with_formula(canonical, formula)
 }
 
 /// The partial-overlap family of a normal form with `m ≥ 2` clauses.
@@ -80,162 +56,89 @@ fn family(canonical: &Query, clauses: &[ClauseForm]) -> Option<Vec<Query>> {
     Some(out)
 }
 
-/// Compare one family member's observables across the two planner arms.
-fn compare(i: usize, shared: &Observed, independent: &Observed, bad: &mut Vec<Disagreement>) {
-    if shared.count != independent.count {
-        bad.push(Disagreement {
-            check: "clausecheck-count".into(),
-            detail: format!(
-                "member {i}: clause-shared count {} vs whole-core count {}",
-                shared.count, independent.count
-            ),
-        });
-    }
-    if shared.answers != independent.answers {
-        let first = shared
-            .answers
-            .iter()
-            .zip(&independent.answers)
-            .position(|(x, y)| x != y)
-            .unwrap_or(shared.answers.len().min(independent.answers.len()));
-        bad.push(Disagreement {
-            check: "clausecheck-enumeration-order".into(),
-            detail: format!(
-                "member {i}: enumeration diverges at output {first}: \
-                 {:?} vs {:?} ({} vs {} outputs total)",
-                shared.answers.get(first),
-                independent.answers.get(first),
-                shared.answers.len(),
-                independent.answers.len()
-            ),
-        });
-    }
-    if shared.stats != independent.stats {
-        bad.push(Disagreement {
-            check: "clausecheck-plan-stats".into(),
-            detail: format!(
-                "member {i}: plan stats differ: clause-shared {:?} vs whole-core {:?}",
-                shared.stats, independent.stats
-            ),
-        });
-    }
-}
-
-/// Run the clause-sharing oracle on one case. Queries whose normal form
-/// has fewer than two clauses have nothing to share and are skipped.
-pub fn clausecheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
-    let mut bad = Vec::new();
-    let nf = normalize(q);
-    if nf.clauses.len() < 2 {
-        return bad;
-    }
-    let Some(members) = family(&nf.query, &nf.clauses) else {
-        return bad; // a member failed well-formedness: nothing to compare
-    };
-    let refs: Vec<&Query> = members.iter().collect();
-    let par = ParConfig::serial();
-    let shared_cfg = EngineConfig {
-        eps: Epsilon::default_eps(),
-        ..EngineConfig::default()
-    };
-    let independent_cfg = EngineConfig {
-        clause_sharing: false,
-        ..shared_cfg
-    };
-
-    let shared_cache = ArtifactCache::new();
-    let shared = Engine::build_workload(s, &refs, &shared_cfg, &par, &shared_cache);
-    let independent =
-        Engine::build_workload(s, &refs, &independent_cfg, &par, &ArtifactCache::new());
-    let ((shared_engines, shared_stats), (independent_engines, independent_stats)) =
-        match (shared, independent) {
-            (Err(_), Err(_)) => return bad, // both reject: the differential oracle's business
-            (Ok(_), Err(e)) => {
-                bad.push(Disagreement {
-                    check: "clausecheck-build".into(),
-                    detail: format!("clause-shared arm built but whole-core arm failed: {e}"),
-                });
-                return bad;
-            }
+/// The clause-sharing row. Queries whose normal form has fewer than two
+/// clauses have nothing to share and are skipped.
+pub const ORACLE: Oracle = Oracle {
+    name: "clausecheck",
+    check: |case, out| {
+        let nf = normalize(case.q);
+        let members = (nf.clauses.len() >= 2)
+            .then(|| family(&nf.query, &nf.clauses))
+            .flatten();
+        let Some(members) = members else {
+            return Verdict::Skipped; // nothing to share, or a member is ill-formed
+        };
+        let refs: Vec<&Query> = members.iter().collect();
+        let par = ParConfig::serial();
+        let build = |cfg: &EngineConfig| {
+            Engine::build_workload(case.s, &refs, cfg, &par, &ArtifactCache::new())
+        };
+        let shared = build(&EngineConfig::default());
+        let whole_cfg = EngineConfig {
+            clause_sharing: false,
+            ..EngineConfig::default()
+        };
+        let (whole_engines, whole) = match (build(&whole_cfg), &shared) {
+            (Ok(built), _) => built,
+            (Err(_), Err(_)) => return Verdict::Skipped, // the differential row's business
             (Err(e), Ok(_)) => {
-                bad.push(Disagreement {
-                    check: "clausecheck-build".into(),
-                    detail: format!("whole-core arm built but clause-shared arm failed: {e}"),
-                });
-                return bad;
+                out.fail("build", format!("whole-core arm alone failed: {e}"));
+                return Verdict::Checked;
             }
-            (Ok(a), Ok(b)) => (a, b),
+        };
+        let Some((engines, stats)) = out.candidate("the clause-shared arm", shared) else {
+            return Verdict::Checked;
         };
 
-    for (i, (a, b)) in shared_engines.iter().zip(&independent_engines).enumerate() {
-        compare(i, &observe(a), &observe(b), &mut bad);
-    }
-    if shared_stats.distinct_clauses != independent_stats.distinct_clauses {
-        bad.push(Disagreement {
-            check: "clausecheck-plan-stats".into(),
-            detail: format!(
-                "distinct-clause decomposition differs: clause-shared {} vs whole-core {}",
-                shared_stats.distinct_clauses, independent_stats.distinct_clauses
-            ),
-        });
-    }
-    if independent_stats.clause_cache_hits != 0 {
-        bad.push(Disagreement {
-            check: "clausecheck-vacuity".into(),
-            detail: format!(
-                "whole-core planner probed the clause tier: {} hit(s)",
-                independent_stats.clause_cache_hits
-            ),
-        });
-    }
-    // Memo-vacuity: with every clause riding in ≥ 2 members and no
-    // fallback build, the sharing arm must have stitched at least one
-    // clause artifact from the tier — bit-identity alone would also pass
-    // if sharing silently stopped firing.
-    let any_fallback = shared_engines
-        .iter()
-        .any(|e| e.normalization().map(|n| n.fallback).unwrap_or(true));
-    if !any_fallback && shared_stats.distinct_clauses >= 2 && shared_stats.clause_cache_hits == 0 {
-        bad.push(Disagreement {
-            check: "clausecheck-vacuity".into(),
-            detail: format!(
-                "partial-overlap family of {} members over {} distinct clauses \
-                 produced no clause-tier hits",
-                refs.len(),
-                shared_stats.distinct_clauses
-            ),
-        });
-    }
-    bad
-}
+        for (i, (a, b)) in whole_engines.iter().zip(&engines).enumerate() {
+            let at = format!("member {i}: whole-core vs clause-shared");
+            out.compare(&at, &observe(a), &observe(b));
+        }
+        let (a, b) = (whole.distinct_clauses, stats.distinct_clauses);
+        if a != b {
+            let detail = format!("distinct clauses: whole-core {a} vs clause-shared {b}");
+            out.fail("plan-stats", detail);
+        }
+        let hits = whole.clause_cache_hits;
+        if hits != 0 {
+            let detail = format!("whole-core planner hit the clause tier {hits} time(s)");
+            out.fail("vacuity", detail);
+        }
+        // Memo-vacuity: with every clause riding in ≥ 2 members and no
+        // fallback build, the sharing arm must have stitched at least one
+        // clause artifact from the tier — bit-identity alone would also
+        // pass if sharing silently stopped firing.
+        let any_fallback = engines
+            .iter()
+            .any(|e| e.normalization().is_none_or(|n| n.fallback));
+        if !any_fallback && stats.distinct_clauses >= 2 && stats.clause_cache_hits == 0 {
+            let (n, m) = (refs.len(), stats.distinct_clauses);
+            let detail = format!("{n} members over {m} distinct clauses: no clause-tier hit");
+            out.fail("vacuity", detail);
+        }
+        Verdict::Checked
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::run_row;
     use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
     use lowdeg_logic::parse_query;
 
     #[test]
     fn standing_corpus_is_clean() {
-        for seed in [1, 2, 3] {
-            let s = ColoredGraphSpec::balanced(30, DegreeClass::Bounded(3)).generate(seed);
-            for src in [
-                "(B(x) & R(y) & !E(x, y)) | (R(x) & G(y) & !E(x, y))",
-                "(B(x) & R(y) & !E(x, y)) | (G(x) & B(y) & E(x, y)) | (B(x) & B(y) & !E(x, y))",
-                "(exists z. E(x, z) & E(z, y)) | (B(x) & R(y) & !E(x, y))",
-            ] {
-                let q = parse_query(s.signature(), src).unwrap();
-                let bad = clausecheck_case(&s, &q);
-                assert!(bad.is_empty(), "seed {seed} `{src}`: {bad:?}");
-            }
-        }
+        crate::oracle::assert_corpus_clean(&ORACLE);
     }
 
     #[test]
     fn single_clause_queries_are_skipped() {
         let s = ColoredGraphSpec::balanced(10, DegreeClass::Bounded(2)).generate(1);
         let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-        assert!(clausecheck_case(&s, &q).is_empty());
+        let (verdict, bad) = run_row(&ORACLE, &s, &q);
+        assert!(bad.is_empty(), "{bad:?}");
+        assert_eq!(verdict, Verdict::Skipped);
     }
 
     #[test]

@@ -119,33 +119,33 @@ pub fn dynamic_case(
         // incrementally maintained vs naive
         let live = d.answers();
         if live != oracle {
-            bad.push(Disagreement {
-                check: "dynamic-incremental-vs-naive".into(),
-                detail: format!(
+            bad.push(Disagreement::new(
+                "dynamic-incremental-vs-naive",
+                format!(
                     "step {step}: incremental found {} answers, naive {}",
                     live.len(),
                     oracle.len()
                 ),
-            });
+            ));
             break;
         }
         if d.count() != oracle.len() as u64 {
-            bad.push(Disagreement {
-                check: "dynamic-count".into(),
-                detail: format!(
+            bad.push(Disagreement::new(
+                "dynamic-count",
+                format!(
                     "step {step}: count() = {}, naive = {}",
                     d.count(),
                     oracle.len()
                 ),
-            });
+            ));
             break;
         }
         for &(x, y) in oracle.iter().take(16) {
             if !d.test(x, y) {
-                bad.push(Disagreement {
-                    check: "dynamic-test".into(),
-                    detail: format!("step {step}: test({x:?}, {y:?}) = false on an answer"),
-                });
+                bad.push(Disagreement::new(
+                    "dynamic-test",
+                    format!("step {step}: test({x:?}, {y:?}) = false on an answer"),
+                ));
                 break;
             }
         }
@@ -153,10 +153,10 @@ pub fn dynamic_case(
         // rebuilt-from-scratch vs incrementally maintained
         let mut rebuilt = DynamicBlueRed::from_structure(&s);
         if rebuilt.answers() != live {
-            bad.push(Disagreement {
-                check: "dynamic-rebuild".into(),
-                detail: format!("step {step}: rebuild-from-scratch disagrees with incremental"),
-            });
+            bad.push(Disagreement::new(
+                "dynamic-rebuild",
+                format!("step {step}: rebuild-from-scratch disagrees with incremental"),
+            ));
             break;
         }
 
@@ -165,10 +165,10 @@ pub fn dynamic_case(
             let got: BTreeSet<Vec<Node>> = engine.enumerate().collect();
             let want: BTreeSet<Vec<Node>> = oracle.iter().map(|&(x, y)| vec![x, y]).collect();
             if got != want {
-                bad.push(Disagreement {
-                    check: "dynamic-static-engine".into(),
-                    detail: format!("step {step}: static Engine disagrees with naive"),
-                });
+                bad.push(Disagreement::new(
+                    "dynamic-static-engine",
+                    format!("step {step}: static Engine disagrees with naive"),
+                ));
                 break;
             }
         }

@@ -13,6 +13,7 @@ use lowdeg_conformance::delay::delay_gates;
 use lowdeg_conformance::differential::Mutation;
 use lowdeg_conformance::repro::{replay, Witness};
 use lowdeg_conformance::runner::{run, write_report, Profile, RunOptions};
+use lowdeg_conformance::{Verdict, ORACLES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -100,6 +101,20 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         summary.pairs_checked, summary.engine_checked, summary.rejected
     );
     println!("worst per-output RAM ops observed: {}", summary.worst_ops);
+    for o in ORACLES {
+        let t = summary.tally(o.name);
+        println!(
+            "oracle {:12} checked {:4}  skipped {:4}{}",
+            o.name,
+            t.checked,
+            t.skipped,
+            if t.checked == 0 {
+                "  FAIL (vacuous)"
+            } else {
+                ""
+            }
+        );
+    }
     for g in &summary.delay {
         println!(
             "delay gate {:14} n={}->{}  ops {}->{}  threshold {}  {}",
@@ -117,7 +132,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         .iter()
         .chain(&summary.dynamic_disagreements)
     {
-        println!("DISAGREEMENT [{}] {}", d.check, d.detail);
+        println!("DISAGREEMENT [{}/{}] {}", d.row, d.check, d.detail);
     }
     for w in &summary.witnesses {
         println!("witness: {}", w.display());
@@ -140,12 +155,15 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         .ok_or("replay needs a witness file")?;
     let witness = Witness::load(Path::new(path))?;
     println!(
-        "replaying `{}` (seed {}, query: {})",
-        witness.check, witness.seed, witness.query_src
+        "replaying `{}` under row `{}` (seed {}, query: {})",
+        witness.check, witness.row, witness.seed, witness.query_src
     );
     let outcome = replay(&witness)?;
+    if outcome.verdict == Verdict::Skipped {
+        println!("replay: row `{}` had nothing to compare", outcome.row);
+    }
     for d in &outcome.disagreements {
-        println!("DISAGREEMENT [{}] {}", d.check, d.detail);
+        println!("DISAGREEMENT [{}/{}] {}", d.row, d.check, d.detail);
     }
     if outcome.reproduces {
         println!("replay: the recorded check `{}` still fails", witness.check);

@@ -13,6 +13,7 @@
 //!   evaluator through [`equivalent_naive`].
 
 use crate::differential::Disagreement;
+use crate::oracle::{Oracle, Verdict};
 use lowdeg_core::Engine;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::eval::{answers_naive, equivalent_naive};
@@ -64,13 +65,19 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
     perm
 }
 
-/// Run every metamorphic oracle on one pair. `seed` drives the random
-/// permutation and the padding amount.
-pub fn metamorphic_case(s: &Structure, q: &Query, seed: u64) -> Vec<Disagreement> {
-    metamorphic_case_with(s, q, seed, true)
-}
+/// The metamorphic row: [`metamorphic_case`], padding as the case says.
+pub const ORACLE: Oracle = Oracle {
+    name: "metamorphic",
+    check: |case, out| {
+        let bad = metamorphic_case(case.s, case.q, case.seed, case.padding);
+        out.bad.extend(bad);
+        Verdict::Checked
+    },
+};
 
-/// As [`metamorphic_case`], with the padding oracle optional.
+/// Run every metamorphic oracle on one pair. `seed` drives the random
+/// permutation and the padding amount; `include_padding` gates the
+/// padding oracle.
 ///
 /// Padding invariance is sound only for positively guarded queries —
 /// which every *generated* query is by construction, but a *shrunk*
@@ -78,7 +85,7 @@ pub fn metamorphic_case(s: &Structure, q: &Query, seed: u64) -> Vec<Disagreement
 /// what the recorded failure needs). Replay therefore disables padding
 /// unless the recorded failure was itself a padding failure; the
 /// isomorphism and rewrite oracles are sound for arbitrary queries.
-pub fn metamorphic_case_with(
+pub fn metamorphic_case(
     s: &Structure,
     q: &Query,
     seed: u64,
@@ -112,14 +119,14 @@ fn isomorphism_check(
     // the naive evaluator must commute with the isomorphism...
     let naive2: BTreeSet<Vec<Node>> = answers_naive(&s2, q).into_iter().collect();
     if naive2 != expected {
-        bad.push(Disagreement {
-            check: "isomorphism-naive".into(),
-            detail: format!(
+        bad.push(Disagreement::new(
+            "isomorphism-naive",
+            format!(
                 "naive answers not permutation-equivariant: {} vs {} tuples",
                 naive2.len(),
                 expected.len()
             ),
-        });
+        ));
     }
     // ...and so must the engine, when it accepts the query on both sides
     if let (Ok(e1), Ok(e2)) = (
@@ -128,15 +135,12 @@ fn isomorphism_check(
     ) {
         let got: BTreeSet<Vec<Node>> = e2.enumerate().collect();
         if got != expected {
-            bad.push(Disagreement {
-                check: "isomorphism-engine".into(),
-                detail: format!(
+            bad.push(Disagreement::new("isomorphism-engine", format!(
                     "engine answers not permutation-equivariant ({} vs {} tuples; original engine found {})",
                     got.len(),
                     expected.len(),
                     e1.count()
-                ),
-            });
+                )));
         }
     }
 }
@@ -152,26 +156,20 @@ fn padding_check(
     let padded = pad_structure(s, extra);
     let naive_p: BTreeSet<Vec<Node>> = answers_naive(&padded, q).into_iter().collect();
     if &naive_p != oracle_set {
-        bad.push(Disagreement {
-            check: "padding-naive".into(),
-            detail: format!(
+        bad.push(Disagreement::new("padding-naive", format!(
                 "padding with {extra} isolated vertices changed the naive answer set: {} vs {} tuples",
                 naive_p.len(),
                 oracle_set.len()
-            ),
-        });
+            )));
     }
     if let Ok(engine) = Engine::build(&padded, q, Epsilon::default_eps()) {
         let got: BTreeSet<Vec<Node>> = engine.enumerate().collect();
         if &got != oracle_set {
-            bad.push(Disagreement {
-                check: "padding-engine".into(),
-                detail: format!(
+            bad.push(Disagreement::new("padding-engine", format!(
                     "padding with {extra} isolated vertices changed the engine answer set: {} vs {} tuples",
                     got.len(),
                     oracle_set.len()
-                ),
-            });
+                )));
         }
     }
 }
@@ -215,12 +213,10 @@ fn rewrite_checks(s: &Structure, q: &Query, bad: &mut Vec<Disagreement>) {
             continue;
         }
         if !equivalent_naive(s, q, &q2) {
-            bad.push(Disagreement {
-                check: format!("rewrite-{name}"),
-                detail: format!(
-                    "`{name}` changed the answer set of a semantics-preserving rewrite"
-                ),
-            });
+            bad.push(Disagreement::new(
+                &format!("rewrite-{name}"),
+                format!("`{name}` changed the answer set of a semantics-preserving rewrite"),
+            ));
         }
     }
 }
@@ -240,7 +236,7 @@ mod tests {
             "(B(x) & R(y) & !E(x, y)) | (G(x) & B(y) & E(x, y))",
         ] {
             let q = parse_query(s.signature(), src).unwrap();
-            let bad = metamorphic_case(&s, &q, 99);
+            let bad = metamorphic_case(&s, &q, 99, true);
             assert!(bad.is_empty(), "`{src}`: {bad:?}");
         }
     }

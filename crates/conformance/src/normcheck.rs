@@ -1,4 +1,4 @@
-//! Rewrite-normalization oracle: syntactic variants of one query must be
+//! Rewrite-normalization row: syntactic variants of one query must be
 //! observably identical under the default normalizing build.
 //!
 //! The engine normalizes every query before building
@@ -13,38 +13,13 @@
 //!
 //! When the base build *fell back* to its original syntax (the normal
 //! form failed to localize), variants legitimately diverge — each builds
-//! its own original — so the case is skipped; the differential oracle
-//! still covers each variant individually.
+//! its own original — so the case is skipped; the differential row still
+//! covers each variant individually.
 
-use crate::differential::Disagreement;
-use crate::parcheck::{plan_stats, PlanStats};
+use crate::oracle::{observe, with_formula, Oracle, Verdict};
 use lowdeg_core::{ArtifactCache, Engine, EngineConfig};
-use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, Formula, Query};
 use lowdeg_par::ParConfig;
-use lowdeg_storage::{Node, Structure};
-
-/// One engine's observable surface, for cross-variant comparison.
-struct Observed {
-    count: u64,
-    answers: Vec<Vec<Node>>,
-    stats: Option<Vec<PlanStats>>,
-}
-
-fn observe(e: &Engine) -> Observed {
-    Observed {
-        count: e.count(),
-        answers: e.enumerate().collect(),
-        stats: e.enumerator().map(plan_stats),
-    }
-}
-
-/// Rebuild `q` with `formula` in place of its matrix, keeping the free
-/// list and variable table. `None` when the variant fails the [`Query`]
-/// well-formedness checks (it then is not a valid rewrite).
-fn with_formula(q: &Query, formula: Formula) -> Option<Query> {
-    Query::new(q.signature.clone(), q.free.clone(), formula, q.vars.clone()).ok()
-}
 
 /// Purely syntactic rewrites of `q` — members of its rewrite class, never
 /// of a different one. Each pairs the variant with a stable label.
@@ -86,132 +61,59 @@ fn variants(q: &Query) -> Vec<(&'static str, Query)> {
     out
 }
 
-/// Compare a variant's observables against the base query's.
-fn compare(label: &str, want: &Observed, got: &Observed, bad: &mut Vec<Disagreement>) {
-    if want.count != got.count {
-        bad.push(Disagreement {
-            check: "normcheck-count".into(),
-            detail: format!(
-                "variant `{label}`: base count {} vs variant count {}",
-                want.count, got.count
-            ),
-        });
-    }
-    if want.answers != got.answers {
-        let first = want
-            .answers
-            .iter()
-            .zip(&got.answers)
-            .position(|(x, y)| x != y)
-            .unwrap_or(want.answers.len().min(got.answers.len()));
-        bad.push(Disagreement {
-            check: "normcheck-enumeration-order".into(),
-            detail: format!(
-                "variant `{label}`: enumeration diverges at output {first}: \
-                 {:?} vs {:?} ({} vs {} outputs total)",
-                want.answers.get(first),
-                got.answers.get(first),
-                want.answers.len(),
-                got.answers.len()
-            ),
-        });
-    }
-    if want.stats != got.stats {
-        bad.push(Disagreement {
-            check: "normcheck-plan-stats".into(),
-            detail: format!(
-                "variant `{label}`: plan stats differ: base {:?} vs variant {:?}",
-                want.stats, got.stats
-            ),
-        });
-    }
-}
+/// The rewrite-normalization row: build `q` and its syntactic rewrite
+/// variants under the default normalizing configuration; report every
+/// observable difference, every fingerprint split, and any workload batch
+/// that fails to group the family onto one engine.
+pub const ORACLE: Oracle = Oracle {
+    name: "normcheck",
+    check: |case, out| {
+        let par = ParConfig::serial();
+        let config = EngineConfig::default();
+        let Ok(base) = Engine::build_configured(case.s, case.q, &config, &par, None) else {
+            return Verdict::Skipped; // rejection is the differential row's business
+        };
+        let family = variants(case.q);
+        let fingerprint = match base.normalization() {
+            Some(info) if !info.fallback && !family.is_empty() => info.fingerprint,
+            // no variants, or a fallback build (variants build their own originals)
+            _ => return Verdict::Skipped,
+        };
+        let want = observe(&base);
 
-/// Build `q` and its syntactic rewrite variants under the default
-/// normalizing configuration; report every observable difference, every
-/// fingerprint split, and any workload batch that fails to group the
-/// family onto one engine.
-pub fn normcheck_case(s: &Structure, q: &Query) -> Vec<Disagreement> {
-    let mut bad = Vec::new();
-    let eps = Epsilon::default_eps();
-    let par = ParConfig::serial();
-    let config = EngineConfig {
-        eps,
-        ..EngineConfig::default()
-    };
-
-    let base = match Engine::build_configured(s, q, &config, &par, None) {
-        Ok(e) => e,
-        Err(_) => return bad, // rejection is the differential oracle's business
-    };
-    let base_info = base
-        .normalization()
-        .expect("normalizing build records its decision")
-        .clone();
-    if base_info.fallback {
-        return bad; // variants build their own originals; orders may differ
-    }
-    let base_obs = observe(&base);
-    let family = variants(q);
-
-    for (label, v) in &family {
-        // same rewrite class ⇒ same canonical fingerprint
-        let vfp = normalize(v).fingerprint;
-        if vfp != base_info.fingerprint {
-            bad.push(Disagreement {
-                check: "normcheck-fingerprint".into(),
-                detail: format!(
-                    "variant `{label}`: fingerprint {vfp:016x} differs from base {:016x}",
-                    base_info.fingerprint
-                ),
-            });
-            continue;
-        }
-        // the base's normal form localized, and the variant shares it, so
-        // the variant must build
-        match Engine::build_configured(s, v, &config, &par, None) {
-            Ok(e) => compare(label, &base_obs, &observe(&e), &mut bad),
-            Err(e) => bad.push(Disagreement {
-                check: "normcheck-build".into(),
-                detail: format!("base built but variant `{label}` failed: {e}"),
-            }),
-        }
-    }
-
-    // the workload planner must group the whole family onto one engine
-    if !family.is_empty() {
-        let mut refs: Vec<&Query> = vec![q];
-        refs.extend(family.iter().map(|(_, v)| v));
-        let cache = ArtifactCache::new();
-        match Engine::build_workload(s, &refs, &config, &par, &cache) {
-            Ok((engines, stats)) => {
-                if stats.distinct_cores != 1 {
-                    bad.push(Disagreement {
-                        check: "normcheck-workload-grouping".into(),
-                        detail: format!(
-                            "{} same-class queries built {} distinct cores",
-                            refs.len(),
-                            stats.distinct_cores
-                        ),
-                    });
-                }
-                for ((label, _), e) in family.iter().zip(engines.iter().skip(1)) {
-                    compare(
-                        &format!("workload:{label}"),
-                        &base_obs,
-                        &observe(e),
-                        &mut bad,
-                    );
-                }
+        for (label, v) in &family {
+            // same rewrite class ⇒ same canonical fingerprint
+            let vfp = normalize(v).fingerprint;
+            if vfp != fingerprint {
+                let detail = format!("variant `{label}`: {vfp:016x} vs base {fingerprint:016x}");
+                out.fail("fingerprint", detail);
+                continue;
             }
-            Err(e) => bad.push(Disagreement {
-                check: "normcheck-build".into(),
-                detail: format!("base built but build_workload failed: {e}"),
-            }),
+            // the base's normal form localized, and the variant shares
+            // it, so the variant must build
+            let built = Engine::build_configured(case.s, v, &config, &par, None);
+            if let Some(e) = out.candidate(&format!("variant `{label}`"), built) {
+                out.compare(&format!("base vs variant `{label}`"), &want, &observe(&e));
+            }
         }
-    }
-    bad
-}
+
+        // the workload planner must group the whole family onto one engine
+        let mut refs: Vec<&Query> = vec![case.q];
+        refs.extend(family.iter().map(|(_, v)| v));
+        let built = Engine::build_workload(case.s, &refs, &config, &par, &ArtifactCache::new());
+        if let Some((engines, stats)) = out.candidate("the family's workload", built) {
+            let (n, cores) = (refs.len(), stats.distinct_cores);
+            if cores != 1 {
+                let detail = format!("{n} same-class queries built {cores} cores");
+                out.fail("workload-grouping", detail);
+            }
+            for ((label, _), e) in family.iter().zip(&engines[1..]) {
+                out.compare(&format!("base vs workload `{label}`"), &want, &observe(e));
+            }
+        }
+        Verdict::Checked
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -221,19 +123,7 @@ mod tests {
 
     #[test]
     fn standing_corpus_is_clean() {
-        for seed in [1, 2, 3] {
-            let s = ColoredGraphSpec::balanced(30, DegreeClass::Bounded(3)).generate(seed);
-            for src in [
-                "B(x) & R(y) & !E(x, y)",
-                "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z) & !E(x, z)",
-                "exists z. E(x, z) & E(z, y)",
-                "B(x) & !R(x)",
-            ] {
-                let q = parse_query(s.signature(), src).unwrap();
-                let bad = normcheck_case(&s, &q);
-                assert!(bad.is_empty(), "seed {seed} `{src}`: {bad:?}");
-            }
-        }
+        crate::oracle::assert_corpus_clean(&ORACLE);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //!
 //! A witness is fully self-contained — the (already shrunk) structure is
 //! embedded in the serialized text format of `lowdeg_storage`, the query
-//! as parser source text — plus provenance (spec, seed, check name) so a
-//! human can regenerate the unshrunk original.
+//! as parser source text — plus provenance (spec, seed, oracle row and
+//! check name) so a human can regenerate the unshrunk original. Replay
+//! re-runs the recorded row of [`ORACLES`](crate::oracle::ORACLES).
 
-use crate::differential::{differential_case, CaseConfig, Disagreement, Mutation};
+use crate::differential::Disagreement;
 use crate::json::Json;
-use crate::metamorphic::metamorphic_case_with;
+use crate::oracle::{self, Findings, Verdict};
 use crate::structgen::StructSpec;
 use lowdeg_logic::parse_query;
 use lowdeg_storage::{parse_structure, Structure};
@@ -17,6 +18,8 @@ use std::path::{Path, PathBuf};
 /// A serialized failing case.
 #[derive(Clone, Debug)]
 pub struct Witness {
+    /// The oracle row that recorded it (e.g. `differential`).
+    pub row: String,
     /// Name of the check that disagreed (e.g. `engine-count`).
     pub check: String,
     /// Evidence captured at failure time.
@@ -35,7 +38,8 @@ impl Witness {
     /// Serialize to JSON.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("format", Json::Str("lowdeg-conformance-witness/1".into())),
+            ("format", Json::Str("lowdeg-conformance-witness/2".into())),
+            ("row", Json::Str(self.row.clone())),
             ("check", Json::Str(self.check.clone())),
             ("detail", Json::Str(self.detail.clone())),
             // u64 seeds exceed f64's 2^53 integer range: keep them textual
@@ -65,6 +69,7 @@ impl Witness {
             Some(j) => Some(StructSpec::from_json(j)?),
         };
         Ok(Witness {
+            row: field("row")?,
             check: field("check")?,
             detail: field("detail")?,
             seed: v
@@ -109,27 +114,39 @@ fn slug(s: &str) -> String {
 /// Outcome of a witness replay.
 #[derive(Debug)]
 pub struct ReplayOutcome {
-    /// The disagreements observed when re-running the stored pair with the
-    /// honest engine (no mutation).
+    /// The oracle row that ran: the one the witness records.
+    pub row: &'static str,
+    /// Whether that row compared anything on the stored pair.
+    pub verdict: Verdict,
+    /// The disagreements observed when re-running the row on the stored
+    /// pair with the honest engine (no mutation).
     pub disagreements: Vec<Disagreement>,
     /// Whether the originally recorded check is among them.
     pub reproduces: bool,
 }
 
-/// Re-run all checks on a stored witness (honest engine — a witness
-/// recorded under `--inject-bug` will *not* reproduce here; that is the
-/// point of the flag).
+/// Re-run the witness's oracle row on the stored pair (honest engine — a
+/// witness recorded under `--inject-bug` will *not* reproduce here; that
+/// is the point of the flag). A witness naming no row of the table is an
+/// error.
 pub fn replay(w: &Witness) -> Result<ReplayOutcome, String> {
+    let row = oracle::by_name(&w.row)
+        .ok_or_else(|| format!("witness names unknown oracle row `{}`", w.row))?;
     let s = w.structure()?;
     let q = parse_query(s.signature(), &w.query_src).map_err(|e| e.to_string())?;
-    let (_, mut bad) = differential_case(&s, &q, &CaseConfig::default(), Mutation::None);
     // shrunk queries may have lost their positive guards, so the padding
     // oracle only applies when the recorded failure was a padding failure
-    let include_padding = w.check.starts_with("padding");
-    bad.extend(metamorphic_case_with(&s, &q, w.seed, include_padding));
-    let reproduces = bad.iter().any(|d| d.check == w.check);
+    let case = oracle::Case {
+        padding: w.check.starts_with("padding"),
+        ..oracle::Case::new(&s, &q, w.seed)
+    };
+    let mut found = Findings::default();
+    let verdict = row.run(&case, &mut found);
+    let reproduces = found.bad.iter().any(|d| d.check == w.check);
     Ok(ReplayOutcome {
-        disagreements: bad,
+        row: row.name,
+        verdict,
+        disagreements: found.bad,
         reproduces,
     })
 }
@@ -137,6 +154,7 @@ pub fn replay(w: &Witness) -> Result<ReplayOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::ORACLES;
     use crate::structgen::StructSpec;
     use lowdeg_gen::DegreeClass;
     use lowdeg_storage::write_structure;
@@ -148,6 +166,7 @@ mod tests {
         };
         let s = spec.generate(5);
         Witness {
+            row: "differential".into(),
             check: "engine-count".into(),
             detail: "demo".into(),
             // deliberately above 2^53: seeds must survive JSON exactly
@@ -163,6 +182,7 @@ mod tests {
         let w = sample();
         let back = Witness::from_json(&w.to_json()).unwrap();
         assert_eq!(back.seed, w.seed);
+        assert_eq!(back.row, w.row);
         assert_eq!(back.check, w.check);
         assert_eq!(back.query_src, w.query_src);
         assert_eq!(back.structure_text, w.structure_text);
@@ -181,5 +201,37 @@ mod tests {
         let out = replay(&w).unwrap();
         assert!(out.disagreements.is_empty(), "{:?}", out.disagreements);
         assert!(!out.reproduces);
+    }
+
+    #[test]
+    fn replay_runs_the_recorded_row() {
+        // a two-clause query, so every row (clausecheck included) has
+        // something to compare
+        let mut w = sample();
+        w.query_src = "(B(x) & R(y) & !E(x, y)) | (R(x) & G(y) & !E(x, y))".into();
+        for o in ORACLES {
+            w.row = o.name.into();
+            w.check = format!("{}-count", o.name);
+            let out = replay(&w).unwrap();
+            assert_eq!(out.row, o.name);
+            assert_eq!(out.verdict, Verdict::Checked, "{}", o.name);
+            assert!(out.disagreements.is_empty(), "{:?}", out.disagreements);
+            assert!(!out.reproduces);
+        }
+    }
+
+    #[test]
+    fn replay_of_an_unknown_row_is_an_error() {
+        let mut w = sample();
+        w.row = "no-such-row".into();
+        w.check = "no-such-row-count".into();
+        let err = replay(&w).unwrap_err();
+        assert!(err.contains("no-such-row"), "{err}");
+        // a witness without a row does not load at all
+        let mut json = w.to_json();
+        if let Json::Obj(fields) = &mut json {
+            fields.remove("row");
+        }
+        assert!(Witness::from_json(&json).is_err());
     }
 }

@@ -1,17 +1,10 @@
 //! The conformance run loop: generate → check → shrink → report.
 
-use crate::cachecheck::cachecheck_case;
-use crate::clausecheck::clausecheck_case;
 use crate::delay::{delay_gates, DelayGate};
-use crate::differential::{differential_case, CaseConfig, CaseStats, Disagreement, Mutation};
+use crate::differential::{Disagreement, Mutation};
 use crate::dynamic::dynamic_case;
-use crate::enumcheck::enumcheck_case;
 use crate::json::Json;
-use crate::latticecheck::latticecheck_case;
-use crate::memocheck::memocheck_case;
-use crate::metamorphic::metamorphic_case;
-use crate::normcheck::normcheck_case;
-use crate::parcheck::parcheck_case;
+use crate::oracle::{self, Findings, Verdict, ORACLES};
 use crate::querygen::{QueryGen, QueryShape, ALL_SHAPES};
 use crate::repro::Witness;
 use crate::shrink::shrink_pair;
@@ -120,6 +113,15 @@ impl RunOptions {
     }
 }
 
+/// One oracle row's case tally.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowTally {
+    /// Cases the row compared.
+    pub checked: usize,
+    /// Cases the row had nothing to compare on.
+    pub skipped: usize,
+}
+
 /// Aggregated result of a conformance run.
 #[derive(Debug, Default)]
 pub struct RunSummary {
@@ -137,6 +139,8 @@ pub struct RunSummary {
     pub by_shape: BTreeMap<String, usize>,
     /// Per-spec checked counts.
     pub by_spec: BTreeMap<String, usize>,
+    /// Per oracle row: how many cases it checked and how many it skipped.
+    pub oracles: BTreeMap<&'static str, RowTally>,
     /// Worst per-output RAM ops seen anywhere.
     pub worst_ops: u64,
     /// All disagreements (after shrinking).
@@ -152,9 +156,18 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Overall verdict: no disagreements anywhere and every gate passed.
+    /// Cases the row named `row` checked and skipped (zero when it never
+    /// ran).
+    pub fn tally(&self, row: &str) -> RowTally {
+        self.oracles.get(row).copied().unwrap_or_default()
+    }
+
+    /// Overall verdict: no disagreements anywhere, every gate passed, and
+    /// every oracle row checked at least one case (a row that skips
+    /// everything would pass vacuously).
     pub fn passed(&self) -> bool {
-        self.disagreements.is_empty()
+        ORACLES.iter().all(|o| self.tally(o.name).checked > 0)
+            && self.disagreements.is_empty()
             && self.dynamic_disagreements.is_empty()
             && self.delay.iter().all(|g| g.passed)
     }
@@ -178,6 +191,22 @@ impl RunSummary {
             ("rejected", Json::Num(self.rejected as f64)),
             ("by_shape", count_map(&self.by_shape)),
             ("by_spec", count_map(&self.by_spec)),
+            (
+                "oracles",
+                Json::Obj(
+                    ORACLES
+                        .iter()
+                        .map(|o| {
+                            let t = self.tally(o.name);
+                            let tally = Json::obj([
+                                ("checked", Json::Num(t.checked as f64)),
+                                ("skipped", Json::Num(t.skipped as f64)),
+                            ]);
+                            (o.name.to_owned(), tally)
+                        })
+                        .collect(),
+                ),
+            ),
             ("worst_ops", Json::Num(self.worst_ops as f64)),
             (
                 "disagreements",
@@ -187,6 +216,7 @@ impl RunSummary {
                         .chain(&self.dynamic_disagreements)
                         .map(|d| {
                             Json::obj([
+                                ("row", Json::Str(d.row.into())),
                                 ("check", Json::Str(d.check.clone())),
                                 ("detail", Json::Str(d.detail.clone())),
                             ])
@@ -229,31 +259,31 @@ struct Case {
     q: Query,
 }
 
-/// The pure check phase of one case: every oracle, no side effects. Safe
-/// to run concurrently across cases.
-fn check_one(case: &Case, cfg: &CaseConfig, inject: Mutation) -> (CaseStats, Vec<Disagreement>) {
-    let (stats, mut bad) = differential_case(&case.s, &case.q, cfg, inject);
-    if inject == Mutation::None {
-        bad.extend(metamorphic_case(&case.s, &case.q, case.case_seed));
-        bad.extend(parcheck_case(&case.s, &case.q));
-        bad.extend(enumcheck_case(&case.s, &case.q));
-        bad.extend(cachecheck_case(&case.s, &case.q));
-        bad.extend(latticecheck_case(&case.s, &case.q));
-        bad.extend(memocheck_case(&case.s, &case.q));
-        bad.extend(normcheck_case(&case.s, &case.q));
-        bad.extend(clausecheck_case(&case.s, &case.q));
-    }
-    (stats, bad)
+/// The pure check phase of one case: every oracle row, no side effects.
+/// Safe to run concurrently across cases. An injected mutation corrupts
+/// only the differential row's view of the engine, so only that row runs
+/// under one.
+fn check_one(case: &Case, inject: Mutation) -> (Findings, Vec<(&'static str, Verdict)>) {
+    let ctx = oracle::Case {
+        inject,
+        ..oracle::Case::new(&case.s, &case.q, case.case_seed)
+    };
+    let mut found = Findings::default();
+    let verdicts = ORACLES
+        .iter()
+        .filter(|o| inject == Mutation::None || o.name == "differential")
+        .map(|o| (o.name, o.run(&ctx, &mut found)))
+        .collect();
+    (found, verdicts)
 }
 
 /// Fold one checked case into the summary; on failure shrink it and write
 /// a witness. Runs sequentially in case order.
 fn aggregate_one(
     case: &Case,
-    stats: CaseStats,
-    mut bad: Vec<Disagreement>,
+    found: Findings,
+    verdicts: Vec<(&'static str, Verdict)>,
     opts: &RunOptions,
-    cfg: &CaseConfig,
     summary: &mut RunSummary,
 ) {
     let Case {
@@ -264,7 +294,15 @@ fn aggregate_one(
         q,
     } = case;
     let (case_seed, shape) = (*case_seed, *shape);
+    let Findings { stats, mut bad, .. } = found;
     summary.pairs_checked += 1;
+    for (row, verdict) in verdicts {
+        let tally = summary.oracles.entry(row).or_default();
+        match verdict {
+            Verdict::Checked => tally.checked += 1,
+            Verdict::Skipped => tally.skipped += 1,
+        }
+    }
     summary.worst_ops = summary.worst_ops.max(stats.worst_ops);
     if stats.engine_built {
         summary.engine_checked += 1;
@@ -282,28 +320,25 @@ fn aggregate_one(
         return;
     }
 
-    // shrink against the first failing check, preserving the injected
-    // mutation so the failure stays reproducible during shrinking
-    let first_check = bad[0].check.clone();
-    let inject = opts.inject;
+    // shrink against the first failing check, re-running only the row
+    // that emitted it and preserving the injected mutation so the failure
+    // stays reproducible during shrinking
+    let first = &bad[0];
+    let row = oracle::by_name(first.row).expect("case disagreements come from table rows");
     let mut still_fails = |s2: &Structure, q2: &Query| {
-        let (_, mut b) = differential_case(s2, q2, cfg, inject);
-        if inject == Mutation::None {
-            b.extend(metamorphic_case(s2, q2, case_seed));
-            b.extend(parcheck_case(s2, q2));
-            b.extend(enumcheck_case(s2, q2));
-            b.extend(cachecheck_case(s2, q2));
-            b.extend(latticecheck_case(s2, q2));
-            b.extend(memocheck_case(s2, q2));
-            b.extend(normcheck_case(s2, q2));
-            b.extend(clausecheck_case(s2, q2));
-        }
-        b.iter().any(|d| d.check == first_check)
+        let ctx = oracle::Case {
+            inject: opts.inject,
+            ..oracle::Case::new(s2, q2, case_seed)
+        };
+        let mut found = Findings::default();
+        row.run(&ctx, &mut found);
+        found.bad.iter().any(|d| d.check == first.check)
     };
     let (small_s, small_q) = shrink_pair(s, q, &mut still_fails);
     let witness = Witness {
-        check: first_check,
-        detail: bad[0].detail.clone(),
+        row: row.name.into(),
+        check: first.check.clone(),
+        detail: first.detail.clone(),
         seed: case_seed,
         query_src: format_formula(&small_q.formula, &small_q.signature, &small_q.vars),
         structure_text: write_structure(&small_s),
@@ -324,7 +359,6 @@ pub fn run(profile: &Profile, opts: &RunOptions) -> RunSummary {
         injected: opts.inject,
         ..RunSummary::default()
     };
-    let cfg = CaseConfig::default();
     let specs_base = spec_pool(0);
 
     // generation is cheap and seed-driven; checking dominates, so the
@@ -352,10 +386,10 @@ pub fn run(profile: &Profile, opts: &RunOptions) -> RunSummary {
         })
         .collect();
     let checked = par_map(&opts.par.min_items(1), &cases, |case| {
-        check_one(case, &cfg, opts.inject)
+        check_one(case, opts.inject)
     });
-    for (case, (stats, bad)) in cases.iter().zip(checked) {
-        aggregate_one(case, stats, bad, opts, &cfg, &mut summary);
+    for (case, (found, verdicts)) in cases.iter().zip(checked) {
+        aggregate_one(case, found, verdicts, opts, &mut summary);
     }
 
     // dynamic update scripts (honest engine only: the mutation hook models
@@ -401,6 +435,11 @@ mod tests {
         let summary = run(&Profile::mini(), &opts);
         assert!(summary.passed(), "{:?}", summary.disagreements);
         assert_eq!(summary.pairs_checked, 24);
+        for o in ORACLES {
+            let t = summary.tally(o.name);
+            assert!(t.checked >= 1, "row {} checked no case: {t:?}", o.name);
+            assert_eq!(t.checked + t.skipped, 24, "row {}", o.name);
+        }
         assert_eq!(summary.by_shape.len(), ALL_SHAPES.len());
         assert!(summary.engine_checked > 0);
         assert!(summary.worst_ops >= 1);
@@ -408,6 +447,11 @@ mod tests {
         let text = std::fs::read_to_string(&report).unwrap();
         let parsed = crate::json::Json::parse(&text).unwrap();
         assert_eq!(parsed.get("passed").unwrap().as_bool(), Some(true));
+        let oracles = parsed.get("oracles").unwrap();
+        for o in ORACLES {
+            let checked = oracles.get(o.name).and_then(|t| t.get("checked"));
+            assert!(checked.and_then(Json::as_f64).unwrap() >= 1.0, "{}", o.name);
+        }
         let _ = std::fs::remove_dir_all(&opts.out_dir);
     }
 
@@ -422,8 +466,14 @@ mod tests {
         let summary = run(&profile, &opts);
         assert!(!summary.passed(), "injected bug slipped through");
         assert!(!summary.witnesses.is_empty(), "no witness written");
-        // the witness is shrunk and loadable
+        // only the differential row sees the mutation, and says so
+        assert!(summary
+            .disagreements
+            .iter()
+            .all(|d| d.row == "differential"));
+        // the witness is shrunk, loadable and names its row
         let w = crate::repro::Witness::load(&summary.witnesses[0]).unwrap();
+        assert_eq!(w.row, "differential");
         let s = w.structure().unwrap();
         assert!(
             s.cardinality() <= 14,

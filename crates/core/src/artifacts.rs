@@ -7,8 +7,8 @@
 //! CLI serving several queries, benchmark reps). The [`ArtifactCache`] keys
 //! those products by [`Structure::fingerprint`] (plus the parameters they
 //! depend on) so repeated builds in one process reuse them; cold and warm
-//! builds are guaranteed observably identical and the conformance
-//! `cachecheck` oracle cross-checks that guarantee case by case.
+//! builds are guaranteed observably identical and the `cachecheck` row of
+//! the conformance oracle table cross-checks that guarantee case by case.
 //!
 //! The cache has four tiers — Gaifman graphs, reduction cores (each slot
 //! also holding the core's counting memo and position memo), whole-query
@@ -574,8 +574,8 @@ impl ArtifactCache {
 
     /// Aggregated `(hits, misses)` of the per-clause combination-count
     /// memo tier across the retained counting memos (diagnostics;
-    /// surfaced by `--explain` and the `clausecheck` oracle's vacuity
-    /// check).
+    /// surfaced by `--explain`; the conformance `clausecheck` row's
+    /// vacuity check reads the clause tier's hits instead).
     pub fn combo_stats(&self) -> (u64, u64) {
         let mut hits = 0u64;
         let mut misses = 0u64;

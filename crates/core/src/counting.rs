@@ -235,9 +235,9 @@ pub fn count_clause_per_term(
 }
 
 /// The single serial Gray-code walk over the full lattice. Oracle entry:
-/// the conformance `latticecheck` oracle compares this, the sliced walk
-/// ([`count_clause_lattice_sliced`]) and the per-term evaluation
-/// ([`count_clause_per_term`]) — all three must agree exactly.
+/// the `latticecheck` row of the conformance oracle table compares this,
+/// the sliced walk ([`count_clause_lattice_sliced`]) and the per-term
+/// evaluation ([`count_clause_per_term`]) — all three must agree exactly.
 pub fn count_clause_lattice_serial(
     graph: &Structure,
     gq: &GraphQuery,
@@ -316,8 +316,9 @@ struct CompJob {
 /// counts across clauses, across the `2^m` lattice slices, and across
 /// different queries whose clauses realize the same color combinations.
 /// An [`crate::ArtifactCache`] retains one memo per core key; the
-/// conformance `memocheck` oracle cross-checks that memoized counting is
-/// observably identical to the memo-free path.
+/// `cachecheck` row of the conformance oracle table cross-checks that
+/// memoized counting is observably identical to the memo-free path, and
+/// that repeated builds hit the memo.
 ///
 /// Internally synchronized (probe/publish batch under one mutex), so the
 /// sliced lattice walk's worker threads share it directly.

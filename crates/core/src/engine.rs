@@ -44,8 +44,8 @@ pub struct EngineConfig {
     /// variants of one query share cached Step 5 acceptance products and
     /// whole-query counts, and [`Engine::build_workload`] can group them
     /// onto one shared engine. On by default; the built engine is
-    /// observably equivalent either way (the conformance `normcheck`
-    /// oracle enforces it), but clause/answer *order* follows the
+    /// observably equivalent either way (the `normcheck` row of the
+    /// conformance oracle table enforces it), but clause/answer *order* follows the
     /// canonical form when enabled. When the normalized syntax fails to
     /// localize, the build transparently falls back to the original query.
     pub normalize: bool,
@@ -56,8 +56,9 @@ pub struct EngineConfig {
     /// sharing a clause — across a workload batch or across warm builds —
     /// share that clause's work. Requires `normalize` (clause fingerprints
     /// are properties of the canonical form); inert without a cache. Off
-    /// reproduces the whole-query-granular build exactly (the conformance
-    /// `clausecheck` oracle enforces that both settings are bit-identical).
+    /// reproduces the whole-query-granular build exactly (the `clausecheck`
+    /// row of the conformance oracle table enforces that both settings are
+    /// bit-identical).
     pub clause_sharing: bool,
 }
 
@@ -170,8 +171,8 @@ impl Engine {
     /// A warm cache skips the *extract* stage of the reduction — the whole
     /// query-independent [`crate::ReductionCore`] (Gaifman graph,
     /// near-pair store, cluster tuples, type interning, colored graph) —
-    /// and the engine is bit-identical to a cold build; the conformance
-    /// `cachecheck` oracle enforces this. Per-stage timings are recorded in
+    /// and the engine is bit-identical to a cold build; the `cachecheck`
+    /// row of the conformance oracle table enforces this. Per-stage timings are recorded in
     /// [`Engine::profile`].
     ///
     /// With normalization on (the default), the engine is built from the
@@ -849,17 +850,6 @@ impl Engine {
         }))
     }
 
-    /// Theorem 2.7, instrumented: enumerate answers together with the
-    /// number of RAM operations since the previous output. The theorem
-    /// predicts this delay is bounded by a function of the query and ε
-    /// only — independent of `n` (see experiment E4).
-    pub fn enumerate_with_ops(&self) -> Box<dyn Iterator<Item = (Vec<Node>, u64)> + '_> {
-        let mut s = self.answers();
-        Box::new(std::iter::from_fn(move || {
-            s.advance().then(|| (s.answer().to_vec(), s.last_delay()))
-        }))
-    }
-
     /// Whether the query has any answer (constant time after build: the
     /// count is precomputed).
     pub fn is_empty(&self) -> bool {
@@ -1027,8 +1017,8 @@ mod tests {
             }
 
             // the streaming visitor agrees with the boxed iterator on
-            // answers, order and delays, and `first` short-circuits to the
-            // same head
+            // answers and order, every answer costs at least one RAM
+            // operation, and `first` short-circuits to the same head
             let mut streamed: Vec<Vec<Node>> = Vec::new();
             let mut delays: Vec<u64> = Vec::new();
             engine.for_each_answer_with_ops(|a, d| {
@@ -1037,8 +1027,7 @@ mod tests {
                 ControlFlow::Continue(())
             });
             assert_eq!(streamed, got, "`{src}` streaming order ({mode:?})");
-            let boxed_delays: Vec<u64> = engine.enumerate_with_ops().map(|(_, d)| d).collect();
-            assert_eq!(delays, boxed_delays, "`{src}` streaming ops ({mode:?})");
+            assert!(delays.iter().all(|&d| d >= 1), "`{src}` ops ({mode:?})");
             assert_eq!(
                 engine.first(),
                 got.first().cloned(),

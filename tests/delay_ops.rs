@@ -11,6 +11,7 @@ use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
 use lowdeg_par::ParConfig;
 use lowdeg_storage::Node;
+use std::ops::ControlFlow;
 
 fn max_ops(n: usize, seed: u64, mode: SkipMode) -> (u64, usize) {
     let s = ColoredGraphSpec::balanced(n, DegreeClass::Bounded(5)).generate(seed);
@@ -29,11 +30,12 @@ fn max_ops(n: usize, seed: u64, mode: SkipMode) -> (u64, usize) {
     .unwrap();
     let mut worst = 0u64;
     let mut count = 0usize;
-    for (t, ops) in engine.enumerate_with_ops() {
+    engine.for_each_answer_with_ops(|t, ops| {
         assert_eq!(t.len(), 2);
         worst = worst.max(ops);
         count += 1;
-    }
+        ControlFlow::Continue(())
+    });
     assert_eq!(count as u64, engine.count());
     (worst, count)
 }
@@ -91,10 +93,14 @@ fn ops_accounting_is_consistent() {
     let s = ColoredGraphSpec::balanced(128, DegreeClass::Bounded(4)).generate(46);
     let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
     let engine = Engine::build(&s, &q, Epsilon::new(0.5)).unwrap();
-    // the two iterators agree on the answers
+    // the iterator and the delay-accounted visitor agree on the answers
     let plain: Vec<Vec<Node>> = engine.enumerate().collect();
-    let with_ops: Vec<Vec<Node>> = engine.enumerate_with_ops().map(|(t, _)| t).collect();
-    assert_eq!(plain, with_ops);
+    let mut with_ops: Vec<(Vec<Node>, u64)> = Vec::new();
+    engine.for_each_answer_with_ops(|t, ops| {
+        with_ops.push((t.to_vec(), ops));
+        ControlFlow::Continue(())
+    });
+    assert!(plain.iter().eq(with_ops.iter().map(|(t, _)| t)));
     // every output costs at least one operation
-    assert!(engine.enumerate_with_ops().all(|(_, ops)| ops >= 1));
+    assert!(with_ops.iter().all(|&(_, ops)| ops >= 1));
 }

@@ -18,6 +18,7 @@ use lowdeg_par::ParConfig;
 use lowdeg_storage::{Node, Signature, Structure};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 // ---------- Storing Theorem vs model ----------
@@ -167,8 +168,11 @@ proptest! {
                     prop_assert!(engine.test(t));
                 }
                 // ops accounting yields the same sequence
-                let seq: Vec<Vec<Node>> =
-                    engine.enumerate_with_ops().map(|(t, _)| t).collect();
+                let mut seq: Vec<Vec<Node>> = Vec::new();
+                engine.for_each_answer_with_ops(|t, _| {
+                    seq.push(t.to_vec());
+                    ControlFlow::Continue(())
+                });
                 prop_assert_eq!(seq, got);
             }
         }

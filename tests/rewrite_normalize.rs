@@ -8,7 +8,7 @@
 //! order, and per-clause plan statistics), which is what lets the
 //! workload planner substitute one for the other.
 
-use lowdeg_conformance::parcheck::plan_stats;
+use lowdeg_conformance::oracle::plan_stats;
 use lowdeg_core::{Engine, EngineConfig};
 use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
 use lowdeg_index::Epsilon;
