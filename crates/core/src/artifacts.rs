@@ -371,9 +371,9 @@ impl ArtifactCache {
     /// `(fingerprint, r, k, eps)` — created empty on first use and
     /// retained (and evicted) alongside the core entry of the same key.
     /// Position candidate lists are properties of the core's reduced
-    /// colored graph, so every engine built against the core reuses the
-    /// one intersection scan per distinct color set instead of rescanning
-    /// per graph clause.
+    /// colored graph, so the IE count and the enumerator of every engine
+    /// built against the core read the one intersection scan per distinct
+    /// color set instead of rescanning per graph clause.
     pub fn position_memo(
         &self,
         fingerprint: u64,
@@ -570,6 +570,28 @@ impl ArtifactCache {
             components += m.len();
         }
         (hits, misses, components)
+    }
+
+    /// Aggregated `(hits, misses, color sets)` over the retained position
+    /// memos, the per-core candidate-list tables (diagnostics; surfaced by
+    /// `--explain`). A miss is one column intersection.
+    pub fn position_stats(&self) -> (u64, u64, usize) {
+        let memos: Vec<Arc<PositionMemo>> = {
+            let inner = self.inner.lock().expect("cache poisoned");
+            inner
+                .cores
+                .values()
+                .filter_map(|slot| slot.positions.clone())
+                .collect()
+        };
+        let (mut hits, mut misses, mut sets) = (0u64, 0u64, 0usize);
+        for m in memos {
+            let (h, mi) = m.stats();
+            hits += h;
+            misses += mi;
+            sets += m.len();
+        }
+        (hits, misses, sets)
     }
 
     /// Aggregated `(hits, misses)` of the per-clause combination-count

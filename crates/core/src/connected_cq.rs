@@ -26,6 +26,8 @@ pub enum ConnectedError {
     NotConnected,
     /// A conjunct is not an atom, negated atom, equality or distance guard.
     UnsupportedConjunct(String),
+    /// The exact count does not fit in 64 bits.
+    CountOverflow,
 }
 
 impl fmt::Display for ConnectedError {
@@ -37,6 +39,7 @@ impl fmt::Display for ConnectedError {
             ConnectedError::UnsupportedConjunct(d) => {
                 write!(f, "unsupported conjunct in connected CQ: {d}")
             }
+            ConnectedError::CountOverflow => write!(f, "the count does not fit in 64 bits"),
         }
     }
 }

@@ -9,26 +9,38 @@
 //! each counted by Lemma 3.1 ([`crate::connected_cq`]) and multiplied.
 
 use crate::connected_cq::{count_connected, ConnectedError};
-use crate::graph_query::{GraphClause, GraphQuery};
+use crate::graph_query::{GraphClause, GraphQuery, PositionMemo};
+use crate::EngineError;
 use lowdeg_index::{FxHashMap, SliceInterner};
 use lowdeg_logic::{DistCmp, Formula, Var};
 use lowdeg_par::{par_map, ParConfig};
-use lowdeg_storage::Structure;
+use lowdeg_storage::{Node, RelId, Structure};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Count the answers of a *generalized conjunction* (Lemma 3.5): conjuncts
 /// may be positive atoms, negated atoms of any arity, equalities and
 /// distance guards, over the answer variables `free` (no existentials).
 ///
 /// Runtime `O(2^m · |γ| · n · d^h)` where `m` counts the negated non-unary
-/// conjuncts.
+/// conjuncts. The count is exact: a count that does not fit `u64` is
+/// [`ConnectedError::CountOverflow`].
 pub fn count_conjunction(
     structure: &Structure,
     free: &[Var],
     conjuncts: &[Formula],
 ) -> Result<u64, ConnectedError> {
+    u64::try_from(conjunction_count(structure, free, conjuncts)?)
+        .map_err(|_| ConnectedError::CountOverflow)
+}
+
+/// [`count_conjunction`] in `u128`: the inclusion–exclusion recursion.
+fn conjunction_count(
+    structure: &Structure,
+    free: &[Var],
+    conjuncts: &[Formula],
+) -> Result<u128, ConnectedError> {
     // find a negated binary-or-wider atom / negated equality / far-distance
     // guard to eliminate
     let target = conjuncts.iter().position(|c| match c {
@@ -61,8 +73,8 @@ pub fn count_conjunction(
             };
             let mut with: Vec<Formula> = without.clone();
             with.push(positive);
-            let a = count_conjunction(structure, free, &without)?;
-            let b = count_conjunction(structure, free, &with)?;
+            let a = conjunction_count(structure, free, &without)?;
+            let b = conjunction_count(structure, free, &with)?;
             debug_assert!(a >= b, "positive refinement cannot grow the count");
             Ok(a - b)
         }
@@ -77,7 +89,7 @@ fn count_positive(
     structure: &Structure,
     free: &[Var],
     conjuncts: &[Formula],
-) -> Result<u64, ConnectedError> {
+) -> Result<u128, ConnectedError> {
     // constants short-circuit
     if conjuncts.iter().any(|c| matches!(c, Formula::False)) {
         return Ok(0);
@@ -117,7 +129,7 @@ fn count_positive(
     // group positions and conjuncts by component
     let mut roots: Vec<usize> = (0..free.len()).map(|i| find(&mut parent, i)).collect();
     let distinct: BTreeSet<usize> = roots.iter().copied().collect();
-    let mut total: u64 = 1;
+    let mut total: u128 = 1;
     for root in distinct {
         let comp_vars: Vec<Var> = (0..free.len())
             .filter(|&i| roots[i] == root)
@@ -140,7 +152,9 @@ fn count_positive(
         } else {
             count_connected(structure, &comp_vars, &[], &comp_conjuncts)?
         };
-        total = total.saturating_mul(count);
+        total = total
+            .checked_mul(count.into())
+            .ok_or(ConnectedError::CountOverflow)?;
         if total == 0 {
             return Ok(0);
         }
@@ -157,7 +171,7 @@ struct NodeSet {
 }
 
 impl NodeSet {
-    fn from_sorted(n: usize, list: &[lowdeg_storage::Node]) -> Self {
+    fn from_sorted(n: usize, list: &[Node]) -> Self {
         let mut words = vec![0u64; n.div_ceil(64)];
         for v in list {
             words[v.index() / 64] |= 1 << (v.index() % 64);
@@ -169,7 +183,7 @@ impl NodeSet {
     }
 
     #[inline]
-    fn contains(&self, v: lowdeg_storage::Node) -> bool {
+    fn contains(&self, v: Node) -> bool {
         self.words[v.index() / 64] >> (v.index() % 64) & 1 == 1
     }
 }
@@ -194,14 +208,18 @@ impl NodeSet {
 /// each *distinct* component is counted exactly once across the whole
 /// lattice — the per-lattice-step work degenerates to the component(s)
 /// containing the flipped edge. The distinct component counts fan out over
-/// `par`; the signed products are then summed in mask order in an `i128`,
-/// which reproduces the per-term evaluation ([`count_clause_per_term`])
-/// bit for bit.
+/// `par`; the signed products are then summed in mask order, exactly
+/// (`u128` products, `i128` sum), which reproduces the per-term evaluation
+/// ([`count_clause_per_term`]) bit for bit.
 ///
-/// With a cross-query [`CountingMemo`], distinct lattice components probe
-/// the memo by canonical signature and only novel ones are counted. The
+/// The candidate lists come from `positions`, the build's one
+/// candidate-list table (a [`PositionMemo`]) that the enumerator reads as
+/// well; their membership bitsets are built for this call only. With a
+/// cross-query [`CountingMemo`], distinct lattice components probe the
+/// memo by canonical signature and only novel ones are counted. The
 /// result is bit-identical with and without a memo (a memo entry is the
-/// exact count of its signature).
+/// exact count of its signature). A count that does not fit `u64` is
+/// [`EngineError::CountOverflow`].
 pub fn count_clause(
     graph: &Structure,
     gq: &GraphQuery,
@@ -209,50 +227,71 @@ pub fn count_clause(
     adjacency: &crate::enumerate::EdgeAdjacency,
     par: &ParConfig,
     memo: Option<&CountingMemo>,
-) -> u64 {
-    let (lists, sets, neg) = clause_tables(graph, gq, clause);
-    match memo {
-        None => count_clause_lattice(adjacency, &lists, &sets, &neg, par, None),
-        Some(m) => {
-            let tokens = color_tokens(clause, m.iota_sizes());
-            count_clause_lattice(adjacency, &lists, &sets, &neg, par, Some((m, &tokens)))
-        }
-    }
+    positions: &PositionMemo,
+) -> Result<u64, EngineError> {
+    CandidateTable::build(graph, positions, [clause], par).count(
+        adjacency,
+        clause,
+        &negated_pairs(gq.k),
+        par,
+        memo,
+    )
 }
 
 /// The per-term reference evaluation of Lemma 3.5: nested differences, each
 /// term's positive part counted from scratch. Kept as the differential
 /// oracle for the lattice path (see `tests/lattice_ie.rs`); the production
 /// path is [`count_clause`].
+///
+/// # Panics
+///
+/// If the exact count does not fit `u64` (the oracle has no error path).
 pub fn count_clause_per_term(
     graph: &Structure,
     gq: &GraphQuery,
     clause: &GraphClause,
     adjacency: &crate::enumerate::EdgeAdjacency,
 ) -> u64 {
-    let (lists, sets, neg) = clause_tables(graph, gq, clause);
-    ie_count(adjacency, &lists, &sets, &mut Vec::new(), &neg)
+    oracle_walk(graph, gq, clause, |lists, sets, neg| {
+        let total = ie_count(adjacency, lists, sets, &mut Vec::new(), neg)?;
+        u64::try_from(total).map_err(|_| EngineError::CountOverflow)
+    })
 }
 
 /// The single serial Gray-code walk over the full lattice. Oracle entry:
 /// the `latticecheck` row of the conformance oracle table compares this,
 /// the sliced walk ([`count_clause_lattice_sliced`]) and the per-term
 /// evaluation ([`count_clause_per_term`]) — all three must agree exactly.
+///
+/// # Panics
+///
+/// If the exact count does not fit `u64` (the oracle has no error path).
 pub fn count_clause_lattice_serial(
     graph: &Structure,
     gq: &GraphQuery,
     clause: &GraphClause,
     adjacency: &crate::enumerate::EdgeAdjacency,
 ) -> u64 {
-    let (lists, sets, neg) = clause_tables(graph, gq, clause);
-    let total = lattice_sum_single(adjacency, &lists, &sets, &neg, &ParConfig::serial(), None);
-    total.max(0) as u64
+    oracle_walk(graph, gq, clause, |lists, sets, neg| {
+        exact_count(lattice_sum_single(
+            adjacency,
+            lists,
+            sets,
+            neg,
+            &ParConfig::serial(),
+            None,
+        )?)
+    })
 }
 
 /// The sliced lattice walk with an explicit slice-bit count, forced even
 /// when the pool would run serially. `bits` is clamped to `[1, m]` (with
 /// `m = 0` falling back to the single walk). Oracle entry — the production
 /// path picks `bits` from the pool size ([`count_clause`]).
+///
+/// # Panics
+///
+/// If the exact count does not fit `u64` (the oracle has no error path).
 pub fn count_clause_lattice_sliced(
     graph: &Structure,
     gq: &GraphQuery,
@@ -261,37 +300,121 @@ pub fn count_clause_lattice_sliced(
     bits: usize,
     par: &ParConfig,
 ) -> u64 {
-    let (lists, sets, neg) = clause_tables(graph, gq, clause);
-    let m = neg.len();
-    let total = if m == 0 {
-        lattice_sum_single(adjacency, &lists, &sets, &neg, &ParConfig::serial(), None)
-    } else {
-        lattice_sum_sliced(adjacency, &lists, &sets, &neg, bits.clamp(1, m), par, None)
-    };
-    total.max(0) as u64
+    oracle_walk(graph, gq, clause, |lists, sets, neg| {
+        let total = match neg.len() {
+            0 => lattice_sum_single(adjacency, lists, sets, neg, &ParConfig::serial(), None),
+            m => lattice_sum_sliced(adjacency, lists, sets, neg, bits.clamp(1, m), par, None),
+        };
+        exact_count(total?)
+    })
 }
 
-/// Candidate lists, their bitsets, and the negated position pairs of one
-/// reduced clause.
-type ClauseTables = (
-    Vec<Vec<lowdeg_storage::Node>>,
-    Vec<NodeSet>,
-    Vec<(usize, usize)>,
-);
+/// Run one oracle's walk over `clause`'s lists (from a fresh memo), its
+/// bitsets and its negated pairs: the exact count, or a panic naming why
+/// there is none.
+fn oracle_walk(
+    graph: &Structure,
+    gq: &GraphQuery,
+    clause: &GraphClause,
+    walk: impl FnOnce(&[Arc<Vec<Node>>], &[&NodeSet], &[(usize, usize)]) -> Result<u64, EngineError>,
+) -> u64 {
+    let table = CandidateTable::build(graph, &PositionMemo::new(), [clause], &ParConfig::serial());
+    let (lists, sets) = table.clause(clause);
+    walk(&lists, &sets, &negated_pairs(gq.k)).unwrap_or_else(|e| panic!("oracle count failed: {e}"))
+}
 
-fn clause_tables(graph: &Structure, gq: &GraphQuery, clause: &GraphClause) -> ClauseTables {
-    let k = gq.k;
-    let n = graph.cardinality();
-    let lists: Vec<Vec<lowdeg_storage::Node>> = (0..k)
-        .map(|i| crate::graph_query::position_list(graph, &clause.colors[i]))
-        .collect();
-    let sets: Vec<NodeSet> = lists.iter().map(|l| NodeSet::from_sorted(n, l)).collect();
-    // all unordered position pairs start negated; inclusion–exclusion flips
-    // them to positive edges one by one
-    let neg: Vec<(usize, usize)> = (0..k)
+/// The exact `u64` count behind a signed inclusion–exclusion total: too
+/// large is [`EngineError::CountOverflow`], negative is an internal error
+/// (inclusion–exclusion over exact counts cannot go below zero).
+fn exact_count(total: i128) -> Result<u64, EngineError> {
+    if total < 0 {
+        return Err(EngineError::Internal(format!(
+            "inclusion–exclusion total {total} is negative"
+        )));
+    }
+    u64::try_from(total).map_err(|_| EngineError::CountOverflow)
+}
+
+/// All unordered position pairs of a `k`-ary clause: every pair starts
+/// negated (`ψ₁`), and inclusion–exclusion flips them to positive edges
+/// one by one.
+fn negated_pairs(k: usize) -> Vec<(usize, usize)> {
+    (0..k)
         .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
-        .collect();
-    (lists, sets, neg)
+        .collect()
+}
+
+/// The candidate lists and membership bitsets one counting call reads,
+/// one entry per distinct position color set of the clauses it counts.
+///
+/// The lists are the build's [`PositionMemo`] entries (shared with the
+/// enumerator); the bitsets are build-local — one is `|G|/8` bytes, so
+/// they are made once per distinct color set per call and dropped with
+/// the call, never retained in the [`crate::ArtifactCache`].
+struct CandidateTable<'c> {
+    index: FxHashMap<&'c [RelId], usize>,
+    lists: Vec<Arc<Vec<Node>>>,
+    sets: Vec<NodeSet>,
+}
+
+impl<'c> CandidateTable<'c> {
+    /// Dedup the color sets of `clauses`, then read each distinct set's
+    /// list from `positions` and build its bitset, fanned over `par`. The
+    /// memo's lock is taken once per distinct set here, so the per-clause
+    /// counting that follows is lock-free.
+    fn build(
+        graph: &Structure,
+        positions: &PositionMemo,
+        clauses: impl IntoIterator<Item = &'c GraphClause>,
+        par: &ParConfig,
+    ) -> Self {
+        let mut index: FxHashMap<&'c [RelId], usize> = FxHashMap::default();
+        let mut distinct: Vec<&'c [RelId]> = Vec::new();
+        for clause in clauses {
+            for colors in &clause.colors {
+                index.entry(colors.as_slice()).or_insert_with(|| {
+                    distinct.push(colors);
+                    distinct.len() - 1
+                });
+            }
+        }
+        let n = graph.cardinality();
+        let (lists, sets) = par_map(par, &distinct, |colors| {
+            let list = positions.position_list(graph, colors);
+            let set = NodeSet::from_sorted(n, &list);
+            (list, set)
+        })
+        .into_iter()
+        .unzip();
+        CandidateTable { index, lists, sets }
+    }
+
+    /// `clause`'s per-position lists and bitsets.
+    fn clause(&self, clause: &GraphClause) -> (Vec<Arc<Vec<Node>>>, Vec<&NodeSet>) {
+        clause
+            .colors
+            .iter()
+            .map(|colors| {
+                let i = self.index[colors.as_slice()];
+                (Arc::clone(&self.lists[i]), &self.sets[i])
+            })
+            .unzip()
+    }
+
+    /// Lemma 3.5 on one clause of the table (see [`count_clause`]).
+    fn count(
+        &self,
+        adjacency: &crate::enumerate::EdgeAdjacency,
+        clause: &GraphClause,
+        neg: &[(usize, usize)],
+        par: &ParConfig,
+        memo: Option<&CountingMemo>,
+    ) -> Result<u64, EngineError> {
+        let (lists, sets) = self.clause(clause);
+        let tokens = memo.map(|m| color_tokens(clause, m.iota_sizes()));
+        let memo = memo.zip(tokens.as_deref());
+        count_clause_lattice(adjacency, &lists, &sets, neg, par, memo)
+    }
 }
 
 /// Separator between the member run and the edge run of a component
@@ -661,8 +784,8 @@ fn permute_orders(order: &mut Vec<usize>, at: usize, visit: &mut impl FnMut(&[us
 /// sliced walk already runs each slice on a worker thread).
 fn component_counts(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     jobs: &[CompJob],
     memo: Option<MemoCtx<'_>>,
     par: Option<&ParConfig>,
@@ -713,15 +836,16 @@ fn component_counts(
 /// subtrees, each walked independently with its own signature-memo shard
 /// ([`lattice_slice_sum`]), and the signed `i128` partials are summed in
 /// slice order — exact integer addition, so the result is identical to the
-/// single walk (and to [`count_clause_per_term`]) bit for bit.
+/// single walk (and to [`count_clause_per_term`]) bit for bit. A total
+/// outside `u64` is an error ([`exact_count`]), never a clamped value.
 fn count_clause_lattice(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     neg: &[(usize, usize)],
     par: &ParConfig,
     memo: Option<MemoCtx<'_>>,
-) -> u64 {
+) -> Result<u64, EngineError> {
     let m = neg.len();
     let masks = 1usize << m;
     let bits = lattice_slice_bits(par, m);
@@ -730,8 +854,7 @@ fn count_clause_lattice(
     } else {
         lattice_sum_sliced(adjacency, lists, sets, neg, bits, par, memo)
     };
-    debug_assert!(total >= 0, "inclusion–exclusion cannot go negative");
-    total.max(0) as u64
+    exact_count(total?)
 }
 
 /// Memo handle threaded through the lattice walk: the shared
@@ -757,12 +880,12 @@ fn lattice_slice_bits(par: &ParConfig, m: usize) -> usize {
 /// fan out over the worker pool.
 fn lattice_sum_single(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     neg: &[(usize, usize)],
     par: &ParConfig,
     memo: Option<MemoCtx<'_>>,
-) -> i128 {
+) -> Result<i128, EngineError> {
     let masks = 1usize << neg.len();
     let mut interner: SliceInterner<u32> = SliceInterner::new();
     let mut jobs: Vec<CompJob> = Vec::new();
@@ -787,34 +910,38 @@ fn lattice_sum_single(
 /// mutable state.
 fn lattice_sum_sliced(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     neg: &[(usize, usize)],
     bits: usize,
     par: &ParConfig,
     memo: Option<MemoCtx<'_>>,
-) -> i128 {
+) -> Result<i128, EngineError> {
     let m = neg.len();
     debug_assert!(bits >= 1 && bits <= m);
     let per = (1usize << m) >> bits;
     let slice_ids: Vec<u32> = (0..(1u32 << bits)).collect();
-    let partials: Vec<i128> = par_map(par, &slice_ids, |&s| {
+    let partials = par_map(par, &slice_ids, |&s| {
         let lo = s as usize * per;
         lattice_slice_sum(adjacency, lists, sets, neg, lo..lo + per, memo)
     });
-    partials.iter().sum()
+    partials.into_iter().try_fold(0i128, |total, partial| {
+        total
+            .checked_add(partial?)
+            .ok_or(EngineError::CountOverflow)
+    })
 }
 
 /// One subtree of the sliced walk: walk ranks `lo..hi` in Gray order with a
 /// fresh signature-memo shard and return the slice's exact signed sum.
 fn lattice_slice_sum(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     neg: &[(usize, usize)],
     ranks: std::ops::Range<usize>,
     memo: Option<MemoCtx<'_>>,
-) -> i128 {
+) -> Result<i128, EngineError> {
     let mut interner: SliceInterner<u32> = SliceInterner::new();
     let mut jobs: Vec<CompJob> = Vec::new();
     let mut terms: Vec<(bool, Vec<u32>)> = Vec::with_capacity(ranks.len());
@@ -909,8 +1036,8 @@ fn lattice_walk_range(
 /// Pass 2 — count one distinct component.
 fn count_job(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     job: &CompJob,
 ) -> u64 {
     if job.members.len() == 1 {
@@ -920,41 +1047,46 @@ fn count_job(
     }
 }
 
-/// Pass 3 — signed products in mask order, exact in `i128`.
-fn lattice_partial_sum(terms: &[(bool, Vec<u32>)], counts: &[u64]) -> i128 {
+/// Pass 3 — signed products in mask order, exact: `u128` products and an
+/// `i128` sum, either overflowing is [`EngineError::CountOverflow`].
+fn lattice_partial_sum(terms: &[(bool, Vec<u32>)], counts: &[u64]) -> Result<i128, EngineError> {
     let mut total: i128 = 0;
     for (negative, ids) in terms {
-        let mut product: u64 = 1;
+        let mut product: u128 = 1;
         for &id in ids {
-            product = product.saturating_mul(counts[id as usize]);
+            product = product
+                .checked_mul(counts[id as usize].into())
+                .ok_or(EngineError::CountOverflow)?;
             if product == 0 {
                 break;
             }
         }
-        if *negative {
-            total -= product as i128;
+        let product = i128::try_from(product).map_err(|_| EngineError::CountOverflow)?;
+        total = if *negative {
+            total.checked_sub(product)
         } else {
-            total += product as i128;
+            total.checked_add(product)
         }
+        .ok_or(EngineError::CountOverflow)?;
     }
-    total
+    Ok(total)
 }
 
 fn ie_count(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     pos_edges: &mut Vec<(usize, usize)>,
     neg: &[(usize, usize)],
-) -> u64 {
+) -> Result<u128, EngineError> {
     match neg.split_first() {
         Some((&pair, rest)) => {
-            let without = ie_count(adjacency, lists, sets, pos_edges, rest);
+            let without = ie_count(adjacency, lists, sets, pos_edges, rest)?;
             pos_edges.push(pair);
-            let with = ie_count(adjacency, lists, sets, pos_edges, rest);
+            let with = ie_count(adjacency, lists, sets, pos_edges, rest)?;
             pos_edges.pop();
             debug_assert!(without >= with);
-            without - with
+            Ok(without - with)
         }
         None => count_positive_clause(adjacency, lists, sets, pos_edges),
     }
@@ -967,10 +1099,10 @@ fn ie_count(
 /// list.
 fn count_positive_clause(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     pos_edges: &[(usize, usize)],
-) -> u64 {
+) -> Result<u128, EngineError> {
     let k = lists.len();
     // components over positions
     let mut comp: Vec<usize> = (0..k).collect();
@@ -990,7 +1122,7 @@ fn count_positive_clause(
     let roots: Vec<usize> = (0..k).map(|i| find(&mut comp, i)).collect();
     let distinct: std::collections::BTreeSet<usize> = roots.iter().copied().collect();
 
-    let mut total: u64 = 1;
+    let mut total: u128 = 1;
     for root in distinct {
         let members: Vec<usize> = (0..k).filter(|&i| roots[i] == root).collect();
         let c = if members.len() == 1 {
@@ -998,18 +1130,20 @@ fn count_positive_clause(
         } else {
             count_component(adjacency, lists, sets, pos_edges, &members)
         };
-        total = total.saturating_mul(c);
+        total = total
+            .checked_mul(c.into())
+            .ok_or(EngineError::CountOverflow)?;
         if total == 0 {
-            return 0;
+            return Ok(0);
         }
     }
-    total
+    Ok(total)
 }
 
 fn count_component(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     pos_edges: &[(usize, usize)],
     members: &[usize],
 ) -> u64 {
@@ -1049,7 +1183,7 @@ fn count_component(
         anchor.push(Some(a));
     }
 
-    let mut assigned: Vec<lowdeg_storage::Node> = vec![lowdeg_storage::Node(0); lists.len()];
+    let mut assigned: Vec<Node> = vec![Node(0); lists.len()];
     let mut count = 0u64;
     rec_count(
         adjacency,
@@ -1068,13 +1202,13 @@ fn count_component(
 #[allow(clippy::too_many_arguments)]
 fn rec_count(
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Vec<lowdeg_storage::Node>],
-    sets: &[NodeSet],
+    lists: &[Arc<Vec<Node>>],
+    sets: &[&NodeSet],
     pos_edges: &[(usize, usize)],
     order: &[usize],
     anchor: &[Option<usize>],
     depth: usize,
-    assigned: &mut Vec<lowdeg_storage::Node>,
+    assigned: &mut Vec<Node>,
     count: &mut u64,
 ) {
     if depth == order.len() {
@@ -1082,7 +1216,7 @@ fn rec_count(
         return;
     }
     let pos = order[depth];
-    let check = |v: lowdeg_storage::Node, assigned: &Vec<lowdeg_storage::Node>| -> bool {
+    let check = |v: Node, assigned: &Vec<Node>| -> bool {
         if !sets[pos].contains(v) {
             return false;
         }
@@ -1103,7 +1237,7 @@ fn rec_count(
     };
     match anchor[depth] {
         None => {
-            for &v in &lists[pos] {
+            for &v in lists[pos].iter() {
                 if check(v, assigned) {
                     assigned[pos] = v;
                     rec_count(
@@ -1144,18 +1278,27 @@ fn rec_count(
 /// `|ψ(G)|`: sum over the mutually exclusive clauses, counted in parallel
 /// on `par` (order-preserving; each clause's inclusion–exclusion terms fan
 /// out further when large enough). The engine passes the reduction core's
-/// shared `E`-adjacency, so the CSR is never materialized twice.
+/// shared `E`-adjacency, so the CSR is never materialized twice, and the
+/// build's one candidate-list table `positions`, which the enumerator
+/// reads afterwards.
+///
+/// The clauses' position color sets are deduplicated first: each distinct
+/// set's list is read from `positions` and its membership bitset built
+/// once, then every clause is counted read-only against that table (see
+/// [`count_clause`]).
 ///
 /// `memo` threads the [`crate::ArtifactCache`]'s per-core counting memo
-/// through every clause (see [`count_clause`]). With `signatures` as well
+/// through every clause. With `signatures` as well
 /// — `signatures[i]` the packed acceptance signature of `gq.clauses[i]`
 /// (see `reduction::pack_signature`) — the per-clause combination-count
 /// tier is engaged: each clause probes the memo by signature, only novel
-/// clauses run their inclusion–exclusion walk, and their counts are
-/// published for the next query touching the same combination. Signatures
-/// that do not align with the clauses are ignored. The count is
-/// bit-identical on every path: a memo entry is the exact count of its
-/// key, and the total is the same commutative sum.
+/// clauses run their inclusion–exclusion walk (and only their color sets
+/// enter the table), and their counts are published for the next query
+/// touching the same combination. Signatures that do not align with the
+/// clauses are ignored. The count is bit-identical on every path: a memo
+/// entry is the exact count of its key, and the total is the same
+/// commutative sum. A total that does not fit `u64` is
+/// [`EngineError::CountOverflow`].
 pub fn count_graph_query(
     graph: &Structure,
     gq: &GraphQuery,
@@ -1163,36 +1306,37 @@ pub fn count_graph_query(
     par: &ParConfig,
     memo: Option<&CountingMemo>,
     signatures: Option<&[Box<[u64]>]>,
-) -> Result<u64, ConnectedError> {
-    let signatures = signatures.filter(|s| s.len() == gq.clauses.len());
-    let (Some(memo), Some(signatures)) = (memo, signatures) else {
-        let counts = par_map(par, &gq.clauses, |clause| {
-            count_clause(graph, gq, clause, adjacency, par, memo)
-        });
-        return Ok(counts.iter().sum());
+    positions: &PositionMemo,
+) -> Result<u64, EngineError> {
+    let combos = memo.zip(signatures.filter(|s| s.len() == gq.clauses.len()));
+    let cached: Vec<Option<u64>> = match combos {
+        Some((memo, signatures)) => signatures.iter().map(|s| memo.combo_count(s)).collect(),
+        None => vec![None; gq.clauses.len()],
     };
-    let cached: Vec<Option<u64>> = signatures.iter().map(|s| memo.combo_count(s)).collect();
     let miss: Vec<u32> = cached
         .iter()
         .enumerate()
         .filter_map(|(i, c)| c.is_none().then_some(i as u32))
         .collect();
+    let table = CandidateTable::build(
+        graph,
+        positions,
+        miss.iter().map(|&i| &gq.clauses[i as usize]),
+        par,
+    );
+    let neg = negated_pairs(gq.k);
     let computed = par_map(par, &miss, |&i| {
-        count_clause(
-            graph,
-            gq,
-            &gq.clauses[i as usize],
-            adjacency,
-            par,
-            Some(memo),
-        )
+        table.count(adjacency, &gq.clauses[i as usize], &neg, par, memo)
     });
-    let mut counts: Vec<u64> = cached.iter().map(|c| c.unwrap_or(0)).collect();
-    for (&i, &v) in miss.iter().zip(&computed) {
-        counts[i as usize] = v;
-        memo.record_combo_count(signatures[i as usize].clone(), v);
+    let mut total: u128 = cached.iter().flatten().map(|&c| u128::from(c)).sum();
+    for (&i, count) in miss.iter().zip(computed) {
+        let count = count?;
+        if let Some((memo, signatures)) = combos {
+            memo.record_combo_count(signatures[i as usize].clone(), count);
+        }
+        total += u128::from(count);
     }
-    Ok(counts.iter().sum())
+    u64::try_from(total).map_err(|_| EngineError::CountOverflow)
 }
 
 /// Proposition 3.6's general path: count an arbitrary **quantifier-free**
@@ -1212,7 +1356,9 @@ pub fn count_quantifier_free(
             .iter()
             .map(|l| l.atom.to_formula(l.positive))
             .collect();
-        total += count_conjunction(structure, free, &conjuncts)?;
+        total = total
+            .checked_add(count_conjunction(structure, free, &conjuncts)?)
+            .ok_or(ConnectedError::CountOverflow)?;
     }
     Ok(total)
 }
@@ -1350,12 +1496,15 @@ mod tests {
         };
         let par = ParConfig::serial();
         let memo = CountingMemo::new();
+        let positions = PositionMemo::new();
         for gq in [&q1, &q2] {
-            let plain = count_graph_query(&s, gq, &adj, &par, None, None).unwrap();
-            let memoized = count_graph_query(&s, gq, &adj, &par, Some(&memo), None).unwrap();
+            let plain = count_graph_query(&s, gq, &adj, &par, None, None, &positions).unwrap();
+            let memoized =
+                count_graph_query(&s, gq, &adj, &par, Some(&memo), None, &positions).unwrap();
             assert_eq!(plain, memoized, "memo must not change the count");
             // a second memoized run of the same query is all hits
-            let again = count_graph_query(&s, gq, &adj, &par, Some(&memo), None).unwrap();
+            let again =
+                count_graph_query(&s, gq, &adj, &par, Some(&memo), None, &positions).unwrap();
             assert_eq!(plain, again);
         }
         let (hits, misses) = memo.stats();
@@ -1371,8 +1520,9 @@ mod tests {
         );
         // the sliced walk shares the same memo and stays exact
         let sliced = count_clause_lattice_sliced(&s, &q1, &q1.clauses[0], &adj, 2, &par);
-        let memo_single = count_clause(&s, &q1, &q1.clauses[0], &adj, &par, Some(&memo));
-        assert_eq!(sliced, memo_single);
+        let memo_single =
+            count_clause(&s, &q1, &q1.clauses[0], &adj, &par, Some(&memo), &positions);
+        assert_eq!(Ok(sliced), memo_single);
     }
 
     #[test]
@@ -1390,7 +1540,9 @@ mod tests {
             }],
         };
         let adj = crate::enumerate::EdgeAdjacency::build(&s, e);
-        let counted = count_graph_query(&s, &gq, &adj, &ParConfig::serial(), None, None).unwrap();
+        let positions = PositionMemo::new();
+        let counted =
+            count_graph_query(&s, &gq, &adj, &ParConfig::serial(), None, None, &positions).unwrap();
         let mut brute = 0u64;
         for x in s.domain() {
             for y in s.domain() {
@@ -1400,5 +1552,21 @@ mod tests {
             }
         }
         assert_eq!(counted, brute);
+    }
+
+    /// Two independent components of 2^33 candidates each: the term is
+    /// 2^66, which no `u64` holds. The signed sum keeps it exact and the
+    /// conversion to a count reports the overflow instead of saturating.
+    #[test]
+    fn signed_product_sum_is_exact_and_overflow_is_an_error() {
+        let big = 1u64 << 33;
+        let terms = vec![(false, vec![0, 1])];
+        let total = lattice_partial_sum(&terms, &[big, big]).unwrap();
+        assert_eq!(total, 1i128 << 66);
+        assert_eq!(exact_count(total), Err(EngineError::CountOverflow));
+        // a fitting total converts exactly, a negative one is internal
+        let fits = lattice_partial_sum(&[(false, vec![0]), (true, vec![1])], &[big, 1]).unwrap();
+        assert_eq!(exact_count(fits), Ok(big - 1));
+        assert!(matches!(exact_count(-1), Err(EngineError::Internal(_))));
     }
 }

@@ -3,6 +3,7 @@
 use crate::artifacts::{ArtifactCache, BuildProfile, Profiler, Stage};
 use crate::counting::count_graph_query;
 use crate::enumerate::{Enumerator, SkipLimits, SkipMode, VertexStream};
+use crate::graph_query::PositionMemo;
 use crate::reduction::{Reduction, DEFAULT_COMBINATION_BUDGET};
 use crate::testing::TestIndex;
 use crate::EngineError;
@@ -324,40 +325,45 @@ impl Engine {
             (Some(m), Some(fp)) => m.query_count(fp),
             _ => None,
         };
-        let count = memoized.unwrap_or_else(|| {
-            // Clause-granular counting: each graph clause realizes one
-            // (partition, types) combination, so clause answer sets are
-            // disjoint and the query count is the sum of per-clause counts
-            // — memoized under the clause's packed signature so queries
-            // sharing a combination share its signed count.
-            let signatures = config.clause_sharing.then(|| reduction.clause_signatures());
-            let c = profiler.time(Stage::IeCount, || {
-                count_graph_query(
-                    reduction.graph(),
-                    reduction.query(),
-                    &adjacency,
-                    par,
-                    memo.as_deref(),
-                    signatures,
-                )
-                .expect("reduced clauses are well-formed generalized conjunctions")
-            });
-            if let (Some(m), Some(fp)) = (&memo, query_fp) {
-                m.record_query_count(fp, c);
-            }
-            c
-        });
-        // Position candidate lists are per-core artifacts: route the
-        // enumerator build through the cache-held memo so engines sharing
-        // a core share the intersection scans.
-        let positions = cache.map(|c| {
-            c.position_memo(
+        // The build's one candidate-list table, read by the IE count and
+        // the enumerator alike. Lists are per-core artifacts: with a cache
+        // every engine on the core shares the cache-held table (and its
+        // intersection scans); without one the table is build-local.
+        let positions = match cache {
+            Some(c) => c.position_memo(
                 structure.fingerprint(),
                 reduction.radius(),
                 reduction.arity(),
                 eps,
-            )
-        });
+            ),
+            None => Arc::new(PositionMemo::new()),
+        };
+        let count = match memoized {
+            Some(c) => c,
+            None => {
+                // Clause-granular counting: each graph clause realizes one
+                // (partition, types) combination, so clause answer sets are
+                // disjoint and the query count is the sum of per-clause
+                // counts — memoized under the clause's packed signature so
+                // queries sharing a combination share its signed count.
+                let signatures = config.clause_sharing.then(|| reduction.clause_signatures());
+                let c = profiler.time(Stage::IeCount, || {
+                    count_graph_query(
+                        reduction.graph(),
+                        reduction.query(),
+                        &adjacency,
+                        par,
+                        memo.as_deref(),
+                        signatures,
+                        &positions,
+                    )
+                })?;
+                if let (Some(m), Some(fp)) = (&memo, query_fp) {
+                    m.record_query_count(fp, c);
+                }
+                c
+            }
+        };
         let enumerator = Enumerator::build(
             reduction.graph(),
             reduction.query(),
@@ -367,7 +373,7 @@ impl Engine {
             limits,
             par,
             &profiler,
-            positions.as_deref(),
+            &positions,
         );
         if config.warm_up {
             enumerator.warm_up(&profiler);
@@ -623,9 +629,14 @@ impl Engine {
                                     &ParConfig::serial(),
                                     None,
                                     None,
-                                )
-                                .expect("reduced clauses are well-formed");
-                                return Ok(count > 0);
+                                    &PositionMemo::new(),
+                                );
+                                return match count {
+                                    Ok(count) => Ok(count > 0),
+                                    // more answers than a u64 holds: some
+                                    Err(EngineError::CountOverflow) => Ok(true),
+                                    Err(e) => Err(e),
+                                };
                             }
                         }
                     }
@@ -1316,6 +1327,104 @@ mod tests {
         assert!(matches!(
             Engine::build(&s, &q, Epsilon::new(0.5)),
             Err(EngineError::Localize(_))
+        ));
+    }
+
+    /// The `cli-build` benchmark's disjunction: two disjoint radius-1
+    /// clauses over two free variables.
+    const DISJUNCTION: &str = "(B(x) & R(y) & !E(x, y) & (exists z. E(x, z) & R(z))) \
+         | (B(x) & G(y) & E(x, y) & (exists z. E(y, z) & R(z)))";
+
+    #[test]
+    fn cacheless_and_cached_builds_count_through_one_table() {
+        let s = ColoredGraphSpec::balanced(256, DegreeClass::Bounded(2)).generate(1);
+        let q = parse_query(s.signature(), DISJUNCTION).unwrap();
+        let (config, par) = (EngineConfig::default(), ParConfig::from_env());
+        let cacheless = Engine::build_configured(&s, &q, &config, &par, None).unwrap();
+        let cache = ArtifactCache::new();
+        let cached = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
+        assert_eq!(cacheless.count(), cached.count());
+        for engine in [&cacheless, &cached] {
+            let red = engine.reduction().expect("reduced engine");
+            assert!(red.query().clauses.len() > 1);
+            let per_term: u64 = red
+                .query()
+                .clauses
+                .iter()
+                .map(|c| {
+                    crate::counting::count_clause_per_term(
+                        red.graph(),
+                        red.query(),
+                        c,
+                        red.adjacency(),
+                    )
+                })
+                .sum();
+            assert_eq!(engine.count(), per_term);
+        }
+    }
+
+    #[test]
+    fn position_table_scans_each_color_set_once_per_core() {
+        let s = ColoredGraphSpec::balanced(256, DegreeClass::Bounded(2)).generate(1);
+        let q = parse_query(s.signature(), DISJUNCTION).unwrap();
+        let par = ParConfig::from_env();
+        let cache = ArtifactCache::new();
+        let config = EngineConfig::default();
+        let first = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
+        let red = first.reduction().expect("reduced engine");
+        let sets = red
+            .query()
+            .clauses
+            .iter()
+            .flat_map(|c| &c.colors)
+            .collect::<BTreeSet<_>>()
+            .len();
+        let (hits, misses, held) = cache.position_stats();
+        assert_eq!(misses as usize, sets, "one scan per distinct color set");
+        assert_eq!(held, sets);
+        assert!(hits > 0, "the enumerator reads the lists the count built");
+        // a repeat build on the same core scans nothing
+        let again = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
+        assert_eq!(again.count(), first.count());
+        // and neither does a full IE count over the core's warm table
+        let positions = cache.position_memo(s.fingerprint(), red.radius(), red.arity(), config.eps);
+        let recount = count_graph_query(
+            red.graph(),
+            red.query(),
+            red.adjacency(),
+            &par,
+            None,
+            None,
+            &positions,
+        );
+        assert_eq!(recount, Ok(first.count()));
+        let (hits_after, misses_after, _) = cache.position_stats();
+        assert_eq!(misses_after, misses, "no new scans on a warm core");
+        assert!(hits_after > hits);
+    }
+
+    /// End-to-end overflow witness: five unconstrained-but-blue positions
+    /// over 8192 isolated blue nodes have 8192^5 = 2^65 answers, which no
+    /// `u64` holds; the build must fail rather than report a clamped count.
+    /// Ignored by default: about two minutes in a release build (run with
+    /// `cargo test --release -p lowdeg-core --lib -- --ignored`).
+    #[test]
+    #[ignore = "about two minutes in a release build"]
+    fn five_unary_positions_overflow_u64() {
+        use lowdeg_storage::Signature;
+        let sig = Arc::new(Signature::new(&[("E", 2), ("B", 1)]));
+        let b = sig.rel("B").unwrap();
+        let n = 8192usize;
+        let mut builder = Structure::builder(Arc::clone(&sig), n);
+        for i in 0..n as u32 {
+            builder.fact(b, &[Node(i)]).unwrap();
+        }
+        let s = builder.finish().unwrap();
+        let q = parse_query(s.signature(), "B(a) & B(b) & B(c) & B(d) & B(e)").unwrap();
+        assert!(matches!(
+            Engine::build(&s, &q, Epsilon::default_eps()),
+            Err(EngineError::CountOverflow)
         ));
     }
 }

@@ -1263,8 +1263,9 @@ impl Enumerator {
     /// `fixpoint` and `skip-tables` stage timings go to `profiler`, shared
     /// across the par-mapped clause builds ([`Profiler`] is atomic), so on
     /// a multi-thread pool the recorded nanos are cumulative task time, not
-    /// wall time. `positions` is the per-core candidate-list memo; `None`
-    /// memoizes within this build only.
+    /// wall time. `positions` is the build's candidate-list table — the
+    /// one the engine's IE count already read (cache-held per core, or
+    /// build-local without a cache).
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         graph: &Structure,
@@ -1275,13 +1276,8 @@ impl Enumerator {
         limits: SkipLimits,
         par: &ParConfig,
         profiler: &Profiler,
-        positions: Option<&PositionMemo>,
+        positions: &PositionMemo,
     ) -> Self {
-        // Clauses massively reuse position color sets, so even a cacheless
-        // build memoizes within itself; a cache-held memo extends the
-        // sharing to every engine built against the same core.
-        let local = PositionMemo::new();
-        let positions = positions.unwrap_or(&local);
         let plans = par_map(par, &gq.clauses, |c| {
             ClausePlan::build(
                 graph, gq, c, &adjacency, mode, eps, limits, par, profiler, positions,
@@ -1475,7 +1471,7 @@ mod tests {
             limits,
             &par,
             &Profiler::new(),
-            None,
+            &PositionMemo::new(),
         )
     }
 

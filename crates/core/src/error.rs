@@ -31,6 +31,14 @@ pub enum EngineError {
         /// Configured budget.
         budget: u64,
     },
+    /// The exact answer count does not fit the `u64` that
+    /// [`crate::Engine::count`] returns (or an inclusion–exclusion term
+    /// overflowed the 128-bit arithmetic it is computed in).
+    CountOverflow,
+    /// An internal invariant failed, e.g. an inclusion–exclusion sum came
+    /// out negative. Never input-reachable in a correct engine; reported
+    /// instead of a clamped result.
+    Internal(String),
 }
 
 impl fmt::Display for EngineError {
@@ -47,6 +55,10 @@ impl fmt::Display for EngineError {
                 f,
                 "type-combination table needs {needed} entries, budget is {budget}"
             ),
+            EngineError::CountOverflow => {
+                write!(f, "the answer count does not fit in 64 bits")
+            }
+            EngineError::Internal(what) => write!(f, "internal error: {what}"),
         }
     }
 }

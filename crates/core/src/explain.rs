@@ -64,6 +64,13 @@ pub struct CacheReport {
     pub combo_hits: u64,
     /// Combination-count memo misses (counts walked and published).
     pub combo_misses: u64,
+    /// Distinct position color sets held across the per-core
+    /// candidate-list tables.
+    pub position_sets: usize,
+    /// Candidate-list table hits (a list read without a scan).
+    pub position_hits: u64,
+    /// Candidate-list table misses (one column intersection each).
+    pub position_misses: u64,
 }
 
 impl CacheReport {
@@ -73,6 +80,7 @@ impl CacheReport {
         let (memo_hits, memo_misses, memo_components) = cache.counting_stats();
         let (clause_hits, clause_misses, clause_evictions) = cache.clause_stats();
         let (combo_hits, combo_misses) = cache.combo_stats();
+        let (position_hits, position_misses, position_sets) = cache.position_stats();
         CacheReport {
             capacity: cache.capacity(),
             entries: cache.entries(),
@@ -87,6 +95,9 @@ impl CacheReport {
             clause_evictions,
             combo_hits,
             combo_misses,
+            position_sets,
+            position_hits,
+            position_misses,
         }
     }
 }
@@ -312,6 +323,11 @@ impl fmt::Display for Explain {
                 "clause tier: {} hit(s) / {} miss(es), {} eviction(s); \
                  combo counts: {} hit(s) / {} miss(es)",
                 c.clause_hits, c.clause_misses, c.clause_evictions, c.combo_hits, c.combo_misses
+            )?;
+            writeln!(
+                f,
+                "position lists: {} color set(s), {} hit(s) / {} miss(es)",
+                c.position_sets, c.position_hits, c.position_misses
             )?;
         }
         Ok(())

@@ -12,6 +12,7 @@
 use crate::enumerate::EdgeAdjacency;
 use lowdeg_index::FxHashMap;
 use lowdeg_storage::{Node, RelId, Structure};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The reduced query `ψ` over the colored graph: `k` positions, an edge
@@ -75,23 +76,27 @@ impl GraphQuery {
     }
 }
 
-/// Memoized [`position_list`]s of one reduced colored graph, keyed by the
-/// exact color set.
+/// The candidate-list table of one reduced colored graph: memoized
+/// [`position_list`]s keyed by the exact color set.
 ///
 /// A reduced query has one [`GraphClause`] per accepted Step 5
 /// combination — easily tens of thousands — but its positions draw from
-/// only a few hundred distinct `(C_ι, C_τ)` color pairs, so the naive
-/// per-clause column intersection rescans the same relation columns
-/// thousands of times. The memo collapses that to one scan per distinct
-/// color set. It is keyed per reduction core (the lists are properties of
-/// the reduced graph alone), lives in the
-/// [`crate::ArtifactCache`] beside the core's counting memo so *every*
-/// engine built against the core shares it, and the enumerator falls back
-/// to a build-local memo when no cache is supplied — the lists are
-/// identical either way.
+/// only a few hundred distinct `(C_ι, C_τ)` color pairs, so a per-clause
+/// column intersection would rescan the same relation columns thousands of
+/// times. The memo collapses that to one scan per distinct color set.
+///
+/// Every engine build resolves **one** table and hands it to both readers
+/// of the lists: Lemma 3.5 counting ([`crate::counting::count_graph_query`])
+/// and the Prop 3.9 enumerator ([`crate::enumerate::Enumerator::build`]).
+/// With an [`crate::ArtifactCache`] the table is the cache's per-core one
+/// (the lists are properties of the reduced graph alone), so every engine
+/// built against the core shares it; without a cache it is build-local.
+/// The lists are identical either way.
 #[derive(Debug, Default)]
 pub struct PositionMemo {
     map: Mutex<FxHashMap<Vec<RelId>, Arc<Vec<Node>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl PositionMemo {
@@ -105,8 +110,10 @@ impl PositionMemo {
     /// earlier insertion (both scans produce the identical list).
     pub fn position_list(&self, graph: &Structure, colors: &[RelId]) -> Arc<Vec<Node>> {
         if let Some(hit) = self.map.lock().expect("memo poisoned").get(colors) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(position_list(graph, colors));
         Arc::clone(
             self.map
@@ -116,44 +123,79 @@ impl PositionMemo {
                 .or_insert(built),
         )
     }
+
+    /// Number of distinct color sets held.
+    pub fn len(&self) -> usize {
+        self.map.lock().expect("memo poisoned").len()
+    }
+
+    /// Whether no list has been built yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `(hits, misses)` over all probes (diagnostics; a miss is one
+    /// column intersection).
+    pub fn stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
 }
 
 /// The sorted list of vertices carrying *all* of `colors` — the `P(G)` list
-/// of Proposition 3.9. Intersection of sorted relation columns.
+/// of Proposition 3.9 (every vertex when `colors` is empty).
+///
+/// Intersects the borrowed sorted unary columns in place: the shortest
+/// column is filtered against the others, each probed by a galloping
+/// search that resumes where its previous probe ended, so the scan costs
+/// `O(s · c · log(n / s))` for a shortest column of `s` entries and `c`
+/// colors, and nothing is copied but the output.
 pub fn position_list(graph: &Structure, colors: &[RelId]) -> Vec<Node> {
-    let Some((&first, rest)) = colors.split_first() else {
-        // no color constraint: every vertex qualifies
+    let mut columns: Vec<&[Node]> = Vec::with_capacity(colors.len());
+    for &c in colors {
+        let relation = graph.relation(c);
+        if relation.arity() != 1 {
+            // `holds(c, [v])` is false for every vertex
+            return Vec::new();
+        }
+        columns.push(relation.as_flat());
+    }
+    columns.sort_by_key(|col| col.len());
+    let Some((&shortest, rest)) = columns.split_first() else {
         return graph.domain().collect();
     };
-    let mut acc: Vec<Node> = graph.relation(first).iter().map(|t| t[0]).collect();
-    for &c in rest {
-        let other: Vec<Node> = graph.relation(c).iter().map(|t| t[0]).collect();
-        acc = intersect_sorted(&acc, &other);
-    }
-    acc
+    let mut cursors = vec![0usize; rest.len()];
+    shortest
+        .iter()
+        .copied()
+        .filter(|&v| {
+            rest.iter().zip(&mut cursors).all(|(col, at)| {
+                *at += gallop(&col[*at..], v);
+                col.get(*at) == Some(&v)
+            })
+        })
+        .collect()
 }
 
-fn intersect_sorted(a: &[Node], b: &[Node]) -> Vec<Node> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+/// Index of the first entry `≥ v` in the sorted `col`: doubling probes
+/// bracket it, a binary search inside the bracket finds it.
+fn gallop(col: &[Node], v: Node) -> usize {
+    let mut end = 1;
+    while end < col.len() && col[end - 1] < v {
+        end *= 2;
     }
-    out
+    let start = end / 2;
+    let end = end.min(col.len());
+    start + col[start..end].partition_point(|&x| x < v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lowdeg_storage::{node, Signature};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn graph() -> (Structure, RelId, RelId, RelId) {
@@ -180,6 +222,97 @@ mod tests {
         assert_eq!(position_list(&g, &[b_]), vec![node(0), node(1), node(4)]);
         assert_eq!(position_list(&g, &[b_, r_]), vec![node(4)]);
         assert_eq!(position_list(&g, &[]).len(), 6);
+    }
+
+    /// A random graph over `n` vertices with unary colors `A`, `B`, `C`
+    /// (independent, densities 1/2, 1/3, 1/5), the disjoint pair `Even` /
+    /// `Odd` (each a random subset of its parity class), the empty `Z` and
+    /// a binary path fragment `E`.
+    fn random_colored(n: usize, seed: u64) -> Structure {
+        let names = [
+            ("E", 2),
+            ("A", 1),
+            ("B", 1),
+            ("C", 1),
+            ("Even", 1),
+            ("Odd", 1),
+            ("Z", 1),
+        ];
+        let sig = Arc::new(Signature::new(&names));
+        let rel = |name: &str| sig.rel(name).unwrap();
+        let (e, a, b_, c) = (rel("E"), rel("A"), rel("B"), rel("C"));
+        let (even, odd) = (rel("Even"), rel("Odd"));
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut builder = Structure::builder(Arc::clone(&sig), n);
+        for i in 0..n as u32 {
+            for (r, modulus) in [(a, 2), (b_, 3), (c, 5)] {
+                if next() % modulus == 0 {
+                    builder.fact(r, &[node(i)]).unwrap();
+                }
+            }
+            if next() % 2 == 0 {
+                let parity = if i % 2 == 0 { even } else { odd };
+                builder.fact(parity, &[node(i)]).unwrap();
+            }
+            if i > 0 && next() % 4 == 0 {
+                builder.edge(e, node(i - 1), node(i)).unwrap();
+            }
+        }
+        builder.finish().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Smallest-first galloping intersection equals the definition —
+        /// the vertices `v` with `holds(c, [v])` for every color `c` —
+        /// for empty, single, repeated, disjoint and shuffled color sets
+        /// (and a binary relation, which no vertex carries as a color).
+        #[test]
+        fn position_list_matches_definition(seed in 0u64..100_000, n in 0usize..200) {
+            let g = random_colored(n, seed);
+            let sig = g.signature();
+            let [e, a, b_, c, even, odd, z] =
+                ["E", "A", "B", "C", "Even", "Odd", "Z"].map(|name| sig.rel(name).unwrap());
+            let mut sets: Vec<Vec<RelId>> = vec![
+                vec![],
+                vec![a],
+                vec![z],
+                vec![b_, b_],
+                vec![even, odd],
+                vec![odd, a, even],
+                vec![a, b_, c],
+                vec![c, a, b_],
+                vec![b_, c, a, c],
+                vec![a, e],
+            ];
+            // plus random draws with repeats, in any order
+            let pool = [a, b_, c, even, odd, z];
+            let mut state = seed | 1;
+            for len in 1..=5usize {
+                let draw: Vec<RelId> = (0..len)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        pool[(state >> 33) as usize % pool.len()]
+                    })
+                    .collect();
+                sets.push(draw);
+            }
+            for colors in &sets {
+                let want: Vec<Node> = g
+                    .domain()
+                    .filter(|&v| colors.iter().all(|&col| g.holds(col, &[v])))
+                    .collect();
+                prop_assert_eq!(position_list(&g, colors), want, "colors {:?}", colors);
+            }
+            prop_assert!(position_list(&g, &[even, odd]).is_empty());
+        }
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! bit-identical on randomized clauses across arities `k ∈ 1..=4` (reduced
 //! clauses carry `m = C(k,2) ∈ {0, 1, 3, 6}` negated binary atoms, covering
 //! every `m ∈ 0..=4` that a reduced clause can realize and more), every
-//! degree class, serial and pooled worker configurations — and that the
-//! whole engine agrees with itself, cache on vs off, in both `SkipMode`s.
+//! degree class, serial and pooled worker configurations, with one
+//! candidate-list table (`PositionMemo`) shared by every clause counted over
+//! a graph, as an engine build shares it — and that the whole engine agrees
+//! with itself, cache on vs off, in both `SkipMode`s.
 
 use lowdeg_bench::workloads::{colored, degree_classes};
 use lowdeg_core::counting::{count_clause, count_clause_per_term};
 use lowdeg_core::enumerate::EdgeAdjacency;
-use lowdeg_core::{ArtifactCache, Engine, EngineConfig, GraphClause, GraphQuery, SkipMode};
+use lowdeg_core::{
+    ArtifactCache, Engine, EngineConfig, GraphClause, GraphQuery, PositionMemo, SkipMode,
+};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::parse_query;
 use lowdeg_par::ParConfig;
@@ -53,22 +57,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Lattice and per-term evaluation agree on every randomized clause,
-    /// for every arity, degree class and worker configuration.
+    /// for every arity, degree class and worker configuration; the lattice
+    /// path reads one candidate-list table across all clauses of a graph.
     #[test]
     fn lattice_matches_per_term(seed in 0u64..10_000, n in 12usize..28) {
         for (ci, class) in degree_classes().into_iter().enumerate() {
             let s = colored(n, class, seed.wrapping_add(ci as u64));
             let e = s.signature().rel("E").expect("colored graphs have E");
             let adjacency = EdgeAdjacency::build(&s, e);
+            let positions = PositionMemo::new();
             let mut clause_seed = seed ^ 0x5bd1_e995;
             for k in 1..=4usize {
                 let clause = random_clause(&s, k, &mut clause_seed);
                 let gq = GraphQuery { k, edge: e, clauses: vec![clause.clone()] };
                 let reference = count_clause_per_term(&s, &gq, &clause, &adjacency);
                 for par in [ParConfig::serial(), ParConfig::with_threads(2)] {
-                    let lattice = count_clause(&s, &gq, &clause, &adjacency, &par, None);
+                    let lattice = count_clause(&s, &gq, &clause, &adjacency, &par, None, &positions);
                     prop_assert_eq!(
-                        lattice, reference,
+                        lattice, Ok(reference),
                         "k={} class#{} threads={:?}", k, ci, par
                     );
                 }
@@ -131,7 +137,17 @@ fn lattice_total_nonnegative_under_full_cancellation() {
         edge: e,
         clauses: vec![clause.clone()],
     };
-    let total = count_clause(&s, &gq, &clause, &adjacency, &ParConfig::serial(), None);
+    let positions = PositionMemo::new();
+    let total = count_clause(
+        &s,
+        &gq,
+        &clause,
+        &adjacency,
+        &ParConfig::serial(),
+        None,
+        &positions,
+    )
+    .expect("exact");
     assert_eq!(total, 0, "full cancellation must land exactly on zero");
     assert_eq!(
         total,
