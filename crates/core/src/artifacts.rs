@@ -27,7 +27,7 @@
 //! (`extract → reduce → ie-count → fixpoint → skip-tables → warm-up`);
 //! the resulting
 //! [`BuildProfile`] is stored on every [`crate::Engine`] and surfaces in
-//! `--explain` output and `BENCH_preprocess.json`.
+//! `--explain` output and the `bench_gate` document (`BENCH_gate.json`).
 
 use crate::counting::CountingMemo;
 use crate::graph_query::PositionMemo;
