@@ -17,7 +17,10 @@
 //!   extract product, with per-stage timings; plus four color-permuted
 //!   variants sharing one quantifier-free core, built in sequence through
 //!   one cache (one counting memo) versus independently (the memo dropped
-//!   before each build).
+//!   before each build). Full runs add the arity-4 unary query
+//!   `B(a) & B(b) & B(c) & B(d)` at n = 128 (Lemma 3.5 over `2^6` terms
+//!   and thousands of clauses), built cold without a cache: its count must
+//!   equal the closed form `|B|^4`, and its build time is reported only.
 //! * **enumerate** — the running example's answers walked three ways over
 //!   one engine: the boxed iterator, the streaming visitor and the sharded
 //!   parallel visitor, each folding every answer into a checksum through
@@ -278,6 +281,9 @@ static ROWS: &[Row] = &[
     Row { section: PRE, mode: Full, name: "extract share of the cold build, largest n", read: Derived(|i| share(i.sec, "extract_ms")), bound: AtMost(0.4) },
     Row { section: PRE, mode: Full, name: "reduce share of the cold build, largest n", read: Derived(|i| share(i.sec, "reduce_ms")), bound: AtMost(0.5) },
     Row { section: PRE, mode: Full, name: "batched over independent warm builds", read: At("workload.speedup"), bound: AtLeast(2.0) },
+    // the cold arity-4 build time (`arity4.uncached_ms`) has no floor until
+    // a committed baseline measures it
+    Row { section: PRE, mode: Full, name: "arity-4 count = |B|^4", read: At("arity4.count"), bound: Equals(At("arity4.closed_form")) },
 
     Row { section: ENUM, mode: Quick, name: "fields present", read: Derived(|i| missing(i.sec, ENUM_FIELDS)), bound: Equals(Derived(none)) },
     Row { section: ENUM, mode: Quick, name: "threads, cores", read: Derived(pool), bound: AtLeast(1.0) },
@@ -747,13 +753,56 @@ fn preprocess(quick: bool, par: &ParConfig) -> Json {
     println!("preprocess: `{TERNARY_SCATTER}`, bounded({PRE_DEGREE}), cold vs warm artifact cache");
     let rows: Vec<Json> = scales.iter().map(|&n| preprocess_scale(n, par)).collect();
     let batch = preprocess_batch(*scales.last().expect("non-empty scales"), par);
-    Json::obj([
+    let mut doc = vec![
         ("query", Json::Str(TERNARY_SCATTER.into())),
         ("degree_class", Json::Str(format!("bounded({PRE_DEGREE})"))),
         ("skip_mode", Json::Str("eager".into())),
         ("eps", Json::Num(EPS)),
         ("scales", Json::Arr(rows)),
         ("workload", batch),
+    ];
+    if !quick {
+        doc.push(("arity4", preprocess_arity4(par)));
+    }
+    Json::obj(doc)
+}
+
+/// The arity-4 unary query: four unconstrained blue positions, so its
+/// count is `|B|^4` of the database.
+const PRE_ARITY4: &str = "B(a) & B(b) & B(c) & B(d)";
+
+/// The arity-4 scale: the database of `lowdeg generate 128 2 1`.
+const PRE_ARITY4_N: usize = 128;
+
+/// The arity-4 query built cold without a cache, with the engine's
+/// default configuration (as `lowdeg count` builds it), best of `REPS`.
+fn preprocess_arity4(par: &ParConfig) -> Json {
+    let s = colored(PRE_ARITY4_N, DegreeClass::Bounded(PRE_DEGREE), 1);
+    let q = parse_query(s.signature(), PRE_ARITY4).expect("parses");
+    let blue = s.relation(s.signature().rel("B").expect("B")).len() as u64;
+    let config = EngineConfig::default();
+    let [(cold, (count, profile))] = best_of(|_| {
+        let (engine, dt) =
+            time(|| Engine::build_configured(&s, &q, &config, par, None).expect("localizable"));
+        (dt, (engine.count(), engine.profile().clone()))
+    });
+    println!(
+        "arity 4 (`{PRE_ARITY4}`, n = {PRE_ARITY4_N}): cold {}  count {count}  (|B|^4 = {})",
+        fmt_dur(cold),
+        blue.pow(4)
+    );
+    println!("{:>8}  cold stages: {profile}", "");
+    Json::obj([
+        ("query", Json::Str(PRE_ARITY4.into())),
+        ("n", int(PRE_ARITY4_N as u64)),
+        ("eps", Json::Num(config.eps.value())),
+        ("uncached_ms", ms(cold)),
+        ("count", int(count)),
+        ("closed_form", int(blue.pow(4))),
+        (
+            "stages_uncached",
+            stage_ms(&PRE_STAGES, |st| profile.nanos(st)),
+        ),
     ])
 }
 

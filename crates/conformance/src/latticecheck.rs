@@ -1,11 +1,13 @@
 //! Lattice-walk equivalence row.
 //!
-//! The ie-count stage has three evaluation paths for one reduced clause:
-//! the per-term reference (nested inclusion–exclusion differences), the
-//! single serial Gray-code walk, and the sliced parallel walk. The walks
-//! are designed to reproduce the per-term signed `i128` sum bit for bit,
-//! for *every* slicing of the rank space — so all three must agree
-//! exactly. Reduced clauses start with every position pair negated
+//! Lemma 3.5 has three oracle evaluations of one reduced clause: the
+//! per-term reference (nested inclusion–exclusion differences), the single
+//! serial Gray-code walk, and the sliced walk. The walks are designed to
+//! reproduce the per-term signed `i128` sum bit for bit, for *every*
+//! slicing of the rank space — so all three must agree exactly. The
+//! engine counts with none of them: `count_graph_query` counts all clauses
+//! of the reduced query in one batched pass, and that count must equal
+//! the sum of the per-term clause counts. Reduced clauses start with every position pair negated
 //! (`m = k(k−1)/2` inclusion–exclusion atoms), which makes each case
 //! negative-heavy by construction: half the lattice terms enter the sum
 //! with a minus sign, exercising the signed accumulation the slices must
@@ -14,13 +16,16 @@
 //! This row builds the reduction for each case and compares the three
 //! paths per clause, sweeping the slice width over 1, ⌈m/2⌉ and `m` top
 //! rank bits (subtree sizes from half the lattice down to one mask per
-//! slice), each on a serial and a forced-parallel pool.
+//! slice), each on a serial and a forced-parallel pool; then it counts the
+//! whole reduced query through `count_graph_query` on both pools, with the
+//! counting memo off and on.
 
 use crate::oracle::{forced_parallel, Oracle, Verdict};
 use lowdeg_core::counting::{
     count_clause_lattice_serial, count_clause_lattice_sliced, count_clause_per_term,
+    count_graph_query, CountingMemo,
 };
-use lowdeg_core::Reduction;
+use lowdeg_core::{PositionMemo, Reduction};
 use lowdeg_index::Epsilon;
 use lowdeg_par::ParConfig;
 
@@ -44,8 +49,10 @@ pub const ORACLE: Oracle = Oracle {
         bit_sweep.retain(|&b| b >= 1 && b <= m);
         bit_sweep.dedup();
 
+        let mut per_term: u128 = 0;
         for (ci, clause) in gq.clauses.iter().enumerate() {
             let reference = count_clause_per_term(graph, gq, clause, adjacency);
+            per_term += u128::from(reference);
             let single = count_clause_lattice_serial(graph, gq, clause, adjacency);
             if single != reference {
                 let detail =
@@ -62,6 +69,24 @@ pub const ORACLE: Oracle = Oracle {
                             format!("clause {ci}: {walk} {sliced} vs per-term {reference}");
                         out.fail("sliced-walk", detail);
                     }
+                }
+            }
+        }
+
+        // the engine's batched pass over the whole query
+        let want = u64::try_from(per_term).map_err(|_| "count overflow".to_string());
+        for (tag, par) in [("serial", &serial), ("parallel", &parallel)] {
+            for memo in [None, Some(CountingMemo::new())] {
+                let positions = PositionMemo::new();
+                let got =
+                    count_graph_query(graph, gq, adjacency, par, memo.as_ref(), None, &positions)
+                        .map_err(|e| e.to_string());
+                if got != want {
+                    let memo = if memo.is_some() { "on" } else { "off" };
+                    let detail = format!(
+                        "batched pass ({tag} pool, memo {memo}) {got:?} vs per-term sum {want:?}"
+                    );
+                    out.fail("batched-pass", detail);
                 }
             }
         }

@@ -13,7 +13,7 @@ use crate::graph_query::{GraphClause, GraphQuery, PositionMemo};
 use crate::EngineError;
 use lowdeg_index::{FxHashMap, SliceInterner};
 use lowdeg_logic::{DistCmp, Formula, Var};
-use lowdeg_par::{par_map, ParConfig};
+use lowdeg_par::{par_chunks, par_map, ParConfig};
 use lowdeg_storage::{Node, RelId, Structure};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -191,35 +191,10 @@ impl NodeSet {
 /// Count the answers of one reduced clause `θ_j` over the colored graph:
 /// per-position colors plus the pairwise `¬E` of `ψ₁`.
 ///
-/// This is Lemma 3.5 specialized to the reduced shape, with the base cases
-/// walking adjacency lists instead of materializing neighborhoods: after
-/// the inclusion–exclusion rewrites, each term's positive part is a set of
-/// `E`-edges; its connected components are counted by rooting at the
-/// position with the smallest candidate list and extending along adjacency.
-///
-/// The `2^m` inclusion–exclusion terms are evaluated over the **subset
-/// lattice** instead of independently. The terms `N(S)` for `S ⊆ neg`
-/// factor into connected components of the positive-edge set, and terms
-/// adjacent in the lattice (differing by one flipped atom) share every
-/// component not touched by that atom. The walk visits the masks in
-/// Gray-code order, splits each term into components, and interns each
-/// component's canonical signature (members + included edges, packed via
-/// [`SliceInterner`]); a component seen before reuses its cached count, so
-/// each *distinct* component is counted exactly once across the whole
-/// lattice — the per-lattice-step work degenerates to the component(s)
-/// containing the flipped edge. The distinct component counts fan out over
-/// `par`; the signed products are then summed in mask order, exactly
-/// (`u128` products, `i128` sum), which reproduces the per-term evaluation
-/// ([`count_clause_per_term`]) bit for bit.
-///
-/// The candidate lists come from `positions`, the build's one
-/// candidate-list table (a [`PositionMemo`]) that the enumerator reads as
-/// well; their membership bitsets are built for this call only. With a
-/// cross-query [`CountingMemo`], distinct lattice components probe the
-/// memo by canonical signature and only novel ones are counted. The
-/// result is bit-identical with and without a memo (a memo entry is the
-/// exact count of its signature). A count that does not fit `u64` is
-/// [`EngineError::CountOverflow`].
+/// This is [`count_graph_query`]'s batched Lemma 3.5 pass over a query of
+/// one clause: the same lattice, jobs, memo probes and grouped anchored
+/// walks, so the count is the one the engine computes for this clause. A
+/// count that does not fit `u64` is [`EngineError::CountOverflow`].
 pub fn count_clause(
     graph: &Structure,
     gq: &GraphQuery,
@@ -229,19 +204,15 @@ pub fn count_clause(
     memo: Option<&CountingMemo>,
     positions: &PositionMemo,
 ) -> Result<u64, EngineError> {
-    CandidateTable::build(graph, positions, [clause], par).count(
-        adjacency,
-        clause,
-        &negated_pairs(gq.k),
-        par,
-        memo,
-    )
+    let table = CandidateTable::build(graph, positions, [clause], par);
+    let counts = count_clauses(&table, adjacency, gq.k, &[clause], par, memo)?;
+    Ok(counts[0])
 }
 
 /// The per-term reference evaluation of Lemma 3.5: nested differences, each
 /// term's positive part counted from scratch. Kept as the differential
-/// oracle for the lattice path (see `tests/lattice_ie.rs`); the production
-/// path is [`count_clause`].
+/// oracle for the batched pass (see `tests/lattice_ie.rs`); the production
+/// path is [`count_graph_query`].
 ///
 /// # Panics
 ///
@@ -258,10 +229,11 @@ pub fn count_clause_per_term(
     })
 }
 
-/// The single serial Gray-code walk over the full lattice. Oracle entry:
-/// the `latticecheck` row of the conformance oracle table compares this,
-/// the sliced walk ([`count_clause_lattice_sliced`]) and the per-term
-/// evaluation ([`count_clause_per_term`]) — all three must agree exactly.
+/// The per-clause Gray-code walk over the full lattice, one clause at a
+/// time. Oracle entry: the `latticecheck` row of the conformance oracle
+/// table compares this, the sliced walk ([`count_clause_lattice_sliced`]),
+/// the per-term evaluation ([`count_clause_per_term`]) and the engine's
+/// batched pass ([`count_graph_query`]) — all must agree exactly.
 ///
 /// # Panics
 ///
@@ -279,15 +251,14 @@ pub fn count_clause_lattice_serial(
             sets,
             neg,
             &ParConfig::serial(),
-            None,
         )?)
     })
 }
 
-/// The sliced lattice walk with an explicit slice-bit count, forced even
+/// The per-clause walk sliced by an explicit slice-bit count, forced even
 /// when the pool would run serially. `bits` is clamped to `[1, m]` (with
-/// `m = 0` falling back to the single walk). Oracle entry — the production
-/// path picks `bits` from the pool size ([`count_clause`]).
+/// `m = 0` falling back to the single walk). Oracle entry, like
+/// [`count_clause_lattice_serial`].
 ///
 /// # Panics
 ///
@@ -302,14 +273,14 @@ pub fn count_clause_lattice_sliced(
 ) -> u64 {
     oracle_walk(graph, gq, clause, |lists, sets, neg| {
         let total = match neg.len() {
-            0 => lattice_sum_single(adjacency, lists, sets, neg, &ParConfig::serial(), None),
-            m => lattice_sum_sliced(adjacency, lists, sets, neg, bits.clamp(1, m), par, None),
+            0 => lattice_sum_single(adjacency, lists, sets, neg, &ParConfig::serial()),
+            m => lattice_sum_sliced(adjacency, lists, sets, neg, bits.clamp(1, m), par),
         };
         exact_count(total?)
     })
 }
 
-/// Run one oracle's walk over `clause`'s lists (from a fresh memo), its
+/// Run one oracle's walk over `clause`'s lists (from a fresh memo), their
 /// bitsets and its negated pairs: the exact count, or a panic naming why
 /// there is none.
 fn oracle_walk(
@@ -319,7 +290,16 @@ fn oracle_walk(
     walk: impl FnOnce(&[Arc<Vec<Node>>], &[&NodeSet], &[(usize, usize)]) -> Result<u64, EngineError>,
 ) -> u64 {
     let table = CandidateTable::build(graph, &PositionMemo::new(), [clause], &ParConfig::serial());
-    let (lists, sets) = table.clause(clause);
+    let lists: Vec<Arc<Vec<Node>>> = table
+        .ids(clause)
+        .into_iter()
+        .map(|l| Arc::clone(&table.lists[l as usize]))
+        .collect();
+    let sets: Vec<NodeSet> = lists
+        .iter()
+        .map(|list| NodeSet::from_sorted(table.nodes, list))
+        .collect();
+    let sets: Vec<&NodeSet> = sets.iter().collect();
     walk(&lists, &sets, &negated_pairs(gq.k)).unwrap_or_else(|e| panic!("oracle count failed: {e}"))
 }
 
@@ -344,76 +324,63 @@ fn negated_pairs(k: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The candidate lists and membership bitsets one counting call reads,
-/// one entry per distinct position color set of the clauses it counts.
+/// The candidate lists one counting call reads, one entry per distinct
+/// position color set of the clauses it counts.
 ///
 /// The lists are the build's [`PositionMemo`] entries (shared with the
-/// enumerator); the bitsets are build-local — one is `|G|/8` bytes, so
-/// they are made once per distinct color set per call and dropped with
-/// the call, never retained in the [`crate::ArtifactCache`].
+/// enumerator). Membership bitsets are not kept here: the batched pass
+/// builds one only for a list some grouped walk reaches through an inner
+/// member, and drops it with the call.
 struct CandidateTable<'c> {
-    index: FxHashMap<&'c [RelId], usize>,
+    index: FxHashMap<&'c [RelId], u32>,
+    /// The distinct color sets, in list-id order.
+    colors: Vec<&'c [RelId]>,
     lists: Vec<Arc<Vec<Node>>>,
-    sets: Vec<NodeSet>,
+    /// Vertex count of the colored graph.
+    nodes: usize,
 }
 
 impl<'c> CandidateTable<'c> {
     /// Dedup the color sets of `clauses`, then read each distinct set's
-    /// list from `positions` and build its bitset, fanned over `par`. The
-    /// memo's lock is taken once per distinct set here, so the per-clause
-    /// counting that follows is lock-free.
+    /// list from `positions`, fanned over `par`. The memo's lock is taken
+    /// once per distinct set here, so the counting that follows is
+    /// lock-free.
     fn build(
         graph: &Structure,
         positions: &PositionMemo,
         clauses: impl IntoIterator<Item = &'c GraphClause>,
         par: &ParConfig,
     ) -> Self {
-        let mut index: FxHashMap<&'c [RelId], usize> = FxHashMap::default();
-        let mut distinct: Vec<&'c [RelId]> = Vec::new();
+        let mut index: FxHashMap<&'c [RelId], u32> = FxHashMap::default();
+        let mut colors: Vec<&'c [RelId]> = Vec::new();
         for clause in clauses {
-            for colors in &clause.colors {
-                index.entry(colors.as_slice()).or_insert_with(|| {
-                    distinct.push(colors);
-                    distinct.len() - 1
+            for set in &clause.colors {
+                index.entry(set.as_slice()).or_insert_with(|| {
+                    colors.push(set);
+                    (colors.len() - 1) as u32
                 });
             }
         }
-        let n = graph.cardinality();
-        let (lists, sets) = par_map(par, &distinct, |colors| {
-            let list = positions.position_list(graph, colors);
-            let set = NodeSet::from_sorted(n, &list);
-            (list, set)
-        })
-        .into_iter()
-        .unzip();
-        CandidateTable { index, lists, sets }
+        let lists = par_map(par, &colors, |set| positions.position_list(graph, set));
+        CandidateTable {
+            index,
+            colors,
+            lists,
+            nodes: graph.cardinality(),
+        }
     }
 
-    /// `clause`'s per-position lists and bitsets.
-    fn clause(&self, clause: &GraphClause) -> (Vec<Arc<Vec<Node>>>, Vec<&NodeSet>) {
+    /// `clause`'s per-position list ids.
+    fn ids(&self, clause: &GraphClause) -> Vec<u32> {
         clause
             .colors
             .iter()
-            .map(|colors| {
-                let i = self.index[colors.as_slice()];
-                (Arc::clone(&self.lists[i]), &self.sets[i])
-            })
-            .unzip()
+            .map(|set| self.index[set.as_slice()])
+            .collect()
     }
 
-    /// Lemma 3.5 on one clause of the table (see [`count_clause`]).
-    fn count(
-        &self,
-        adjacency: &crate::enumerate::EdgeAdjacency,
-        clause: &GraphClause,
-        neg: &[(usize, usize)],
-        par: &ParConfig,
-        memo: Option<&CountingMemo>,
-    ) -> Result<u64, EngineError> {
-        let (lists, sets) = self.clause(clause);
-        let tokens = memo.map(|m| color_tokens(clause, m.iota_sizes()));
-        let memo = memo.zip(tokens.as_deref());
-        count_clause_lattice(adjacency, &lists, &sets, neg, par, memo)
+    fn len_of(&self, list: u32) -> usize {
+        self.lists[list as usize].len()
     }
 }
 
@@ -421,9 +388,9 @@ impl<'c> CandidateTable<'c> {
 /// signature (cannot collide with a position index: `k ≤ 64`).
 const SIG_SEP: u32 = u32::MAX;
 
-/// One distinct lattice component, pending its count: the member positions
-/// and the indices (into `neg`) of its included edges.
-struct CompJob {
+/// One distinct lattice component: its member positions (ascending) and
+/// its positive edges as position pairs.
+struct Component {
     members: Vec<usize>,
     edges: Vec<(usize, usize)>,
 }
@@ -436,15 +403,15 @@ struct CompJob {
 /// and the positive-`E`-edge pattern among them — not on which clause,
 /// query, or lattice term it came from. Keying by that canonical
 /// *component signature* lets every build against the same core reuse
-/// counts across clauses, across the `2^m` lattice slices, and across
-/// different queries whose clauses realize the same color combinations.
-/// An [`crate::ArtifactCache`] retains one memo per core key; the
+/// counts across clauses, across lattice terms, and across different
+/// queries whose clauses realize the same color combinations. An
+/// [`crate::ArtifactCache`] retains one memo per core key; the
 /// `cachecheck` row of the conformance oracle table cross-checks that
 /// memoized counting is observably identical to the memo-free path, and
 /// that repeated builds hit the memo.
 ///
-/// Internally synchronized (probe/publish batch under one mutex), so the
-/// sliced lattice walk's worker threads share it directly.
+/// Internally synchronized: one count probes and publishes each batch
+/// under one lock, and concurrent builds share it directly.
 #[derive(Default)]
 pub struct CountingMemo {
     map: Mutex<FxHashMap<Box<[u32]>, u64>>,
@@ -465,7 +432,7 @@ pub struct CountingMemo {
     /// part, `0` padding — see `reduction::pack_signature`). The signature
     /// determines the clause's colors against this memo's core, so the
     /// count is a pure function of the key; any two queries whose Step 5
-    /// acceptance sets share a combo share its whole `2^m` lattice walk.
+    /// acceptance sets share a combo share that clause's count.
     combo_counts: Mutex<FxHashMap<Box<[u64]>, u64>>,
     combo_hits: AtomicU64,
     combo_misses: AtomicU64,
@@ -509,35 +476,22 @@ impl CountingMemo {
         )
     }
 
-    /// Look up a batch of keys under one lock; `None` keys (components the
-    /// caller resolves directly) are passed through untouched and not
-    /// counted as probes.
-    fn probe(&self, keys: &[Option<Box<[u32]>>]) -> Vec<Option<u64>> {
+    /// Look up a batch of signatures under one lock; every key counts as
+    /// one probe.
+    fn probe<'k>(&self, keys: impl Iterator<Item = &'k [u32]>) -> Vec<Option<u64>> {
         let map = self.map.lock().expect("memo poisoned");
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let out = keys
-            .iter()
-            .map(|k| {
-                let got = k.as_ref().and_then(|k| map.get(&**k).copied());
-                if k.is_some() {
-                    match got {
-                        Some(_) => hits += 1,
-                        None => misses += 1,
-                    }
-                }
-                got
-            })
-            .collect();
+        let out: Vec<Option<u64>> = keys.map(|k| map.get(k).copied()).collect();
+        let hits = out.iter().filter(|c| c.is_some()).count() as u64;
         self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
+        self.misses
+            .fetch_add(out.len() as u64 - hits, Ordering::Relaxed);
         out
     }
 
     /// Whole-query count for a normalized-query fingerprint, if a prior
     /// build against this core published one. A hit counts toward
     /// [`stats`](Self::stats) — it stands in for every component probe
-    /// the skipped inclusion–exclusion walk would have made.
+    /// the skipped inclusion–exclusion pass would have made.
     pub fn query_count(&self, fingerprint: u64) -> Option<u64> {
         let got = self
             .query_counts
@@ -560,8 +514,8 @@ impl CountingMemo {
     }
 
     /// Per-reduced-clause count for a packed acceptance signature, if a
-    /// prior build against this core counted that combo. A hit stands in
-    /// for the clause's entire inclusion–exclusion walk.
+    /// prior build against this core counted that combo. A hit takes the
+    /// clause out of the inclusion–exclusion pass.
     pub(crate) fn combo_count(&self, signature: &[u64]) -> Option<u64> {
         let got = self
             .combo_counts
@@ -619,7 +573,7 @@ impl std::fmt::Debug for CountingMemo {
     }
 }
 
-/// The canonical color token of one clause position, split into the
+/// The canonical color token of one candidate list, split into the
 /// `C_ι` injection colors (erasable, see [`canonical_component_key`]) and
 /// everything else. Equal `rest` plus size-matched iotas ⇒ candidate
 /// lists related by a count-preserving copy swap over the colored graph.
@@ -632,29 +586,23 @@ struct PosToken {
     iotas: Vec<(u32, u32)>,
 }
 
-/// Per-position tokens of one clause. `iota_sizes` classifies the colored
+/// The token of one color set. `iota_sizes` classifies the colored
 /// graph's unary relations (empty slice: treat every color literally).
-fn color_tokens(clause: &GraphClause, iota_sizes: &[u32]) -> Vec<PosToken> {
-    clause
-        .colors
-        .iter()
-        .map(|cs| {
-            let mut rest: Vec<u32> = Vec::new();
-            let mut iotas: Vec<(u32, u32)> = Vec::new();
-            for r in cs {
-                let id = r.index() as u32;
-                match iota_sizes.get(r.index()) {
-                    Some(&s) if s > 0 => iotas.push((s, id)),
-                    _ => rest.push(id),
-                }
-            }
-            rest.sort_unstable();
-            rest.dedup();
-            iotas.sort_unstable();
-            iotas.dedup();
-            PosToken { rest, iotas }
-        })
-        .collect()
+fn color_token(colors: &[RelId], iota_sizes: &[u32]) -> PosToken {
+    let mut rest: Vec<u32> = Vec::new();
+    let mut iotas: Vec<(u32, u32)> = Vec::new();
+    for r in colors {
+        let id = r.index() as u32;
+        match iota_sizes.get(r.index()) {
+            Some(&s) if s > 0 => iotas.push((s, id)),
+            _ => rest.push(id),
+        }
+    }
+    rest.sort_unstable();
+    rest.dedup();
+    iotas.sort_unstable();
+    iotas.dedup();
+    PosToken { rest, iotas }
 }
 
 /// Components above this size skip the exact canonical search (the search
@@ -662,19 +610,24 @@ fn color_tokens(clause: &GraphClause, iota_sizes: &[u32]) -> Vec<PosToken> {
 /// arity, so this only triggers for very wide queries).
 const MAX_CANON_MEMBERS: usize = 6;
 
-/// Encode one slot ordering of a component: per slot
-/// `[|rest|, rest…, |iotas|, (size, name)…]`, then [`SIG_SEP`] and the
-/// edge pairs renumbered to slot indices, sorted. With `rename`, iota
-/// `name`s are first-occurrence ranks in this ordering — the identity of
-/// a `C_ι` relation is erased, only its domain size and its
-/// equality pattern across the component's slots survive. Without it,
-/// names are the raw relation ids.
-fn key_for_order(tokens: &[PosToken], job: &CompJob, order: &[usize], rename: bool) -> Vec<u32> {
-    let mut key: Vec<u32> = Vec::with_capacity(4 * job.members.len() + 2 * job.edges.len() + 2);
-    key.push(job.members.len() as u32);
+/// Encode one slot ordering of a component whose member slot `s` carries
+/// `tokens[s]`: per slot `[|rest|, rest…, |iotas|, (size, name)…]`, then
+/// [`SIG_SEP`] and the edge pairs renumbered to slot indices, sorted.
+/// With `rename`, iota `name`s are first-occurrence ranks in this
+/// ordering — the identity of a `C_ι` relation is erased, only its domain
+/// size and its equality pattern across the component's slots survive.
+/// Without it, names are the raw relation ids.
+fn key_for_order(
+    tokens: &[&PosToken],
+    comp: &Component,
+    order: &[usize],
+    rename: bool,
+) -> Vec<u32> {
+    let mut key: Vec<u32> = Vec::with_capacity(4 * comp.members.len() + 2 * comp.edges.len() + 2);
+    key.push(comp.members.len() as u32);
     let mut names: Vec<u32> = Vec::new();
     for &s in order {
-        let tok = &tokens[job.members[s]];
+        let tok = tokens[s];
         key.push(tok.rest.len() as u32);
         key.extend_from_slice(&tok.rest);
         key.push(tok.iotas.len() as u32);
@@ -698,10 +651,10 @@ fn key_for_order(tokens: &[PosToken], job: &CompJob, order: &[usize], rename: bo
     let slot_of = |pos: usize| -> u32 {
         order
             .iter()
-            .position(|&s| job.members[s] == pos)
+            .position(|&s| comp.members[s] == pos)
             .expect("edge endpoint is a member") as u32
     };
-    let mut edges: Vec<(u32, u32)> = job
+    let mut edges: Vec<(u32, u32)> = comp
         .edges
         .iter()
         .map(|&(i, j)| {
@@ -717,9 +670,10 @@ fn key_for_order(tokens: &[PosToken], job: &CompJob, order: &[usize], rename: bo
     key
 }
 
-/// The cross-query canonical signature of one component: the
-/// lexicographically least [`key_for_order`] image over all slot
-/// orderings, with `C_ι` relation ids renamed by first occurrence.
+/// The cross-query canonical signature of one component whose member slot
+/// `s` carries `tokens[s]`: the lexicographically least [`key_for_order`]
+/// image over all slot orderings, with `C_ι` relation ids renamed by first
+/// occurrence.
 ///
 /// Equal signatures imply a slot correspondence under which the non-iota
 /// colors match literally and the iota colors match up to a
@@ -739,28 +693,28 @@ fn key_for_order(tokens: &[PosToken], job: &CompJob, order: &[usize], rename: bo
 /// encodings cannot alias: a component has at most `k` members while a
 /// `C_ι` relation id is at least `2 + k`, so renamed iota names (below
 /// the member count) and raw ids never coincide for keys of equal width.
-fn canonical_component_key(tokens: &[PosToken], job: &CompJob) -> Box<[u32]> {
-    let m = job.members.len();
+fn canonical_component_key(tokens: &[&PosToken], comp: &Component) -> Vec<u32> {
+    let m = comp.members.len();
     let mut order: Vec<usize> = (0..m).collect();
     if m > MAX_CANON_MEMBERS {
         order.sort_by(|&a, &b| {
-            let (ta, tb) = (&tokens[job.members[a]], &tokens[job.members[b]]);
+            let (ta, tb) = (tokens[a], tokens[b]);
             ta.rest
                 .cmp(&tb.rest)
                 .then_with(|| ta.iotas.cmp(&tb.iotas))
                 .then(a.cmp(&b))
         });
-        return key_for_order(tokens, job, &order, false).into_boxed_slice();
+        return key_for_order(tokens, comp, &order, false);
     }
     // exact canonical form: minimum image over all m! orderings
-    let mut best = key_for_order(tokens, job, &order, true);
+    let mut best = key_for_order(tokens, comp, &order, true);
     permute_orders(&mut order, 0, &mut |order| {
-        let key = key_for_order(tokens, job, order, true);
+        let key = key_for_order(tokens, comp, order, true);
         if key < best {
             best = key;
         }
     });
-    best.into_boxed_slice()
+    best
 }
 
 /// Visit every permutation of `order[at..]` (recursive swap enumeration;
@@ -777,137 +731,471 @@ fn permute_orders(order: &mut Vec<usize>, at: usize, visit: &mut impl FnMut(&[us
     }
 }
 
-/// Resolve the distinct component jobs of one walk to counts: singleton
-/// components read their list length, multi-member components probe the
-/// memo (when one is supplied) and only the genuinely novel signatures are
-/// counted — in parallel when `par` is given, serially otherwise (the
-/// sliced walk already runs each slice on a worker thread).
-fn component_counts(
+// ---------------------------------------------------------------------
+// The batched pass: one lattice per query, grouped anchored walks
+// ---------------------------------------------------------------------
+
+/// The subset lattice of a `k`-ary reduced query, walked once.
+///
+/// Every reduced clause negates all `C(k,2)` position pairs, so the
+/// components a lattice term splits into — member positions plus positive
+/// edges, its *patterns* — depend on `k` alone. A clause only decides which
+/// candidate list sits at each member, so one walk serves every clause.
+struct Lattice {
+    /// The distinct component patterns over all `2^m` terms.
+    patterns: Vec<Component>,
+    /// Per term: its sign (`true` = subtracted) and its pattern ids.
+    terms: Vec<(bool, Vec<u32>)>,
+}
+
+impl Lattice {
+    fn new(k: usize) -> Self {
+        let neg = negated_pairs(k);
+        let masks = 1usize << neg.len();
+        let mut interner: SliceInterner<u32> = SliceInterner::new();
+        let mut patterns: Vec<Component> = Vec::new();
+        let mut terms: Vec<(bool, Vec<u32>)> = Vec::with_capacity(masks);
+        lattice_walk_range(k, &neg, 0..masks, &mut interner, &mut patterns, &mut terms);
+        Lattice { patterns, terms }
+    }
+}
+
+/// Lemma 3.5 over `clauses` at once: the per-clause counts, in order.
+///
+/// Each clause's count is the signed sum, over the [`Lattice`]'s terms, of
+/// products of *job* counts, a job being one pattern over one tuple of
+/// candidate lists. Jobs are deduplicated across clauses and counted once
+/// ([`job_counts`]); the sums are exact (`u128` products, `i128` totals,
+/// [`exact_count`]).
+fn count_clauses(
+    table: &CandidateTable,
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Arc<Vec<Node>>],
-    sets: &[&NodeSet],
-    jobs: &[CompJob],
-    memo: Option<MemoCtx<'_>>,
-    par: Option<&ParConfig>,
-) -> Vec<u64> {
-    let compute = |idx: &[u32]| -> Vec<u64> {
-        match par {
-            Some(p) => par_map(p, idx, |&i| {
-                count_job(adjacency, lists, sets, &jobs[i as usize])
-            }),
-            None => idx
-                .iter()
-                .map(|&i| count_job(adjacency, lists, sets, &jobs[i as usize]))
-                .collect(),
-        }
-    };
-    let Some((memo, tokens)) = memo else {
-        let all: Vec<u32> = (0..jobs.len() as u32).collect();
-        return compute(&all);
-    };
-    let mut keys: Vec<Option<Box<[u32]>>> = jobs
-        .iter()
-        .map(|job| (job.members.len() > 1).then(|| canonical_component_key(tokens, job)))
-        .collect();
-    let cached = memo.probe(&keys);
-    let mut counts: Vec<u64> = vec![0; jobs.len()];
-    let mut miss: Vec<u32> = Vec::new();
-    for (i, c) in cached.into_iter().enumerate() {
-        match c {
-            Some(v) => counts[i] = v,
-            None if keys[i].is_none() => counts[i] = sets[jobs[i].members[0]].len,
-            None => miss.push(i as u32),
+    k: usize,
+    clauses: &[&GraphClause],
+    par: &ParConfig,
+    memo: Option<&CountingMemo>,
+) -> Result<Vec<u64>, EngineError> {
+    let lattice = Lattice::new(k);
+    let width = lattice.patterns.len();
+    // job key: the list id at each member of the pattern, then the pattern
+    // id. The lists lead because FxHash's bucket bits see little of a
+    // short key beyond its first word, and the pattern id barely varies.
+    let mut jobs: SliceInterner<u32> = SliceInterner::new();
+    let mut rows: Vec<u32> = Vec::with_capacity(clauses.len() * width);
+    let mut key: Vec<u32> = Vec::with_capacity(k + 1);
+    for clause in clauses {
+        let lists = table.ids(clause);
+        for (p, pattern) in lattice.patterns.iter().enumerate() {
+            key.clear();
+            key.extend(pattern.members.iter().map(|&m| lists[m]));
+            key.push(p as u32);
+            rows.push(jobs.intern(&key));
         }
     }
-    let computed = compute(&miss);
-    let mut fresh: Vec<(Box<[u32]>, u64)> = Vec::with_capacity(miss.len());
-    for (&i, &v) in miss.iter().zip(&computed) {
-        counts[i as usize] = v;
-        fresh.push((keys[i as usize].take().expect("miss implies key"), v));
+    let counts = job_counts(table, adjacency, &lattice, &jobs, par, memo);
+    let ids: Vec<usize> = (0..clauses.len()).collect();
+    par_map(par, &ids, |&c| {
+        let row = &rows[c * width..(c + 1) * width];
+        exact_count(lattice_partial_sum(&lattice.terms, |p| {
+            counts[row[p as usize] as usize]
+        })?)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// The count of every job. Singletons read their list length. With a
+/// memo, multi-member jobs collapse onto their canonical signatures, each
+/// distinct signature probes the memo once, and only the misses are
+/// counted and published; without one, every multi-member job is counted.
+/// Counting is [`count_grouped`].
+fn job_counts(
+    table: &CandidateTable,
+    adjacency: &crate::enumerate::EdgeAdjacency,
+    lattice: &Lattice,
+    jobs: &SliceInterner<u32>,
+    par: &ParConfig,
+    memo: Option<&CountingMemo>,
+) -> Vec<u64> {
+    let mut counts = vec![0u64; jobs.len()];
+    let mut multi: Vec<u32> = Vec::new();
+    for id in 0..jobs.len() as u32 {
+        match *jobs.get(id) {
+            [list, _] => counts[id as usize] = table.len_of(list) as u64,
+            _ => multi.push(id),
+        }
+    }
+    let Some(memo) = memo else {
+        for (id, c) in count_grouped(table, adjacency, lattice, jobs, &multi, par) {
+            counts[id as usize] = c;
+        }
+        return counts;
+    };
+    let tokens: Vec<PosToken> = table
+        .colors
+        .iter()
+        .map(|set| color_token(set, memo.iota_sizes()))
+        .collect();
+    let mut keys: SliceInterner<u32> = SliceInterner::new();
+    let mut key_of: Vec<u32> = vec![0; jobs.len()];
+    let mut firsts: Vec<u32> = Vec::new(); // per signature: its first job
+    for &id in &multi {
+        let (&p, lists) = jobs.get(id).split_last().expect("a job key");
+        let slot_tokens: Vec<&PosToken> = lists.iter().map(|&l| &tokens[l as usize]).collect();
+        let key = canonical_component_key(&slot_tokens, &lattice.patterns[p as usize]);
+        let k = keys.intern(&key);
+        if k as usize == firsts.len() {
+            firsts.push(id);
+        }
+        key_of[id as usize] = k;
+    }
+    let cached = memo.probe((0..keys.len() as u32).map(|k| keys.get(k)));
+    let todo: Vec<u32> = firsts
+        .iter()
+        .zip(&cached)
+        .filter_map(|(&id, c)| c.is_none().then_some(id))
+        .collect();
+    let mut by_key: Vec<u64> = cached.into_iter().map(Option::unwrap_or_default).collect();
+    let mut fresh: Vec<(Box<[u32]>, u64)> = Vec::with_capacity(todo.len());
+    for (id, c) in count_grouped(table, adjacency, lattice, jobs, &todo, par) {
+        let k = key_of[id as usize];
+        by_key[k as usize] = c;
+        fresh.push((keys.get(k).into(), c));
     }
     memo.publish(fresh);
+    for &id in &multi {
+        counts[id as usize] = by_key[key_of[id as usize] as usize];
+    }
     counts
 }
 
-/// The subset-lattice evaluation (see [`count_clause`]).
+/// How the jobs of one multi-member pattern are walked. `order` holds the
+/// member slots (indices into the pattern's `members`), the root first and
+/// the counted member last. Every later walk index `i` draws its vertex
+/// from the `E`-neighbours of the vertex at walk index `anchor[i]` and
+/// must be adjacent to the vertices at the walk indices `checks[i]`.
+struct Walk {
+    order: Vec<usize>,
+    anchor: Vec<usize>,
+    checks: Vec<Vec<usize>>,
+}
+
+impl Walk {
+    /// The walk from `root` that counts `last`, visiting the other slots
+    /// in order of first reachability (`adj` is the pattern's slot
+    /// adjacency). `None` when `last` cuts the pattern.
+    fn plan(adj: &[Vec<bool>], root: usize, last: usize) -> Option<Walk> {
+        let s = adj.len();
+        let mut order = vec![root];
+        while order.len() + 1 < s {
+            let reached = |x: usize| order.iter().any(|&o| adj[x][o]);
+            let next = (0..s).find(|&x| x != last && !order.contains(&x) && reached(x))?;
+            order.push(next);
+        }
+        order.push(last);
+        let mut anchor = vec![0; s];
+        let mut checks = vec![Vec::new(); s];
+        for i in 1..s {
+            let earlier: Vec<usize> = (0..i).filter(|&j| adj[order[i]][order[j]]).collect();
+            let (&first, rest) = earlier.split_first()?;
+            anchor[i] = first;
+            checks[i] = rest.to_vec();
+        }
+        Some(Walk {
+            order,
+            anchor,
+            checks,
+        })
+    }
+
+    /// The cheapest walk of `pattern` for `jobs` (each its list ids in
+    /// slot order). A group walks its root list once and expands each
+    /// vertex about `degree^(s−1)` times; each job then reads its last
+    /// list once. So the cost of counting slot `last` from `root` is
+    /// `degree^(s−1) · Σ_groups |root list| + Σ_jobs |last list|`, the
+    /// groups being the distinct list tuples on the other slots.
+    fn choose(pattern: &Component, jobs: &[&[u32]], len: impl Fn(u32) -> f64, degree: f64) -> Walk {
+        let s = pattern.members.len();
+        let slot = |p: usize| {
+            pattern
+                .members
+                .iter()
+                .position(|&m| m == p)
+                .expect("edge endpoint is a member")
+        };
+        let mut adj = vec![vec![false; s]; s];
+        for &(a, b) in &pattern.edges {
+            let (a, b) = (slot(a), slot(b));
+            adj[a][b] = true;
+            adj[b][a] = true;
+        }
+        let fanout = degree.powi(s as i32 - 1);
+        let mut best: Option<(f64, Walk)> = None;
+        for last in 0..s {
+            let mut groups: Vec<Vec<u32>> = jobs
+                .iter()
+                .map(|l| [&l[..last], &l[last + 1..]].concat())
+                .collect();
+            groups.sort_unstable();
+            groups.dedup();
+            let read: f64 = jobs.iter().map(|l| len(l[last])).sum();
+            for root in (0..s).filter(|&r| r != last) {
+                let Some(walk) = Walk::plan(&adj, root, last) else {
+                    continue;
+                };
+                let at = if root < last { root } else { root - 1 };
+                let cost = fanout * groups.iter().map(|g| len(g[at])).sum::<f64>() + read;
+                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                    best = Some((cost, walk));
+                }
+            }
+        }
+        best.expect("a connected pattern has a walk").1
+    }
+}
+
+/// Prefix tuples a [`Counter`] takes between drains. Unit tests drain
+/// every few tuples, so every counted test query crosses the drain path.
+const DRAIN_EVERY: u64 = if cfg!(test) { 3 } else { u32::MAX as u64 };
+
+/// The dense per-vertex counter one chunk of groups reuses. A prefix tuple
+/// adds at most one to any cell (a vertex occurs once among its anchor's
+/// neighbours), so draining into the jobs' sums every [`DRAIN_EVERY`]
+/// tuples keeps every `u32` cell from overflowing.
+struct Counter {
+    cells: Vec<u32>,
+    /// The cells that left zero since the last drain.
+    touched: Vec<Node>,
+    /// Prefix tuples walked since the last drain.
+    walked: u64,
+}
+
+impl Counter {
+    fn new(size: usize) -> Self {
+        Counter {
+            cells: vec![0; size],
+            touched: Vec::new(),
+            walked: 0,
+        }
+    }
+
+    /// Add each job's count since the last drain — the cells summed over
+    /// its last list — to its entry of `sums`, then clear the cells.
+    fn drain(&mut self, lists: &[Arc<Vec<Node>>], jobs: &[(u32, u32)], sums: &mut [u64]) {
+        if !self.touched.is_empty() {
+            for (sum, &(_, last)) in sums.iter_mut().zip(jobs) {
+                let cells = lists[last as usize]
+                    .iter()
+                    .map(|v| self.cells.get(v.index()).copied().unwrap_or(0));
+                *sum += cells.map(u64::from).sum::<u64>();
+            }
+            for v in self.touched.drain(..) {
+                self.cells[v.index()] = 0;
+            }
+        }
+        self.walked = 0;
+    }
+}
+
+/// One group of a grouped pass: the walk of its pattern, the membership
+/// sets of its inner prefix lists and the jobs that read its counter.
+struct GroupPass<'a> {
+    walk: &'a Walk,
+    adjacency: &'a crate::enumerate::EdgeAdjacency,
+    lists: &'a [Arc<Vec<Node>>],
+    /// The membership set of inner walk index `i` is `inner[i − 1]`.
+    inner: Vec<&'a NodeSet>,
+    /// `(job, last list)` per job.
+    jobs: &'a [(u32, u32)],
+}
+
+impl GroupPass<'_> {
+    /// Walk the prefix from every vertex of `roots`, adding one to the
+    /// counter cell of every last-member vertex each prefix tuple reaches,
+    /// and return the jobs' counts in `jobs` order.
+    fn run(&self, roots: &[Node], counter: &mut Counter) -> Vec<u64> {
+        let mut sums = vec![0u64; self.jobs.len()];
+        let mut assigned = vec![Node(0); self.walk.order.len()];
+        for &u in roots {
+            assigned[0] = u;
+            self.extend(1, &mut assigned, counter, &mut sums);
+        }
+        counter.drain(self.lists, self.jobs, &mut sums);
+        sums
+    }
+
+    fn extend(&self, depth: usize, assigned: &mut [Node], counter: &mut Counter, sums: &mut [u64]) {
+        let walk = self.walk;
+        let last = depth + 1 == walk.order.len();
+        if last {
+            if counter.walked == DRAIN_EVERY {
+                counter.drain(self.lists, self.jobs, sums);
+            }
+            counter.walked += 1;
+        }
+        for v in self.adjacency.neighbors(assigned[walk.anchor[depth]]) {
+            if !last && !self.inner[depth - 1].contains(v) {
+                continue;
+            }
+            let adjacent = |&c: &usize| self.adjacency.adjacent(v, assigned[c]);
+            if !walk.checks[depth].iter().all(adjacent) {
+                continue;
+            }
+            if last {
+                let cell = &mut counter.cells[v.index()];
+                if *cell == 0 {
+                    counter.touched.push(v);
+                }
+                *cell += 1;
+            } else {
+                assigned[depth] = v;
+                self.extend(depth + 1, assigned, counter, sums);
+            }
+        }
+    }
+}
+
+/// Count the multi-member jobs `todo` in grouped anchored passes: the
+/// `(job, count)` pairs, in no particular order.
 ///
-/// Serial pools walk the whole `2^m` lattice once; multi-thread pools slice
-/// the rank space by its top [`lattice_slice_bits`] bits into contiguous
-/// subtrees, each walked independently with its own signature-memo shard
-/// ([`lattice_slice_sum`]), and the signed `i128` partials are summed in
-/// slice order — exact integer addition, so the result is identical to the
-/// single walk (and to [`count_clause_per_term`]) bit for bit. A total
-/// outside `u64` is an error ([`exact_count`]), never a clamped value.
-fn count_clause_lattice(
+/// Each pattern gets one [`Walk`] ([`Walk::choose`]). Jobs of a pattern
+/// that agree on every list but the last walked member's form one group:
+/// the group walks that shared prefix once, adding each last-member vertex
+/// it reaches into a dense per-vertex [`Counter`], and each job's count is
+/// the counter summed over its own last list. A two-member job thus costs one
+/// adjacency scan per distinct root list, not one per clause, and a root
+/// list without `E`-neighbours (the `C_⊥` dummy) ends its walk at once.
+/// Membership bitsets are built only for lists at inner prefix members
+/// (none for two-member patterns). Groups fan out over `par`, each chunk
+/// of groups with its own counter array.
+///
+/// The adjacency is symmetric (as the reduction builds it and
+/// [`crate::enumerate::EdgeAdjacency::build`] assumes), so a component's
+/// count does not depend on where its walk is rooted.
+fn count_grouped(
+    table: &CandidateTable,
     adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Arc<Vec<Node>>],
-    sets: &[&NodeSet],
-    neg: &[(usize, usize)],
+    lattice: &Lattice,
+    jobs: &SliceInterner<u32>,
+    todo: &[u32],
     par: &ParConfig,
-    memo: Option<MemoCtx<'_>>,
-) -> Result<u64, EngineError> {
-    let m = neg.len();
-    let masks = 1usize << m;
-    let bits = lattice_slice_bits(par, m);
-    let total = if bits == 0 || par.runs_serial(masks) {
-        lattice_sum_single(adjacency, lists, sets, neg, par, memo)
+) -> Vec<(u32, u64)> {
+    let mut by_pattern: Vec<Vec<u32>> = vec![Vec::new(); lattice.patterns.len()];
+    for &id in todo {
+        let (&p, _) = jobs.get(id).split_last().expect("a job key");
+        by_pattern[p as usize].push(id);
+    }
+    let degree = (adjacency.pair_count() as f64 / adjacency.len().max(1) as f64).max(1.0);
+    let len = |l: u32| table.len_of(l) as f64;
+    let mut walks: Vec<Option<Walk>> = (0..by_pattern.len()).map(|_| None).collect();
+    // group key: the prefix's list ids in walk order, then the pattern id
+    let mut groups: SliceInterner<u32> = SliceInterner::new();
+    let mut members: Vec<Vec<(u32, u32)>> = Vec::new(); // per group: (job, last list)
+    let mut key: Vec<u32> = Vec::new();
+    for (p, ids) in by_pattern.iter().enumerate() {
+        if ids.is_empty() {
+            continue;
+        }
+        let lists: Vec<&[u32]> = ids
+            .iter()
+            .map(|&id| jobs.get(id).split_last().expect("a job key").1)
+            .collect();
+        let walk = Walk::choose(&lattice.patterns[p], &lists, len, degree);
+        let (prefix, last) = walk.order.split_at(walk.order.len() - 1);
+        for (&id, l) in ids.iter().zip(&lists) {
+            key.clear();
+            key.extend(prefix.iter().map(|&slot| l[slot]));
+            key.push(p as u32);
+            let g = groups.intern(&key) as usize;
+            if g == members.len() {
+                members.push(Vec::new());
+            }
+            members[g].push((id, l[last[0]]));
+        }
+        walks[p] = Some(walk);
+    }
+    let ids: Vec<u32> = (0..groups.len() as u32).collect();
+    let mut inner: Vec<u32> = ids
+        .iter()
+        .flat_map(|&g| {
+            let key = groups.get(g);
+            key[1..key.len() - 1].iter().copied()
+        })
+        .collect();
+    inner.sort_unstable();
+    inner.dedup();
+    let built = par_map(par, &inner, |&l| {
+        NodeSet::from_sorted(table.nodes, &table.lists[l as usize])
+    });
+    let mut sets: Vec<Option<NodeSet>> = (0..table.lists.len()).map(|_| None).collect();
+    for (l, set) in inner.into_iter().zip(built) {
+        sets[l as usize] = Some(set);
+    }
+    let chunk = if par.runs_serial(ids.len()) {
+        ids.len()
     } else {
-        lattice_sum_sliced(adjacency, lists, sets, neg, bits, par, memo)
+        ids.len().div_ceil(par.threads() * 4)
     };
-    exact_count(total?)
+    let size = table.nodes.max(adjacency.len());
+    par_chunks(par, &ids, chunk, |chunk| {
+        let mut counter = Counter::new(size);
+        let mut out: Vec<(u32, u64)> = Vec::new();
+        for &g in chunk {
+            let (&p, prefix) = groups.get(g).split_last().expect("a group key");
+            let jobs = &members[g as usize];
+            let pass = GroupPass {
+                walk: walks[p as usize].as_ref().expect("a grouped pattern"),
+                adjacency,
+                lists: &table.lists,
+                inner: prefix[1..]
+                    .iter()
+                    .map(|&l| sets[l as usize].as_ref().expect("inner lists have sets"))
+                    .collect(),
+                jobs,
+            };
+            let counts = pass.run(&table.lists[prefix[0] as usize], &mut counter);
+            out.extend(jobs.iter().map(|&(job, _)| job).zip(counts));
+        }
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
-/// Memo handle threaded through the lattice walk: the shared
-/// [`CountingMemo`] plus the current clause's per-position color tokens.
-type MemoCtx<'a> = (&'a CountingMemo, &'a [PosToken]);
+// ---------------------------------------------------------------------
+// The per-clause oracle walks
+// ---------------------------------------------------------------------
 
-/// How many top rank bits to slice the lattice walk on for `par`: enough
-/// subtrees for `threads · 4`-way load balancing, capped at `m` (slices of
-/// at least one mask).
-fn lattice_slice_bits(par: &ParConfig, m: usize) -> usize {
-    if par.threads() <= 1 {
-        return 0;
-    }
-    let target = par.threads() * 4;
-    let mut bits = 0usize;
-    while (1usize << bits) < target && bits < m {
-        bits += 1;
-    }
-    bits
-}
-
-/// Single Gray-code walk over the full lattice; distinct-component counts
-/// fan out over the worker pool.
+/// Single Gray-code walk over one clause's full lattice; distinct-component
+/// counts fan out over the worker pool.
 fn lattice_sum_single(
     adjacency: &crate::enumerate::EdgeAdjacency,
     lists: &[Arc<Vec<Node>>],
     sets: &[&NodeSet],
     neg: &[(usize, usize)],
     par: &ParConfig,
-    memo: Option<MemoCtx<'_>>,
 ) -> Result<i128, EngineError> {
     let masks = 1usize << neg.len();
     let mut interner: SliceInterner<u32> = SliceInterner::new();
-    let mut jobs: Vec<CompJob> = Vec::new();
+    let mut comps: Vec<Component> = Vec::new();
     let mut terms: Vec<(bool, Vec<u32>)> = Vec::with_capacity(masks);
     lattice_walk_range(
         lists.len(),
         neg,
         0..masks,
         &mut interner,
-        &mut jobs,
+        &mut comps,
         &mut terms,
     );
-    let counts = component_counts(adjacency, lists, sets, &jobs, memo, Some(par));
-    lattice_partial_sum(&terms, &counts)
+    let counts = par_map(par, &comps, |comp| count_job(adjacency, lists, sets, comp));
+    lattice_partial_sum(&terms, |id| counts[id as usize])
 }
 
 /// Sliced walk: each of the `2^bits` contiguous rank subtrees is an
-/// independent job on the pool — own walk, own signature-memo shard, own
-/// serially-counted components, own exact partial. Components shared
-/// between subtrees are counted once *per subtree* (the memo shards are
-/// disjoint); that duplication is the price of a walk with no shared
-/// mutable state.
+/// independent job on the pool — own walk, own signature interner, own
+/// serially-counted components, own exact partial — and the partials are
+/// summed in slice order, so every slicing gives the single walk's total.
 fn lattice_sum_sliced(
     adjacency: &crate::enumerate::EdgeAdjacency,
     lists: &[Arc<Vec<Node>>],
@@ -915,7 +1203,6 @@ fn lattice_sum_sliced(
     neg: &[(usize, usize)],
     bits: usize,
     par: &ParConfig,
-    memo: Option<MemoCtx<'_>>,
 ) -> Result<i128, EngineError> {
     let m = neg.len();
     debug_assert!(bits >= 1 && bits <= m);
@@ -923,7 +1210,7 @@ fn lattice_sum_sliced(
     let slice_ids: Vec<u32> = (0..(1u32 << bits)).collect();
     let partials = par_map(par, &slice_ids, |&s| {
         let lo = s as usize * per;
-        lattice_slice_sum(adjacency, lists, sets, neg, lo..lo + per, memo)
+        lattice_slice_sum(adjacency, lists, sets, neg, lo..lo + per)
     });
     partials.into_iter().try_fold(0i128, |total, partial| {
         total
@@ -933,45 +1220,46 @@ fn lattice_sum_sliced(
 }
 
 /// One subtree of the sliced walk: walk ranks `lo..hi` in Gray order with a
-/// fresh signature-memo shard and return the slice's exact signed sum.
+/// fresh signature interner and return the slice's exact signed sum.
 fn lattice_slice_sum(
     adjacency: &crate::enumerate::EdgeAdjacency,
     lists: &[Arc<Vec<Node>>],
     sets: &[&NodeSet],
     neg: &[(usize, usize)],
     ranks: std::ops::Range<usize>,
-    memo: Option<MemoCtx<'_>>,
 ) -> Result<i128, EngineError> {
     let mut interner: SliceInterner<u32> = SliceInterner::new();
-    let mut jobs: Vec<CompJob> = Vec::new();
+    let mut comps: Vec<Component> = Vec::new();
     let mut terms: Vec<(bool, Vec<u32>)> = Vec::with_capacity(ranks.len());
     lattice_walk_range(
         lists.len(),
         neg,
         ranks,
         &mut interner,
-        &mut jobs,
+        &mut comps,
         &mut terms,
     );
-    // Each slice runs on a worker thread already: novel components count
-    // serially here, but the shared memo means a component discovered by
-    // one slice is a hit for every later one.
-    let counts = component_counts(adjacency, lists, sets, &jobs, memo, None);
-    lattice_partial_sum(&terms, &counts)
+    // each slice runs on a worker thread already: count serially here
+    let counts: Vec<u64> = comps
+        .iter()
+        .map(|comp| count_job(adjacency, lists, sets, comp))
+        .collect();
+    lattice_partial_sum(&terms, |id| counts[id as usize])
 }
 
-/// Pass 1 — walk the ranks in Gray-code order, splitting each term into
-/// components and interning their signatures. Adjacent masks differ by one
-/// flipped edge, so all components untouched by it re-intern to ids already
-/// seen; only genuinely new components become jobs. The union-find is
-/// rebuilt per mask (cheap: `k ≤ 8` positions), so any contiguous rank
-/// range walks identically to its portion of the full walk.
+/// Walk the ranks in Gray-code order, splitting each term into components
+/// and interning their signatures (member positions, [`SIG_SEP`], edge
+/// indices into `neg`). Adjacent masks differ by one flipped edge, so all
+/// components untouched by it re-intern to ids already seen; only new
+/// components are pushed to `comps`. The union-find is rebuilt per mask
+/// (cheap: `k ≤ 8` positions), so any contiguous rank range walks
+/// identically to its portion of the full walk.
 fn lattice_walk_range(
     k: usize,
     neg: &[(usize, usize)],
     ranks: std::ops::Range<usize>,
     interner: &mut SliceInterner<u32>,
-    jobs: &mut Vec<CompJob>,
+    comps: &mut Vec<Component>,
     terms: &mut Vec<(bool, Vec<u32>)>,
 ) {
     let m = neg.len();
@@ -1017,9 +1305,9 @@ fn lattice_walk_range(
                 (mask >> b & 1 == 1 && roots[i] == roots[leader]).then_some(b as u32)
             }));
             let id = interner.intern(&sig_buf);
-            if id as usize == jobs.len() {
-                // first occurrence anywhere in this walk: record the job
-                jobs.push(CompJob {
+            if id as usize == comps.len() {
+                // first occurrence anywhere in this walk
+                comps.push(Component {
                     members: sig_buf[..members_len].iter().map(|&i| i as usize).collect(),
                     edges: sig_buf[members_len + 1..]
                         .iter()
@@ -1033,29 +1321,33 @@ fn lattice_walk_range(
     }
 }
 
-/// Pass 2 — count one distinct component.
+/// Count one distinct component of an oracle walk.
 fn count_job(
     adjacency: &crate::enumerate::EdgeAdjacency,
     lists: &[Arc<Vec<Node>>],
     sets: &[&NodeSet],
-    job: &CompJob,
+    comp: &Component,
 ) -> u64 {
-    if job.members.len() == 1 {
-        sets[job.members[0]].len
+    if comp.members.len() == 1 {
+        sets[comp.members[0]].len
     } else {
-        count_component(adjacency, lists, sets, &job.edges, &job.members)
+        count_component(adjacency, lists, sets, &comp.edges, &comp.members)
     }
 }
 
-/// Pass 3 — signed products in mask order, exact: `u128` products and an
-/// `i128` sum, either overflowing is [`EngineError::CountOverflow`].
-fn lattice_partial_sum(terms: &[(bool, Vec<u32>)], counts: &[u64]) -> Result<i128, EngineError> {
+/// Signed products summed over `terms`, exact: `u128` products and an
+/// `i128` sum (either overflowing is [`EngineError::CountOverflow`]).
+/// `count(id)` is the count of component `id`.
+fn lattice_partial_sum(
+    terms: &[(bool, Vec<u32>)],
+    count: impl Fn(u32) -> u64,
+) -> Result<i128, EngineError> {
     let mut total: i128 = 0;
     for (negative, ids) in terms {
         let mut product: u128 = 1;
         for &id in ids {
             product = product
-                .checked_mul(counts[id as usize].into())
+                .checked_mul(count(id).into())
                 .ok_or(EngineError::CountOverflow)?;
             if product == 0 {
                 break;
@@ -1275,25 +1567,29 @@ fn rec_count(
     }
 }
 
-/// `|ψ(G)|`: sum over the mutually exclusive clauses, counted in parallel
-/// on `par` (order-preserving; each clause's inclusion–exclusion terms fan
-/// out further when large enough). The engine passes the reduction core's
-/// shared `E`-adjacency, so the CSR is never materialized twice, and the
-/// build's one candidate-list table `positions`, which the enumerator
-/// reads afterwards.
+/// `|ψ(G)|`: sum over the mutually exclusive clauses (Theorem 2.5), each
+/// counted by Lemma 3.5. The engine passes the reduction core's shared
+/// `E`-adjacency, so the CSR is never materialized twice, and the build's
+/// one candidate-list table `positions`, which the enumerator reads
+/// afterwards.
 ///
-/// The clauses' position color sets are deduplicated first: each distinct
-/// set's list is read from `positions` and its membership bitset built
-/// once, then every clause is counted read-only against that table (see
-/// [`count_clause`]).
+/// The clauses are counted together, not one by one. Every clause negates
+/// all `C(k,2)` position pairs, so the inclusion–exclusion lattice is
+/// walked once per query, and each clause's count is a signed sum of
+/// products of per-(component pattern, candidate-list tuple) counts. Those
+/// *jobs* are deduplicated across clauses; singletons read their list
+/// length, and the multi-member jobs are counted in grouped anchored
+/// passes that share each walked prefix between every job that agrees on
+/// it (see `count_grouped`). The color sets are deduplicated first, and
+/// each distinct set's list is read from `positions` once.
 ///
-/// `memo` threads the [`crate::ArtifactCache`]'s per-core counting memo
-/// through every clause. With `signatures` as well
-/// — `signatures[i]` the packed acceptance signature of `gq.clauses[i]`
-/// (see `reduction::pack_signature`) — the per-clause combination-count
-/// tier is engaged: each clause probes the memo by signature, only novel
-/// clauses run their inclusion–exclusion walk (and only their color sets
-/// enter the table), and their counts are published for the next query
+/// `memo` is the [`crate::ArtifactCache`]'s per-core counting memo: each
+/// distinct job signature probes it once, and only the misses are counted
+/// and published. With `signatures` as well — `signatures[i]` the packed
+/// acceptance signature of `gq.clauses[i]` (see
+/// `reduction::pack_signature`) — the per-clause combination-count tier is
+/// engaged: each clause probes the memo by signature, only novel clauses
+/// enter the pass, and their counts are published for the next query
 /// touching the same combination. Signatures that do not align with the
 /// clauses are ignored. The count is bit-identical on every path: a memo
 /// entry is the exact count of its key, and the total is the same
@@ -1313,26 +1609,16 @@ pub fn count_graph_query(
         Some((memo, signatures)) => signatures.iter().map(|s| memo.combo_count(s)).collect(),
         None => vec![None; gq.clauses.len()],
     };
-    let miss: Vec<u32> = cached
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| c.is_none().then_some(i as u32))
+    let miss: Vec<usize> = (0..gq.clauses.len())
+        .filter(|&i| cached[i].is_none())
         .collect();
-    let table = CandidateTable::build(
-        graph,
-        positions,
-        miss.iter().map(|&i| &gq.clauses[i as usize]),
-        par,
-    );
-    let neg = negated_pairs(gq.k);
-    let computed = par_map(par, &miss, |&i| {
-        table.count(adjacency, &gq.clauses[i as usize], &neg, par, memo)
-    });
+    let clauses: Vec<&GraphClause> = miss.iter().map(|&i| &gq.clauses[i]).collect();
+    let table = CandidateTable::build(graph, positions, clauses.iter().copied(), par);
+    let computed = count_clauses(&table, adjacency, gq.k, &clauses, par, memo)?;
     let mut total: u128 = cached.iter().flatten().map(|&c| u128::from(c)).sum();
     for (&i, count) in miss.iter().zip(computed) {
-        let count = count?;
         if let Some((memo, signatures)) = combos {
-            memo.record_combo_count(signatures[i as usize].clone(), count);
+            memo.record_combo_count(signatures[i].clone(), count);
         }
         total += u128::from(count);
     }
@@ -1554,6 +1840,40 @@ mod tests {
         assert_eq!(counted, brute);
     }
 
+    /// Clauses over shared color sets at `k = 3`: jobs group across
+    /// clauses, three-member walks have an inner member, and the unit-test
+    /// counter drains every few prefix tuples ([`DRAIN_EVERY`]).
+    #[test]
+    fn batched_pass_matches_per_term_across_clauses() {
+        use crate::graph_query::{GraphClause, GraphQuery};
+        let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(4)).generate(22);
+        let rel = |name: &str| s.signature().rel(name).unwrap();
+        let (b, r, g) = (rel("B"), rel("R"), rel("G"));
+        let sets = [vec![b], vec![r], vec![g], vec![b, r]];
+        let clauses = (0..12)
+            .map(|i| GraphClause {
+                colors: (0..3).map(|j| sets[(i * 7 + j * 3) % 4].clone()).collect(),
+            })
+            .collect();
+        let gq = GraphQuery {
+            k: 3,
+            edge: rel("E"),
+            clauses,
+        };
+        let adj = crate::enumerate::EdgeAdjacency::build(&s, gq.edge);
+        let want: u64 = gq
+            .clauses
+            .iter()
+            .map(|c| count_clause_per_term(&s, &gq, c, &adj))
+            .sum();
+        assert!(want > 0);
+        for par in [ParConfig::serial(), ParConfig::with_threads(4).min_items(1)] {
+            let positions = PositionMemo::new();
+            let got = count_graph_query(&s, &gq, &adj, &par, None, None, &positions);
+            assert_eq!(got, Ok(want), "threads {}", par.threads());
+        }
+    }
+
     /// Two independent components of 2^33 candidates each: the term is
     /// 2^66, which no `u64` holds. The signed sum keeps it exact and the
     /// conversion to a count reports the overflow instead of saturating.
@@ -1561,11 +1881,15 @@ mod tests {
     fn signed_product_sum_is_exact_and_overflow_is_an_error() {
         let big = 1u64 << 33;
         let terms = vec![(false, vec![0, 1])];
-        let total = lattice_partial_sum(&terms, &[big, big]).unwrap();
+        let total = lattice_partial_sum(&terms, |_| big).unwrap();
         assert_eq!(total, 1i128 << 66);
         assert_eq!(exact_count(total), Err(EngineError::CountOverflow));
         // a fitting total converts exactly, a negative one is internal
-        let fits = lattice_partial_sum(&[(false, vec![0]), (true, vec![1])], &[big, 1]).unwrap();
+        let counts = [big, 1];
+        let fits = lattice_partial_sum(&[(false, vec![0]), (true, vec![1])], |id| {
+            counts[id as usize]
+        })
+        .unwrap();
         assert_eq!(exact_count(fits), Ok(big - 1));
         assert!(matches!(exact_count(-1), Err(EngineError::Internal(_))));
     }

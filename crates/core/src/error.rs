@@ -35,6 +35,10 @@ pub enum EngineError {
     /// [`crate::Engine::count`] returns (or an inclusion–exclusion term
     /// overflowed the 128-bit arithmetic it is computed in).
     CountOverflow,
+    /// The query is a sentence (no free variables). Proposition 3.3's
+    /// reduction needs arity ≥ 1; decide a sentence with
+    /// [`crate::Engine::model_check`] (an [`crate::Engine`] build does).
+    Sentence,
     /// An internal invariant failed, e.g. an inclusion–exclusion sum came
     /// out negative. Never input-reachable in a correct engine; reported
     /// instead of a clamped result.
@@ -58,6 +62,10 @@ impl fmt::Display for EngineError {
             EngineError::CountOverflow => {
                 write!(f, "the answer count does not fit in 64 bits")
             }
+            EngineError::Sentence => write!(
+                f,
+                "the query is a sentence; the reduction needs at least one free variable"
+            ),
             EngineError::Internal(what) => write!(f, "internal error: {what}"),
         }
     }

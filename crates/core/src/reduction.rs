@@ -273,7 +273,8 @@ pub struct CoreDigest {
 
 impl Reduction {
     /// Run the full preprocessing on the worker pool `par`. `φ` must have
-    /// arity ≥ 1 and be localizable.
+    /// arity ≥ 1 (a sentence is [`EngineError::Sentence`]) and be
+    /// localizable.
     ///
     /// The parallel passes (cluster-tuple enumeration, canonical encoding,
     /// `E`-edge generation) are order-preserving, so the result is
@@ -337,10 +338,9 @@ impl Reduction {
         clause_fps: Option<&[u64]>,
     ) -> Result<Self, EngineError> {
         let k = query.arity();
-        assert!(
-            k >= 1,
-            "Reduction requires arity >= 1 (use model checking for sentences)"
-        );
+        if k == 0 {
+            return Err(EngineError::Sentence);
+        }
         let local = localize(structure, query)?;
         let r = local.radius;
         let two_r1 = 2 * r + 1;
@@ -425,10 +425,9 @@ impl Reduction {
         par: &ParConfig,
     ) -> Result<Self, EngineError> {
         let k = query.arity();
-        assert!(
-            k >= 1,
-            "Reduction requires arity >= 1 (use model checking for sentences)"
-        );
+        if k == 0 {
+            return Err(EngineError::Sentence);
+        }
         let local = localize(structure, query)?;
         let r = local.radius;
         let two_r1 = 2 * r + 1;
@@ -2429,5 +2428,18 @@ mod tests {
             Reduction::build_keyed(&s, &q, eps(), 0, &par, None, &Profiler::new(), None, None)
                 .unwrap_err();
         assert!(matches!(err, EngineError::CombinationBudget { .. }));
+    }
+
+    /// A sentence has no answer positions to reduce: the public builders
+    /// report it as a typed error instead of panicking.
+    #[test]
+    fn sentence_is_a_typed_error() {
+        let s = small(10);
+        let q = parse_query(s.signature(), "exists x. B(x)").unwrap();
+        let par = ParConfig::serial();
+        let built = Reduction::build(&s, &q, eps(), &par);
+        assert_eq!(built.err(), Some(EngineError::Sentence));
+        let reference = Reduction::build_reference(&s, &q, eps(), DEFAULT_COMBINATION_BUDGET, &par);
+        assert_eq!(reference.err(), Some(EngineError::Sentence));
     }
 }
