@@ -55,6 +55,7 @@ use lowdeg_bench::workloads::{colored, RUNNING_EXAMPLE, TERNARY_SCATTER};
 use lowdeg_bench::{fmt_dur, time};
 use lowdeg_conformance::json::Json;
 use lowdeg_core::artifacts::STAGES;
+use lowdeg_core::reduction::Step5Stats;
 use lowdeg_core::{ArtifactCache, BuildProfile, Engine, EngineConfig, SkipMode, Stage};
 use lowdeg_gen::DegreeClass;
 use lowdeg_index::Epsilon;
@@ -650,20 +651,38 @@ fn attribution(profiles: &[&BuildProfile], wall: Duration) -> Json {
     stages
 }
 
-/// One build arm's detail: its stage attribution and cache counters.
-fn arm_json(stages: Json, cache: Tally) -> Json {
-    Json::obj([("stages", stages), ("cache", cache.json())])
-}
-
-/// The profiles of the distinct engines among `engines` (rewrite
-/// variants share one engine).
-fn distinct_profiles(engines: &[Arc<Engine>]) -> Vec<&BuildProfile> {
+/// The distinct engines among `engines` (rewrite variants share one
+/// engine).
+fn distinct_engines(engines: &[Arc<Engine>]) -> Vec<&Engine> {
     let mut seen = BTreeSet::new();
     engines
         .iter()
         .filter(|e| seen.insert(Arc::as_ptr(e)))
-        .map(|e| e.profile())
+        .map(|e| &**e)
         .collect()
+}
+
+/// One build arm's detail from its distinct engines: the stage
+/// attribution of `wall`, the cache counter deltas and the summed Step 5
+/// counters.
+fn engines_arm(engines: &[&Engine], wall: Duration, cache: Tally) -> Json {
+    let profiles: Vec<&BuildProfile> = engines.iter().map(|e| e.profile()).collect();
+    let step5 = engines
+        .iter()
+        .filter_map(|e| e.reduction())
+        .map(|r| r.step5_stats())
+        .fold(Step5Stats::default(), Step5Stats::plus);
+    let counters = [
+        ("partitions_skipped", step5.partitions_skipped),
+        ("types_filtered", step5.types_filtered),
+        ("product_combinations", step5.product_combinations),
+        ("scanned_combinations", step5.scanned_combinations),
+    ];
+    Json::obj([
+        ("stages", attribution(&profiles, wall)),
+        ("cache", cache.json()),
+        ("step5", Json::obj(counters.map(|(key, n)| (key, int(n))))),
+    ])
 }
 
 /// A reading of a cache's counters: artifact hits and misses
@@ -1235,8 +1254,12 @@ fn homogeneous(n: usize, par: &ParConfig) -> [(&'static str, Json); 11] {
             wl_stats.distinct_cores, stats.distinct_cores,
             "distinct-core count is not deterministic at n = {n}"
         );
-        let profile = attribution(&distinct_profiles(&engines), dt);
-        (dt, arm_json(profile, Tally::of(cache).since(before)))
+        let arm = engines_arm(
+            &distinct_engines(&engines),
+            dt,
+            Tally::of(cache).since(before),
+        );
+        (dt, arm)
     };
     let [(independent, independent_arm), (planned_dt, planned_arm)] = best_of(|arm| {
         if arm == 1 {
@@ -1247,16 +1270,14 @@ fn homogeneous(n: usize, par: &ParConfig) -> [(&'static str, Json); 11] {
             qrefs
                 .iter()
                 .map(|q| {
-                    let e = Engine::build_configured(&s, q, &raw, par, Some(&cache))
-                        .expect("localizable");
-                    (e.count(), e.profile().clone())
+                    Engine::build_configured(&s, q, &raw, par, Some(&cache)).expect("localizable")
                 })
                 .collect::<Vec<_>>()
         });
-        let got: Vec<u64> = built.iter().map(|(c, _)| *c).collect();
+        let got: Vec<u64> = built.iter().map(Engine::count).collect();
         assert_eq!(got, reference, "independent counts diverged at n = {n}");
-        let profile = attribution(&built.iter().map(|(_, p)| p).collect::<Vec<_>>(), dt);
-        (dt, arm_json(profile, Tally::of(&cache).since(before)))
+        let built: Vec<&Engine> = built.iter().collect();
+        (dt, engines_arm(&built, dt, Tally::of(&cache).since(before)))
     });
 
     // Reported only: with the counting tier (component memo and
@@ -1363,10 +1384,7 @@ fn heterogeneous(n: usize, par: &ParConfig) -> [(&'static str, Json); 11] {
         });
         let got: Vec<u64> = engines.iter().map(|e| e.count()).collect();
         assert_eq!(got, reference, "heterogeneous counts diverged at n = {n}");
-        (
-            dt,
-            arm_json(attribution(&distinct_profiles(&engines), dt), tally),
-        )
+        (dt, engines_arm(&distinct_engines(&engines), dt, tally))
     });
     println!(
         "heterogeneous: {} clause slots onto {} distinct clauses ({} hit(s)): \

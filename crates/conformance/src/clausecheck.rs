@@ -22,11 +22,52 @@
 //! Members that *fall back* to their original syntax (the normal form
 //! failed to localize) keep the bit-identity contract but waive the
 //! vacuity check — a fallback build never probes the clause tier.
+//!
+//! Before the family, every case query of arity ≥ 1 — single-clause ones
+//! included, which the row then skips — must get the same Step 5
+//! acceptance from `Reduction::build`, which accepts each clause as a
+//! product of per-part filtered type lists, and from
+//! `Reduction::build_reference`, which evaluates the whole matrix on every
+//! partition × type combination (`clausecheck-step5`): the same exclusive
+//! clauses in the same order, or the same build error.
 
-use crate::oracle::{observe, with_formula, Oracle, Verdict};
-use lowdeg_core::{ArtifactCache, Engine, EngineConfig};
+use crate::oracle::{observe, with_formula, Findings, Oracle, Verdict};
+use lowdeg_core::reduction::DEFAULT_COMBINATION_BUDGET;
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig, Reduction};
+use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, ClauseForm, Formula, Query};
 use lowdeg_par::ParConfig;
+use lowdeg_storage::Structure;
+
+/// The product acceptance of `Reduction::build` against the full scan of
+/// `Reduction::build_reference`: same clause list, or the same error.
+fn check_step5(s: &Structure, q: &Query, out: &mut Findings) {
+    if q.arity() == 0 {
+        return; // sentences have no Step 5
+    }
+    let (eps, par) = (Epsilon::default_eps(), ParConfig::serial());
+    let product = Reduction::build(s, q, eps, &par);
+    let scan = Reduction::build_reference(s, q, eps, DEFAULT_COMBINATION_BUDGET, &par);
+    match (product, scan) {
+        (Ok(a), Ok(b)) => {
+            let (got, want) = (&a.query().clauses, &b.query().clauses);
+            if got != want {
+                let at = got.iter().zip(want).position(|(x, y)| x != y);
+                let detail = format!(
+                    "product acceptance {} clause(s) vs full scan {} (first difference at {at:?})",
+                    got.len(),
+                    want.len()
+                );
+                out.fail("step5", detail);
+            }
+        }
+        (Err(a), Err(b)) if a == b => {}
+        (a, b) => {
+            let (a, b) = (a.err(), b.err());
+            out.fail("step5", format!("build outcome {a:?} vs full scan {b:?}"));
+        }
+    }
+}
 
 /// A family member: the disjunction of the given canonical clauses, over
 /// the canonical query's free list and variable table. `None` when the
@@ -61,6 +102,7 @@ fn family(canonical: &Query, clauses: &[ClauseForm]) -> Option<Vec<Query>> {
 pub const ORACLE: Oracle = Oracle {
     name: "clausecheck",
     check: |case, out| {
+        check_step5(case.s, case.q, out);
         let nf = normalize(case.q);
         let members = (nf.clauses.len() >= 2)
             .then(|| family(&nf.query, &nf.clauses))

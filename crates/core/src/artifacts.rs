@@ -438,8 +438,8 @@ impl ArtifactCache {
     /// rewrite variants, while this tier lets queries that merely *share a
     /// clause* reuse that clause's acceptance pass. Probes maintain their
     /// own counters ([`Self::clause_stats`]); a miss is counted here —
-    /// callers batch-build the missed clauses (one canonical scan for all
-    /// of them) and retain the results via [`Self::clause_product_insert`].
+    /// callers build each missed clause's acceptance and retain it via
+    /// [`Self::clause_product_insert`].
     pub(crate) fn clause_product_cached(
         &self,
         fingerprint: u64,

@@ -11,14 +11,9 @@ use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, Query};
 use lowdeg_par::{par_map, ParConfig};
 use lowdeg_storage::{Node, Structure};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-
-/// Phase-2 prebuild buckets of the workload planner: `(radius, k)` core
-/// key → (total modeled cost for the largest-first ordering, group index
-/// → clause indices to prebuild under that core).
-type ClauseBuckets = BTreeMap<(usize, usize), (u64, BTreeMap<usize, Vec<usize>>)>;
 
 /// Build-time configuration beyond the structure/query pair, consumed by
 /// [`Engine::build_configured`] and [`Engine::build_workload`].
@@ -106,9 +101,9 @@ pub struct WorkloadStats {
     /// count whenever queries overlap partially. Zero with
     /// [`EngineConfig::normalize`] off (no canonical clauses exist).
     pub distinct_clauses: usize,
-    /// Clause-tier cache hits recorded over the whole batch (planner
-    /// prebuilds plus per-query assemblies) — how often a clause's Step 5
-    /// acceptance set was stitched from the cache instead of rebuilt.
+    /// Clause-tier cache hits recorded over the whole batch — how often a
+    /// clause's Step 5 acceptance set was stitched from the cache instead
+    /// of rebuilt.
     pub clause_cache_hits: u64,
 }
 
@@ -411,19 +406,12 @@ impl Engine {
     /// alias the same engine), plus the sharing statistics. Queries build
     /// in order; the first error aborts the batch.
     ///
-    /// With [`EngineConfig::clause_sharing`] on (the default) the batch
-    /// runs through a two-phase planner. **Phase 1** decomposes the batch:
-    /// every query normalizes once, rewrite variants group by canonical
-    /// fingerprint, and the distinct canonical *clauses* are collected
-    /// with their cross-group sharing structure. **Phase 2** schedules
-    /// the shared clauses (those appearing in ≥ 2 distinct groups) by a
-    /// cost model — the core's partition × type combination total
-    /// weighted by the clause matrix size — and pre-builds each exactly
-    /// once, largest-first, into the cache's clause tier on the worker
-    /// pool. The per-query assemblies then stitch the cached clause
-    /// artifacts instead of re-running the overlapping Step 5 work, and
-    /// their counts sum clause-memoized combination counts. Every engine
-    /// stays bit-identical to its solo [`Engine::build_configured`] build.
+    /// With [`EngineConfig::clause_sharing`] on (the default) every
+    /// group's build stitches its Step 5 acceptance from the cache's
+    /// clause tier, so a clause shared by several groups is accepted once
+    /// (by the first group that needs it) and read by the rest, and the
+    /// counts sum clause-memoized combination counts. Every engine stays
+    /// bit-identical to its solo [`Engine::build_configured`] build.
     pub fn build_workload(
         structure: &Structure,
         queries: &[&Query],
@@ -431,109 +419,23 @@ impl Engine {
         par: &ParConfig,
         cache: &ArtifactCache,
     ) -> Result<(Vec<Arc<Self>>, WorkloadStats), EngineError> {
-        use std::collections::BTreeSet;
         let clause_hits_before = cache.clause_stats().0;
-
-        // --- Phase 1: decompose the batch. Normalize every query once,
-        // group rewrite variants by canonical fingerprint (first
-        // occurrence is the group's representative), and collect the
-        // distinct-clause set with its cross-group multiplicities.
+        // Normalize every query once; the distinct canonical clauses are
+        // the unit of Step 5 sharing.
         let nfs: Vec<Option<lowdeg_logic::NormalForm>> = queries
             .iter()
             .map(|q| config.normalize.then(|| normalize(q)))
             .collect();
-        let mut group_of: HashMap<u64, usize> = HashMap::new();
-        let mut groups: Vec<usize> = Vec::new(); // representative query index
-        for (i, nf) in nfs.iter().enumerate() {
-            if let Some(nf) = nf {
-                group_of.entry(nf.fingerprint).or_insert_with(|| {
-                    groups.push(i);
-                    groups.len() - 1
-                });
-            }
-        }
-        let per_group_fps: Vec<Vec<u64>> = groups
+        let distinct_clauses = nfs
             .iter()
-            .map(|&rep| {
-                let nf = nfs[rep]
-                    .as_ref()
-                    .expect("groups only form when normalizing");
-                nf.clauses.iter().map(|c| c.fingerprint).collect()
-            })
-            .collect();
-        let mut multiplicity: HashMap<u64, usize> = HashMap::new();
-        let mut distinct_clause_set: BTreeSet<u64> = BTreeSet::new();
-        for fps in &per_group_fps {
-            for fp in fps.iter().copied().collect::<BTreeSet<u64>>() {
-                *multiplicity.entry(fp).or_insert(0) += 1;
-                distinct_clause_set.insert(fp);
-            }
-        }
-        let distinct_clauses = distinct_clause_set.len();
+            .flatten()
+            .flat_map(|nf| nf.clauses.iter().map(|c| c.fingerprint))
+            .collect::<std::collections::BTreeSet<u64>>()
+            .len();
 
-        // --- Phase 2: cost-driven prebuild of the shared clauses. Probe
-        // each group's modeled per-clause cost through the cached cores,
-        // bucket every clause shared by ≥ 2 groups under its `(radius, k)`
-        // core key, and issue ONE batched acceptance scan per bucket —
-        // every combination is visited once and all of the bucket's
-        // clause matrices evaluate against its union view. Buckets run
-        // costliest-total first, so the most expensive shared acceptance
-        // artifacts land in the clause tier before any per-query assembly
-        // could rebuild them, and a capacity-bounded cache evicts the
-        // cheap ones first.
-        if config.normalize && config.clause_sharing {
-            // (radius, k) → per-group clause indices to prebuild, plus the
-            // bucket's total modeled cost for the largest-first ordering.
-            let mut buckets: ClauseBuckets = BTreeMap::new();
-            let mut planned: BTreeSet<u64> = BTreeSet::new();
-            for (gi, &rep) in groups.iter().enumerate() {
-                let nf = nfs[rep].as_ref().expect("normalized group");
-                let fps = &per_group_fps[gi];
-                let Some(plan) =
-                    Reduction::clause_plan(structure, &nf.query, config.eps, par, cache, fps.len())
-                else {
-                    // Doesn't localize (or misaligns): the per-query build
-                    // below reports or absorbs it; nothing to share here.
-                    continue;
-                };
-                for (ci, (&fp, &cost)) in fps.iter().zip(&plan.costs).enumerate() {
-                    if multiplicity.get(&fp).copied().unwrap_or(0) >= 2 && planned.insert(fp) {
-                        let bucket = buckets
-                            .entry((plan.radius, plan.k))
-                            .or_insert_with(|| (0, BTreeMap::new()));
-                        bucket.0 = bucket.0.saturating_add(cost);
-                        bucket.1.entry(gi).or_default().push(ci);
-                    }
-                }
-            }
-            let mut ordered: Vec<_> = buckets.into_iter().collect();
-            ordered.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
-            for (key, (_, by_group)) in ordered {
-                let jobs: Vec<(&lowdeg_logic::Query, &[u64], Vec<usize>)> = by_group
-                    .into_iter()
-                    .map(|(gi, indices)| {
-                        let nf = nfs[groups[gi]].as_ref().expect("normalized group");
-                        (&nf.query, per_group_fps[gi].as_slice(), indices)
-                    })
-                    .collect();
-                // A failing prebuild (budget, localization) is not the
-                // planner's to report — the per-query build surfaces it
-                // with its query attached.
-                let _ = Reduction::prebuild_clause_batch(
-                    structure,
-                    config.eps,
-                    DEFAULT_COMBINATION_BUDGET,
-                    par,
-                    cache,
-                    key,
-                    &jobs,
-                );
-            }
-        }
-
-        // --- Per-query assembly: build each distinct group once (clause
-        // artifacts and combination counts now stitch from the cache),
-        // alias group members onto the shared engine.
+        // Build each rewrite group once (clause artifacts and combination
+        // counts stitch from the cache); alias group members onto the
+        // shared engine.
         let mut shared: HashMap<u64, Arc<Engine>> = HashMap::new();
         let mut engines: Vec<Arc<Engine>> = Vec::with_capacity(queries.len());
         let mut distinct = 0usize;

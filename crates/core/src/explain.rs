@@ -6,6 +6,7 @@
 use crate::artifacts::{ArtifactCache, BuildProfile};
 use crate::engine::NormalizationInfo;
 use crate::enumerate::{SkipLimits, Strategy};
+use crate::reduction::Step5Stats;
 use crate::Engine;
 use std::fmt;
 
@@ -23,6 +24,9 @@ pub struct Explain {
     pub count: u64,
     /// Per-stage build timings (all zero for sentences).
     pub profile: BuildProfile,
+    /// What the build's Step 5 decided without evaluation and what it
+    /// evaluated (zeros for sentences and for acceptance a cache served).
+    pub step5: Step5Stats,
     /// The effective eager-machinery cost gates the build ran under (the
     /// compiled-in constants for every public builder).
     pub skip_limits: SkipLimits,
@@ -212,6 +216,10 @@ impl Engine {
             reduction,
             count: self.count(),
             profile: self.profile().clone(),
+            step5: self
+                .reduction()
+                .map(|r| r.step5_stats())
+                .unwrap_or_default(),
             skip_limits: self.skip_limits(),
             cache: None,
         }
@@ -254,6 +262,16 @@ impl fmt::Display for Explain {
                     r.graph_nodes, r.clusters, r.graph_edges
                 )?;
                 writeln!(f, "exclusive clauses: {}", r.clauses)?;
+                let s5 = &self.step5;
+                writeln!(
+                    f,
+                    "step 5: {} partition(s) skipped, {} type(s) filtered, \
+                     {} combination(s) emitted as products, {} scanned",
+                    s5.partitions_skipped,
+                    s5.types_filtered,
+                    s5.product_combinations,
+                    s5.scanned_combinations
+                )?;
                 let large = r
                     .clause_plans
                     .iter()
@@ -455,6 +473,48 @@ mod tests {
         // cache-less explain stays cache-silent
         assert!(warm.explain().cache.is_none());
         assert!(!warm.explain().to_string().contains("artifact cache:"));
+    }
+
+    /// The `step 5:` counters: two-hop's split partition is skipped and
+    /// nothing is scanned; a rebuild whose Step 5 product, or whose clause
+    /// sets, a cache serves counts nothing.
+    #[test]
+    fn explain_reports_step5_counters() {
+        use crate::{ArtifactCache, EngineConfig};
+        use lowdeg_par::ParConfig;
+        let s = ColoredGraphSpec::balanced(60, DegreeClass::Bounded(3)).generate(63);
+        let par = ParConfig::serial();
+        let config = EngineConfig {
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        let step5 = |src: &str, cache: Option<&ArtifactCache>| {
+            let q = parse_query(s.signature(), src).unwrap();
+            let engine = Engine::build_configured(&s, &q, &config, &par, cache).unwrap();
+            let ex = engine.explain();
+            assert!(ex.to_string().contains("step 5: "));
+            ex.step5
+        };
+        let hop = step5("exists z. E(x, z) & E(z, y)", None);
+        assert_eq!(hop.partitions_skipped, 1);
+        assert_eq!(hop.scanned_combinations, 0);
+        assert!(hop.types_filtered > 0 && hop.product_combinations > 0);
+
+        // residual: the nested `∨` spans the split partition's parts
+        let nested = step5("(B(x) | R(y)) & !E(x, y)", None);
+        assert!(nested.scanned_combinations > 0);
+
+        let cache = ArtifactCache::new();
+        let pair = "(B(x) & R(y) & !E(x, y)) | (G(x) & B(y) & !E(x, y))";
+        assert_ne!(step5(pair, Some(&cache)), Step5Stats::default());
+        // a rewrite variant hits the whole-query Step 5 product
+        let variant = "(G(x) & B(y) & !E(x, y)) | (B(x) & R(y) & !E(x, y))";
+        assert_eq!(step5(variant, Some(&cache)), Step5Stats::default());
+        // a query of already-accepted clauses hits the clause tier
+        assert_eq!(
+            step5("B(x) & R(y) & !E(x, y)", Some(&cache)),
+            Step5Stats::default()
+        );
     }
 
     #[test]

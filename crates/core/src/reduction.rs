@@ -23,14 +23,17 @@
 //!    realization of the Feferman–Vaught predicates `C_{P,j,t}` (DESIGN.md
 //!    §3); put `E`-edges between cluster vertices whose elements come within
 //!    distance `2r+1`; add `F_i`-edges back to `dom(A)` for `f⁻¹`;
-//! 5. decide, once per partition and realized type combination, whether such
-//!    answers satisfy `φ'` — by evaluating `φ'` on the disjoint union of
-//!    type representatives (sound because `φ'` is `r`-local and the clusters
-//!    of an answer are pairwise `> 2r+1` apart, so `𝒩_r(ā)` *is* that
-//!    disjoint union up to isomorphism). The union is never materialized:
-//!    the matrix is evaluated against a borrowed [`UnionView`] of the
-//!    representatives. Accepted combinations become the exclusive clauses
-//!    of `ψ₂`; `ψ₁` is the pairwise `¬E` guard.
+//! 5. decide, per partition and realized type combination, whether such
+//!    answers satisfy `φ'` on the disjoint union of type representatives
+//!    (sound because `φ'` is `r`-local and the clusters of an answer are
+//!    pairwise `> 2r+1` apart, so `𝒩_r(ā)` *is* that disjoint union up to
+//!    isomorphism). Per clause and partition the decision is a
+//!    Feferman–Vaught product (`clause_accept`, DESIGN.md §16): each
+//!    part's type list is filtered once by the conjuncts local to it, and
+//!    only conjuncts no part decides alone are evaluated, against a
+//!    borrowed [`UnionView`] of the representatives — the union is never
+//!    materialized. Accepted combinations become the exclusive clauses of
+//!    `ψ₂`; `ψ₁` is the pairwise `¬E` guard.
 //!
 //! # Assembly layout
 //!
@@ -58,7 +61,7 @@ use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner}
 use lowdeg_locality::types::Canonicalizer;
 use lowdeg_locality::{localize, LocalQuery, TypeId, TypeInterner};
 use lowdeg_logic::eval::{eval, Assignment, Model};
-use lowdeg_logic::{Formula, Query, Var};
+use lowdeg_logic::{DistCmp, Formula, Query, Var};
 use lowdeg_par::{par_flat_map, par_map, par_partition, ParConfig};
 use lowdeg_storage::{GaifmanGraph, Node, RelId, Signature, Structure, MAX_ARITY as MAX_REL_ARITY};
 use std::collections::BTreeSet;
@@ -251,6 +254,8 @@ pub struct Reduction {
     /// [`crate::CountingMemo`] probes (a signature determines its clause's
     /// colors against this core, so the count is a pure function of it).
     clause_sigs: Vec<Box<[u64]>>,
+    /// What this build's Step 5 decided and evaluated.
+    step5_stats: Step5Stats,
 }
 
 /// A structural fingerprint of a built [`Reduction`] for differential
@@ -317,14 +322,14 @@ impl Reduction {
     /// in clause order), each clause's acceptance set is memoized under
     /// `(cluster key, clause fingerprint)`, so queries that share a clause
     /// share its acceptance work and the whole-query product is stitched
-    /// from the per-clause sets bit-identically to the monolithic pass.
+    /// from the per-clause sets bit-identically to the uncached pass.
     ///
     /// Contract: when `query_fp` is `Some`, `query` must be the
     /// *canonical* query of that fingerprint (the `lowdeg_logic::normalize`
     /// output), so every caller probing the same key would build the same
     /// product. `clause_fps` is advisory: if its length doesn't match the
-    /// localized clause decomposition (or it is `None`), the monolithic
-    /// path runs.
+    /// localized clause decomposition (or it is `None`), Step 5 runs
+    /// without the clause tier.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build_keyed(
         structure: &Structure,
@@ -361,6 +366,9 @@ impl Reduction {
         };
 
         let reduce_started = std::time::Instant::now();
+        // Step 5 work of this build only: a cached product counts nothing
+        let mut step5_stats = Step5Stats::default();
+        let stats = &mut step5_stats;
         let (query_out, accepted, clause_sigs) = match (cache, query_fp) {
             (Some(c), Some(fp)) => {
                 let product = c.step5_product(structure.fingerprint(), r, k, eps, fp, || {
@@ -369,20 +377,17 @@ impl Reduction {
                         // come from `normalize`, the clause matrices from
                         // `localize`; both preserve the canonical top-level
                         // disjunction, but a mismatch must degrade to the
-                        // monolithic pass, never mis-key the cache.
+                        // uncached pass, never mis-key the cache.
                         Some(fps) if fps.len() == local.clause_matrices.len() => {
-                            step5_clause_shared(
-                                &core,
-                                &local,
-                                budget,
-                                par,
-                                c,
-                                structure.fingerprint(),
+                            let tier = ClauseTier {
+                                cache: c,
+                                structure_fp: structure.fingerprint(),
                                 eps,
                                 fps,
-                            )?
+                            };
+                            step5(&core, &local, budget, par, Some(tier), stats)?
                         }
-                        _ => step5(&core, &local, budget, par)?,
+                        _ => step5(&core, &local, budget, par, None, stats)?,
                     };
                     Ok(Step5Product {
                         query: q,
@@ -396,7 +401,7 @@ impl Reduction {
                     product.clause_sigs.clone(),
                 )
             }
-            _ => step5(&core, &local, budget, par)?,
+            _ => step5(&core, &local, budget, par, None, stats)?,
         };
         profiler.add(Stage::Reduce, reduce_started.elapsed().as_nanos() as u64);
 
@@ -408,6 +413,7 @@ impl Reduction {
             local,
             accepted,
             clause_sigs,
+            step5_stats,
         })
     }
 
@@ -415,7 +421,8 @@ impl Reduction {
     /// verbatim (hash-map interning, materialized vertex records, the
     /// `(tuple, ι) → vertex` lookup) and *asserted* against the arithmetic
     /// block layout while converting into the shared [`ReductionCore`]
-    /// shape. Test-only; never cached, never profiled.
+    /// shape, with Step 5 as the full scan ([`step5_reference`]) instead of
+    /// the product acceptance. Test-only; never cached, never profiled.
     #[doc(hidden)]
     pub fn build_reference(
         structure: &Structure,
@@ -432,7 +439,7 @@ impl Reduction {
         let r = local.radius;
         let two_r1 = 2 * r + 1;
         let core = Arc::new(build_core_reference(structure, r, k, eps, par));
-        let (query_out, accepted, clause_sigs) = step5(&core, &local, budget, par)?;
+        let (query_out, accepted, clause_sigs) = step5_reference(&core, &local, budget, par)?;
         Ok(Reduction {
             core,
             query: query_out,
@@ -441,121 +448,8 @@ impl Reduction {
             local,
             accepted,
             clause_sigs,
+            step5_stats: Step5Stats::default(),
         })
-    }
-
-    /// Workload-planner probe: localize `query` (a canonical normal
-    /// form), fetch or build its query-independent core through `cache`,
-    /// and return the plan inputs for its clauses — the localization
-    /// radius and arity (the core key the planner buckets batched scans
-    /// by) and the modeled Step 5 cost of each localized clause: the
-    /// core's partition × type combination total weighted by the clause
-    /// matrix's syntactic size (every combination pays one evaluation of
-    /// the matrix, whose cost is linear in its AST). `None` when the
-    /// query fails to localize or the clause decomposition misaligns with
-    /// `clause_count`; the planner then skips prebuilding for this group
-    /// and the per-query build surfaces (or absorbs) the condition.
-    pub(crate) fn clause_plan(
-        structure: &Structure,
-        query: &Query,
-        eps: Epsilon,
-        par: &ParConfig,
-        cache: &ArtifactCache,
-        clause_count: usize,
-    ) -> Option<ClausePlan> {
-        let k = query.arity();
-        if k == 0 {
-            return None;
-        }
-        let local = localize(structure, query).ok()?;
-        if local.clause_matrices.len() != clause_count {
-            return None;
-        }
-        let profiler = Profiler::new();
-        let core = cache.reduction_core(structure.fingerprint(), local.radius, k, eps, || {
-            build_core(structure, local.radius, k, eps, par, &profiler)
-        });
-        let combos = step5_combo_total(&core);
-        Some(ClausePlan {
-            radius: local.radius,
-            k,
-            costs: local
-                .clause_matrices
-                .iter()
-                .map(|m| combos.saturating_mul(m.size() as u64))
-                .collect(),
-        })
-    }
-
-    /// Workload-planner build: materialize the planned clauses of one
-    /// `(radius, k)` bucket into `cache`'s clause tier with a SINGLE
-    /// batched acceptance scan — every combination is visited once and
-    /// all planned clause matrices evaluate against its union view — so
-    /// later per-query assemblies stitch the shared artifacts
-    /// instead of re-running any clause's Step 5 acceptance pass. `jobs`
-    /// maps each owning rep query to its clause fingerprints and the
-    /// clause indices to prebuild. Queries that fail to localize, whose
-    /// decomposition misaligns, or whose `(radius, k)` disagrees with the
-    /// bucket are skipped — the per-query build surfaces (or absorbs)
-    /// those conditions with the query attached; a warm tier makes every
-    /// job a no-op.
-    pub(crate) fn prebuild_clause_batch(
-        structure: &Structure,
-        eps: Epsilon,
-        budget: u64,
-        par: &ParConfig,
-        cache: &ArtifactCache,
-        bucket: (usize, usize),
-        jobs: &[(&Query, &[u64], Vec<usize>)],
-    ) -> Result<(), EngineError> {
-        let (r, k) = bucket;
-        assert!(k >= 1, "sentences have no Step 5 clauses");
-        let mut locals: Vec<(LocalQuery, &[u64], &[usize])> = Vec::new();
-        for (query, fps, indices) in jobs {
-            let Ok(local) = localize(structure, query) else {
-                continue;
-            };
-            if local.clause_matrices.len() != fps.len() || (local.radius, query.arity()) != (r, k) {
-                continue; // misaligned decomposition: nothing to share
-            }
-            locals.push((local, fps, indices.as_slice()));
-        }
-        if locals.is_empty() {
-            return Ok(());
-        }
-        let profiler = Profiler::new();
-        let core = cache.reduction_core(structure.fingerprint(), r, k, eps, || {
-            build_core(structure, r, k, eps, par, &profiler)
-        });
-        let mut batch: Vec<ClauseJob> = Vec::new();
-        for (local, fps, indices) in &locals {
-            for &ci in *indices {
-                let fp = fps[ci];
-                if cache
-                    .clause_product_cached(structure.fingerprint(), r, k, eps, fp)
-                    .is_none()
-                {
-                    batch.push(ClauseJob {
-                        free: &local.free,
-                        matrix: &local.clause_matrices[ci],
-                        fp,
-                    });
-                }
-            }
-        }
-        step5_check_and_warm(&core, budget, par, batch.iter().map(|job| job.matrix))?;
-        let sets = clause_accept_sets(&core, par, &batch);
-        for (job, accepted) in batch.iter().zip(sets) {
-            cache.clause_product_insert(
-                structure.fingerprint(),
-                r,
-                k,
-                eps,
-                job.fp,
-                ClauseAcceptance { accepted },
-            );
-        }
-        Ok(())
     }
 
     /// The colored graph `G`.
@@ -610,8 +504,7 @@ impl Reduction {
 
     /// The representatives Step 5 evaluates on: for each cluster size `s`
     /// (index `s`, `0..=k`), the realized types' `(representative,
-    /// distinguished tuple)` pairs in the order the acceptance scan
-    /// enumerates them. Test-only.
+    /// distinguished tuple)` pairs in mixed-radix digit order. Test-only.
     #[doc(hidden)]
     pub fn type_representatives(&self) -> Vec<Vec<(&Structure, &[Node])>> {
         let c = &*self.core;
@@ -626,6 +519,12 @@ impl Reduction {
     #[doc(hidden)]
     pub fn type_representative(&self, t: u32) -> (&Structure, &[Node]) {
         self.core.interner.representative(TypeId(t))
+    }
+
+    /// Step 5 work counters of this build (zeros for what a cache
+    /// served).
+    pub fn step5_stats(&self) -> Step5Stats {
+        self.step5_stats
     }
 
     /// Number of cluster vertices (the `|V|` of Step 3).
@@ -860,59 +759,178 @@ pub(crate) struct Step5Product {
     pub(crate) clause_sigs: Vec<Box<[u64]>>,
 }
 
-/// The cacheable per-clause acceptance set: the packed signatures accepted
-/// by *one* localized clause matrix against a core. Deterministic given
-/// the core and the clause's canonical form, so the
-/// [`crate::ArtifactCache`] keys it by `(cluster key, clause fingerprint)`
-/// — any two queries sharing the clause share the entry, whatever their
-/// other clauses look like.
+/// The cacheable per-clause acceptance set: the combinations *one*
+/// localized clause matrix accepts against a core, as ascending
+/// [`ComboRank`]s. Deterministic given the core and the clause's
+/// canonical form, so the [`crate::ArtifactCache`] keys it by
+/// `(cluster key, clause fingerprint)` — any two queries sharing the
+/// clause share the entry, whatever their other clauses look like.
 #[derive(Debug)]
 pub(crate) struct ClauseAcceptance {
-    pub(crate) accepted: FxHashSet<Box<[u64]>>,
+    pub(crate) accepted: Vec<ComboRank>,
 }
 
-/// Plan inputs the workload planner derives per query group: the core key
-/// (localization `radius`, arity `k`) its clauses build against — batched
-/// prebuild scans are bucketed by this key — and each clause's modeled
-/// Step 5 cost.
-pub(crate) struct ClausePlan {
-    pub(crate) radius: usize,
-    pub(crate) k: usize,
-    pub(crate) costs: Vec<u64>,
+/// A partition × type combination's canonical rank: the partition's index
+/// in [`all_partitions`] order and the combination's mixed-radix index
+/// over the full per-part type lists of [`Step5Layout::types`], last part
+/// fastest. Step 5 emits clauses in ascending rank.
+pub(crate) type ComboRank = (u32, u64);
+
+/// Step 5 work counters of one build: what the product acceptance
+/// (DESIGN.md §16) decided without a union-view evaluation, and what it
+/// still evaluated. Reported by `lowdeg explain`; a build whose Step 5
+/// product or clause sets came from an [`ArtifactCache`] counts nothing
+/// for them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Step5Stats {
+    /// (clause, partition) pairs rejected outright: a positive chain of
+    /// some conjunct joins answer positions in different parts, so the
+    /// clause holds on none of the partition's combinations.
+    pub partitions_skipped: u64,
+    /// Part-local evaluations on a lone type representative, one per type
+    /// of each part that has part-local conjuncts.
+    pub types_filtered: u64,
+    /// Combinations accepted as products of filtered type lists, without
+    /// any evaluation.
+    pub product_combinations: u64,
+    /// Combinations of filtered products evaluated on a [`UnionView`]
+    /// because residual conjuncts remained.
+    pub scanned_combinations: u64,
 }
 
-/// Step 5: acceptance per partition × type combination, shared between the
-/// production and reference builds. The scan emits accepted combinations
-/// in canonical order, so the clause list needs no sort.
+impl Step5Stats {
+    /// Counter-wise sum.
+    pub fn plus(self, other: Step5Stats) -> Step5Stats {
+        Step5Stats {
+            partitions_skipped: self.partitions_skipped + other.partitions_skipped,
+            types_filtered: self.types_filtered + other.types_filtered,
+            product_combinations: self.product_combinations + other.product_combinations,
+            scanned_combinations: self.scanned_combinations + other.scanned_combinations,
+        }
+    }
+}
+
+/// The partition × type space Step 5 ranges over, laid out once per pass.
+struct Step5Layout {
+    /// [`all_partitions`] of the answer positions.
+    partitions: Vec<Vec<Vec<u8>>>,
+    /// Per partition, the ι id of each part.
+    iotas: Vec<Vec<u16>>,
+    /// Realized types per cluster size, in `types_by_size` order — the
+    /// digits of a [`ComboRank`].
+    types: Vec<Vec<TypeId>>,
+}
+
+impl Step5Layout {
+    fn new(core: &ReductionCore) -> Self {
+        let partitions = all_partitions(core.k);
+        let iotas = partitions
+            .iter()
+            .map(|p| p.iter().map(|part| core.iota_id(part)).collect())
+            .collect();
+        let types = core
+            .types_by_size
+            .iter()
+            .map(|ts| ts.iter().copied().collect())
+            .collect();
+        Step5Layout {
+            partitions,
+            iotas,
+            types,
+        }
+    }
+
+    /// The packed signature of the combination ranked `rank`: the
+    /// `(ι, type)` word of each part in part order, padded with the dummy.
+    fn signature(&self, k: usize, (pi, mut rem): ComboRank) -> Box<[u64]> {
+        let p = &self.partitions[pi as usize];
+        let mut sig = vec![pack_signature(None); k];
+        for j in (0..p.len()).rev() {
+            let ts = &self.types[p[j].len()];
+            let t = ts[(rem % ts.len() as u64) as usize];
+            rem /= ts.len() as u64;
+            sig[j] = pack_signature(Some((self.iotas[pi as usize][j], t.0)));
+        }
+        sig.into()
+    }
+}
+
+/// The clause tier a Step 5 pass reads and publishes each clause's
+/// acceptance through: the cache, the structure's fingerprint, ε, and the
+/// clause fingerprints aligned with `local.clause_matrices`.
+struct ClauseTier<'a> {
+    cache: &'a ArtifactCache,
+    structure_fp: u64,
+    eps: Epsilon,
+    fps: &'a [u64],
+}
+
+/// Step 5 of the production build: the budget check, then each localized
+/// clause's acceptance as a product ([`clause_accept`]) — read from the
+/// clause tier when one is given and holds it, else built (and then
+/// published there) — merged into the canonical clause list.
+/// Bit-identical to the full scan of [`step5_reference`]: the matrix is
+/// the disjunction of the clause matrices, so its acceptance set is the
+/// union of theirs, and a cached clause set is the one its clause builds.
+/// Only the clauses built here count toward `stats`.
 fn step5(
     core: &ReductionCore,
     local: &LocalQuery,
     budget: u64,
     par: &ParConfig,
+    tier: Option<ClauseTier>,
+    stats: &mut Step5Stats,
 ) -> Result<Step5Output, EngineError> {
-    step5_check_and_warm(core, budget, par, [&local.matrix])?;
-    let sigs = accept_scan(core, par, &[(&local.free, &local.matrix)])
-        .pop()
-        .expect("one list per matrix");
-    let accepted = sigs.iter().cloned().collect();
-    Ok(step5_emit(core, accepted, sigs))
+    check_budget(core, budget)?;
+    let layout = Step5Layout::new(core);
+    let mut ranks: Vec<ComboRank> = Vec::new();
+    for (ci, matrix) in local.clause_matrices.iter().enumerate() {
+        let mut accept = || clause_accept(core, &layout, par, &local.free, matrix, stats);
+        let Some(t) = &tier else {
+            ranks.extend(accept());
+            continue;
+        };
+        let (fp, r, k, eps) = (t.structure_fp, local.radius, core.k, t.eps);
+        let product = match t.cache.clause_product_cached(fp, r, k, eps, t.fps[ci]) {
+            Some(product) => product,
+            None => {
+                let product = ClauseAcceptance { accepted: accept() };
+                t.cache
+                    .clause_product_insert(fp, r, k, eps, t.fps[ci], product)
+            }
+        };
+        ranks.extend_from_slice(&product.accepted);
+    }
+    Ok(step5_emit(core, &layout, ranks))
 }
 
-/// The budget check plus the representative Gaifman pre-warm that every
-/// Step 5 variant runs before enumerating combinations.
-///
-/// Pre-warming: the [`UnionView`] answers `Dist` atoms from the
-/// representatives' own cached Gaifman graphs and reads them for nothing
-/// else, so they are warmed (in parallel, once per core) only when some
-/// matrix about to be evaluated contains a distance guard. Without the
-/// warm, the first combination touching each representative would build
-/// its graph on the scan's critical path.
-fn step5_check_and_warm<'f>(
+/// The differential oracle of Step 5: the whole localized matrix evaluated
+/// on the union view of every partition × type combination — no
+/// classification, no product.
+fn step5_reference(
     core: &ReductionCore,
+    local: &LocalQuery,
     budget: u64,
     par: &ParConfig,
-    matrices: impl IntoIterator<Item = &'f Formula>,
-) -> Result<(), EngineError> {
+) -> Result<Step5Output, EngineError> {
+    check_budget(core, budget)?;
+    let layout = Step5Layout::new(core);
+    let mut ranks = Vec::new();
+    for (pi, p) in layout.partitions.iter().enumerate() {
+        let digits: Vec<Vec<u32>> = p
+            .iter()
+            .map(|part| (0..layout.types[part.len()].len() as u32).collect())
+            .collect();
+        let test = [&local.matrix];
+        let hits = scan_product(core, &layout, par, pi, &digits, &local.free, &test);
+        ranks.extend(hits.into_iter().map(|idx| (pi as u32, idx)));
+    }
+    Ok(step5_emit(core, &layout, ranks))
+}
+
+/// The type-combination budget: fail before any Step 5 work when the
+/// core's combination total exceeds it.
+fn check_budget(core: &ReductionCore, budget: u64) -> Result<(), EngineError> {
     let combo_total = step5_combo_total(core);
     if combo_total > budget {
         return Err(EngineError::CombinationBudget {
@@ -920,22 +938,11 @@ fn step5_check_and_warm<'f>(
             budget,
         });
     }
-    if matrices.into_iter().any(Formula::has_dist) {
-        let all_tys: Vec<TypeId> = core.types_by_size.iter().flatten().copied().collect();
-        let rep_serial = ParConfig::serial();
-        par_map(par, &all_tys, |&t| {
-            let (s, _) = core.interner.representative(t);
-            s.gaifman_with(&rep_serial);
-        });
-    }
     Ok(())
 }
 
-/// `Σ_P Π_j |types|` — the number of partition × type combinations Step 5
-/// enumerates against this core. Also the workload planner's cost model
-/// for one clause's acceptance pass: every combination pays one matrix
-/// evaluation over the union view of its representatives, so modeled
-/// clause cost is proportional to this total.
+/// `Σ_P Π_j |types|` — the number of partition × type combinations of
+/// this core, the quantity the combination budget bounds.
 pub(crate) fn step5_combo_total(core: &ReductionCore) -> u64 {
     let mut combo_total: u64 = 0;
     for p in &all_partitions(core.k) {
@@ -948,186 +955,363 @@ pub(crate) fn step5_combo_total(core: &ReductionCore) -> u64 {
     combo_total
 }
 
-/// The canonical partition × type-combination scan shared by every Step 5
-/// path. Each combination is visited once: its representatives are laid
-/// side by side in a [`UnionView`] (no union is materialized), its
-/// distinguished tuples are placed at their answer positions, and every
-/// `(free variables, matrix)` pair is evaluated against the view. Returns,
-/// per matrix, the packed signatures it accepts in canonical order —
-/// partitions in [`all_partitions`] order, types in mixed radix with the
-/// last part fastest. Chunk boundaries are fixed and chunks concatenate
-/// in order, so the lists are identical for every thread count. A batch
-/// of `m` matrices costs one scan plus `m` evaluations per combination.
-/// Budget must have been checked by the caller ([`step5_check_and_warm`]).
-fn accept_scan(
+/// One localized clause's Step 5 acceptance as a Feferman–Vaught product
+/// (DESIGN.md §16), in ascending [`ComboRank`] order. A top-level `∨`
+/// splits into its disjuncts (the union of their sets). Per partition,
+/// each top-level conjunct of a disjunct is classified
+/// ([`classify_conjunct`]): one that no combination can satisfy skips the
+/// partition; constant-true ones drop out; part-local ones filter their
+/// part's type list once, on the lone representative; the accepted
+/// combinations are the product of the filtered lists, evaluated on a
+/// [`UnionView`] only for the residual conjuncts that remain.
+fn clause_accept(
     core: &ReductionCore,
+    layout: &Step5Layout,
     par: &ParConfig,
-    matrices: &[(&[Var], &Formula)],
-) -> Vec<Vec<Box<[u64]>>> {
-    let k = core.k;
-    let mut lists: Vec<Vec<Box<[u64]>>> = matrices.iter().map(|_| Vec::new()).collect();
-    if matrices.is_empty() {
-        return lists;
-    }
-    /// Combinations checked per parallel work item; fixed so the chunk
-    /// boundaries (and hence the list order after in-order concatenation)
-    /// never depend on the thread count.
-    const COMBO_CHUNK: usize = 1024;
-    for p in &all_partitions(k) {
-        let ell = p.len();
-        // iota of each part: its (sorted) position list
-        let part_iotas: Vec<u16> = p.iter().map(|part| core.iota_id(part)).collect();
-        let size_types: Vec<Vec<TypeId>> = p
-            .iter()
-            .map(|part| core.types_by_size[part.len()].iter().copied().collect())
-            .collect();
-        if size_types.iter().any(|ts| ts.is_empty()) {
-            continue;
-        }
-        let total: usize = size_types.iter().map(|ts| ts.len()).product();
-        let chunk_starts: Vec<usize> = (0..total).step_by(COMBO_CHUNK).collect();
-        // accepted (matrix index, packed signature) pairs per chunk
-        let hits: Vec<Vec<(u16, Box<[u64]>)>> = par_map(par, &chunk_starts, |&start| {
-            let end = (start + COMBO_CHUNK).min(total);
-            let mut out = Vec::new();
-            let mut tys: Vec<TypeId> = vec![TypeId(0); ell];
-            let mut signature: Vec<u64> = Vec::with_capacity(k);
-            let mut view = UnionView::default();
-            let mut at: Vec<Node> = vec![Node(0); k];
-            let mut asg = Assignment::default();
-            for idx in start..end {
-                // decode the combination index in mixed radix (last part
-                // fastest — the serial odometer's order)
-                let mut rem = idx;
-                for j in (0..ell).rev() {
-                    let ts = &size_types[j];
-                    tys[j] = ts[rem % ts.len()];
-                    rem /= ts.len();
+    free: &[Var],
+    matrix: &Formula,
+    stats: &mut Step5Stats,
+) -> Vec<ComboRank> {
+    let disjuncts: &[Formula] = match matrix {
+        Formula::Or(gs) => gs,
+        g => std::slice::from_ref(g),
+    };
+    let mut ranks = Vec::new();
+    for disjunct in disjuncts {
+        let conjuncts: &[Formula] = match disjunct {
+            Formula::And(gs) => gs,
+            g => std::slice::from_ref(g),
+        };
+        let warm = conjuncts.iter().any(Formula::has_dist);
+        for (pi, p) in layout.partitions.iter().enumerate() {
+            if p.iter().any(|part| layout.types[part.len()].is_empty()) {
+                continue; // no combination of this partition is realized
+            }
+            let part_of = |v: Var| {
+                let pos = free.iter().position(|&f| f == v)? as u8;
+                p.iter().position(|part| part.contains(&pos))
+            };
+            let mut local: Vec<Vec<&Formula>> = vec![Vec::new(); p.len()];
+            let mut residual: Vec<&Formula> = Vec::new();
+            let mut skip = false;
+            for c in conjuncts {
+                match classify_conjunct(c, part_of) {
+                    Conjunct::Never => skip = true,
+                    Conjunct::Always => {}
+                    Conjunct::Local(j) => local[j].push(c),
+                    Conjunct::Residual => residual.push(c),
                 }
-                signature.clear();
-                for j in 0..ell {
-                    signature.push(pack_signature(Some((part_iotas[j], tys[j].0))));
+            }
+            if skip {
+                stats.partitions_skipped += 1;
+                continue;
+            }
+            let mut digits: Vec<Vec<u32>> = Vec::with_capacity(p.len());
+            for (part, tests) in p.iter().zip(&local) {
+                let types = &layout.types[part.len()];
+                if tests.is_empty() {
+                    digits.push((0..types.len() as u32).collect());
+                    continue;
                 }
-                signature.resize(k, pack_signature(None));
-                view.clear();
-                for (part, &t) in p.iter().zip(&tys) {
+                stats.types_filtered += types.len() as u64;
+                let keep = par_map(par, types, |&t| {
                     let (rep, dist) = core.interner.representative(t);
-                    let offset = view.push(rep);
-                    debug_assert_eq!(part.len(), dist.len());
+                    if warm {
+                        rep.gaifman_with(&ParConfig::serial());
+                    }
+                    let mut asg = Assignment::default();
                     for (&pos, &d) in part.iter().zip(dist) {
-                        at[pos as usize] = Node(d.0 + offset);
+                        asg.bind(free[pos as usize], d);
                     }
-                }
-                let mut shared_sig: Option<Box<[u64]>> = None;
-                for (mi, &(free, matrix)) in matrices.iter().enumerate() {
-                    for (&v, &a) in free.iter().zip(&at) {
-                        asg.bind(v, a);
-                    }
-                    if eval(&view, matrix, &mut asg) {
-                        let sig = shared_sig
-                            .get_or_insert_with(|| signature.as_slice().into())
-                            .clone();
-                        out.push((mi as u16, sig));
-                    }
-                }
+                    tests.iter().all(|f| eval(rep, f, &mut asg))
+                });
+                digits.push(
+                    (0..types.len() as u32)
+                        .filter(|&i| keep[i as usize])
+                        .collect(),
+                );
             }
-            out
-        });
-        for chunk in hits {
-            for (mi, sig) in chunk {
-                lists[mi as usize].push(sig);
+            let total: u64 = digits.iter().map(|d| d.len() as u64).product();
+            if residual.is_empty() {
+                stats.product_combinations += total;
+            } else {
+                stats.scanned_combinations += total;
             }
+            let hits = scan_product(core, layout, par, pi, &digits, free, &residual);
+            ranks.extend(hits.into_iter().map(|idx| (pi as u32, idx)));
         }
     }
-    lists
-}
-
-/// One clause acceptance set to build in a batched scan: the owning
-/// query's canonical free variables, the localized clause matrix, and the
-/// clause's canonical fingerprint (the cache key the result lands under).
-pub(crate) struct ClauseJob<'a> {
-    free: &'a [Var],
-    matrix: &'a Formula,
-    fp: u64,
-}
-
-/// The acceptance signature sets of several localized clause matrices
-/// over the same core, built in ONE [`accept_scan`]. Because `eval` on a
-/// disjunction is the disjunction of the per-clause `eval`s, the union of
-/// a query's clause sets equals the monolithic [`step5`] acceptance set
-/// exactly.
-fn clause_accept_sets(
-    core: &ReductionCore,
-    par: &ParConfig,
-    jobs: &[ClauseJob],
-) -> Vec<FxHashSet<Box<[u64]>>> {
-    let matrices: Vec<(&[Var], &Formula)> = jobs.iter().map(|j| (j.free, j.matrix)).collect();
-    accept_scan(core, par, &matrices)
-        .into_iter()
-        .map(|sigs| sigs.into_iter().collect())
-        .collect()
-}
-
-/// Stitch a Step 5 output directly from an accepted-signature set: decode
-/// each packed signature back to its partition × type combination, sort by
-/// the canonical enumeration rank, and re-derive the colors.
-///
-/// Bit-identical to the monolithic [`step5`] whenever its acceptance set
-/// equals `accepted`: the per-part `(ι+1, t)` words recover
-/// the partition (the ordered ι-id list) and the types uniquely, the
-/// canonical rank is `(partition index in all_partitions, mixed-radix
-/// combination index)` — the latter is lexicographic on the per-part type
-/// ranks because the odometer runs last-part-fastest — and the colors are
-/// a pure function of the decoded combination. Costs
-/// `O(|accepted| · log |accepted|)` instead of a full combination scan,
-/// which is what makes warm per-query assembly cheap once the clause
-/// acceptance sets are cached.
-fn step5_assemble(core: &ReductionCore, accepted: FxHashSet<Box<[u64]>>) -> Step5Output {
-    let k = core.k;
-    // canonical rank of each partition, keyed by its ordered ι-id list
-    let mut partition_rank: FxHashMap<Vec<u16>, u32> = FxHashMap::default();
-    for (i, p) in all_partitions(k).iter().enumerate() {
-        let key: Vec<u16> = p.iter().map(|part| core.iota_id(part)).collect();
-        partition_rank.insert(key, i as u32);
+    if disjuncts.len() > 1 {
+        ranks.sort_unstable();
+        ranks.dedup();
     }
-    // rank of each type within its size class — the mixed-radix digit
-    let type_rank: Vec<FxHashMap<u32, u32>> = core
-        .types_by_size
-        .iter()
-        .map(|ts| {
-            ts.iter()
-                .enumerate()
-                .map(|(i, t)| (t.0, i as u32))
-                .collect()
-        })
-        .collect();
-    let mut ranked: Vec<(u32, Vec<u32>, Box<[u64]>)> = accepted
-        .iter()
-        .map(|sig| {
-            let mut iotas: Vec<u16> = Vec::new();
-            let mut digits: Vec<u32> = Vec::new();
-            for &w in sig.iter().take_while(|&&w| w != 0) {
-                let io = ((w >> 32) - 1) as u16;
-                let ty = (w & 0xFFFF_FFFF) as u32;
-                iotas.push(io);
-                digits.push(type_rank[core.iotas[io as usize].len()][&ty]);
-            }
-            (partition_rank[&iotas], digits, sig.clone())
-        })
-        .collect();
-    ranked.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    let clause_sigs = ranked.into_iter().map(|(_, _, sig)| sig).collect();
-    step5_emit(core, accepted, clause_sigs)
+    ranks
 }
 
-/// The Step 5 output for accepted signatures already in canonical order:
-/// one clause per signature, its colors decoded from the packed
-/// `(ι+1, type)` words (`C_ι ∧ C_t` per part, `C_⊥` per padding word).
+/// Walk the product of partition `pi`'s per-part digit lists (indices into
+/// [`Step5Layout::types`]) in canonical order — mixed radix, last part
+/// fastest — and return the mixed-radix index, over the *full* type lists,
+/// of every combination that satisfies all of `test` on the union view of
+/// its representatives; with `test` empty, of every combination, none
+/// evaluated. Chunk boundaries are fixed and chunks concatenate in order,
+/// so the result is identical for every thread count.
+fn scan_product(
+    core: &ReductionCore,
+    layout: &Step5Layout,
+    par: &ParConfig,
+    pi: usize,
+    digits: &[Vec<u32>],
+    free: &[Var],
+    test: &[&Formula],
+) -> Vec<u64> {
+    /// Combinations per parallel work item; fixed so the chunk
+    /// boundaries never depend on the thread count.
+    const COMBO_CHUNK: usize = 1024;
+    let p = &layout.partitions[pi];
+    let ell = p.len();
+    // the stride of each part's digit in the full mixed radix
+    let mut strides = vec![1u64; ell];
+    for j in (0..ell.saturating_sub(1)).rev() {
+        strides[j] = strides[j + 1] * layout.types[p[j + 1].len()].len() as u64;
+    }
+    let total: usize = digits.iter().map(Vec::len).product();
+    let warm = test.iter().any(|f| f.has_dist());
+    let chunk_starts: Vec<usize> = (0..total).step_by(COMBO_CHUNK).collect();
+    let hits: Vec<Vec<u64>> = par_map(par, &chunk_starts, |&start| {
+        let end = (start + COMBO_CHUNK).min(total);
+        let mut out = Vec::new();
+        let mut at: Vec<u32> = vec![0; ell];
+        let mut view = UnionView::default();
+        let mut asg = Assignment::default();
+        let serial = ParConfig::serial();
+        for idx in start..end {
+            let mut rem = idx;
+            let mut rank = 0u64;
+            for j in (0..ell).rev() {
+                at[j] = digits[j][rem % digits[j].len()];
+                rem /= digits[j].len();
+                rank += u64::from(at[j]) * strides[j];
+            }
+            if !test.is_empty() {
+                view.clear();
+                for (part, &d) in p.iter().zip(&at) {
+                    let t = layout.types[part.len()][d as usize];
+                    let (rep, dist) = core.interner.representative(t);
+                    if warm {
+                        rep.gaifman_with(&serial);
+                    }
+                    let offset = view.push(rep);
+                    for (&pos, &node) in part.iter().zip(dist) {
+                        asg.bind(free[pos as usize], Node(node.0 + offset));
+                    }
+                }
+                if !test.iter().all(|f| eval(&view, f, &mut asg)) {
+                    continue;
+                }
+            }
+            out.push(rank);
+        }
+        out
+    });
+    hits.concat()
+}
+
+/// How one top-level conjunct of a clause behaves on the disjoint unions
+/// of a partition's combinations ([`classify_conjunct`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Conjunct {
+    /// False on every combination.
+    Never,
+    /// True on every combination.
+    Always,
+    /// Decided by the representative of this part alone.
+    Local(usize),
+    /// Needs the union view.
+    Residual,
+}
+
+/// Classify conjunct `c` against a partition, `part_of` mapping each
+/// answer variable to its part (soundness: DESIGN.md §16).
+///
+/// * A positive chain ([`forced_links`]) joining variables of two parts
+///   makes `c` false on every disjoint union of the parts' clusters.
+/// * A literal spanning parts is a constant: facts, `=` and `dist ≤`
+///   never span two parts of a disjoint union, so the positive ones are
+///   false and their negations (and `dist >`) true.
+/// * A conjunct whose free variables lie in one part and whose quantifiers
+///   are all [`guarded`] into that part is part-local.
+/// * Anything else — closed conjuncts, unguarded quantifiers, a nested
+///   `∨` across parts, or a conjunct that binds one variable twice — is
+///   residual.
+fn classify_conjunct(c: &Formula, part_of: impl Fn(Var) -> Option<usize>) -> Conjunct {
+    let free = c.free_vars();
+    let mut bound = free.clone();
+    if !binds_apart(c, &mut bound) {
+        return Conjunct::Residual; // variable ids would not name one binding
+    }
+    let mut links = Vec::new();
+    forced_links(c, true, &mut links);
+    let mut chains = Chains::new(&links);
+    let mut parts: Vec<usize> = Vec::with_capacity(free.len());
+    for (i, &v) in free.iter().enumerate() {
+        let Some(j) = part_of(v) else {
+            return Conjunct::Residual;
+        };
+        for (&w, &jw) in free[..i].iter().zip(&parts) {
+            if jw != j && chains.joined(v, w) {
+                return Conjunct::Never;
+            }
+        }
+        parts.push(j);
+    }
+    parts.sort_unstable();
+    parts.dedup();
+    match (parts.as_slice(), c) {
+        (_, Formula::True) => Conjunct::Always,
+        (_, Formula::False) => Conjunct::Never,
+        ([], _) => Conjunct::Residual,
+        (&[j], _) if guarded(c, &mut free.clone()) => Conjunct::Local(j),
+        ([_], _) => Conjunct::Residual,
+        (_, _) => match spanning_literal(c) {
+            Some(true) => Conjunct::Always,
+            Some(false) => Conjunct::Never,
+            None => Conjunct::Residual,
+        },
+    }
+}
+
+/// The truth value of a literal whose variables span two parts of a
+/// disjoint union: facts, `=` and `dist ≤` are false there, so their
+/// negations and `dist >` are true. `None` for a non-literal.
+fn spanning_literal(c: &Formula) -> Option<bool> {
+    match c {
+        Formula::Atom { .. } | Formula::Eq(..) => Some(false),
+        Formula::Dist { cmp, .. } => Some(*cmp == DistCmp::Greater),
+        Formula::Not(g) => spanning_literal(g).map(|v| !v),
+        _ => None,
+    }
+}
+
+/// The links `f` forces between its variables whenever it is true
+/// (`holds`) or false (`!holds`) under an assignment and the witnesses of
+/// its `∃` (counterexamples of its `∀`): atoms of arity ≥ 2, `=` and
+/// `dist ≤` collected through `∧` and `∃` — through `∨` and `∀` when
+/// `f` is false. Each link puts its ends in one part of a disjoint union.
+fn forced_links(f: &Formula, holds: bool, out: &mut Vec<(Var, Var)>) {
+    match (f, holds) {
+        (Formula::Atom { args, .. }, true) => out.extend(args.windows(2).map(|w| (w[0], w[1]))),
+        (Formula::Eq(x, y), true) => out.push((*x, *y)),
+        (Formula::Dist { x, y, cmp, .. }, _) if (*cmp == DistCmp::LessEq) == holds => {
+            out.push((*x, *y))
+        }
+        (Formula::Not(g), _) => forced_links(g, !holds, out),
+        (Formula::And(gs), true) | (Formula::Or(gs), false) => {
+            for g in gs {
+                forced_links(g, holds, out);
+            }
+        }
+        (Formula::Exists(_, g), true) | (Formula::Forall(_, g), false) => {
+            forced_links(g, holds, out)
+        }
+        _ => {}
+    }
+}
+
+/// Whether every quantifier of `f` is guarded into the part that holds
+/// `scope`: each `∃` variable is forced-linked ([`forced_links`]) to a
+/// variable in scope whenever its body holds, each `∀` variable whenever
+/// its body fails — so every witness (counterexample) lies in that part,
+/// and the quantifier reads the same on the part alone as on the union.
+fn guarded(f: &Formula, scope: &mut Vec<Var>) -> bool {
+    match f {
+        Formula::Not(g) => guarded(g, scope),
+        Formula::And(gs) | Formula::Or(gs) => gs.iter().all(|g| guarded(g, scope)),
+        Formula::Exists(vs, g) | Formula::Forall(vs, g) => {
+            let mut links = Vec::new();
+            forced_links(g, matches!(f, Formula::Exists(..)), &mut links);
+            let mut chains = Chains::new(&links);
+            if !vs
+                .iter()
+                .all(|&v| scope.iter().any(|&u| chains.joined(u, v)))
+            {
+                return false;
+            }
+            let depth = scope.len();
+            scope.extend(vs);
+            let ok = guarded(g, scope);
+            scope.truncate(depth);
+            ok
+        }
+        _ => true,
+    }
+}
+
+/// Whether every quantifier of `f` binds variables distinct from
+/// `bound` (seeded with the free variables) and from every other
+/// quantifier's, so a variable id names a single binding — which the
+/// chain test needs and localization does not promise: its far-witness
+/// rewrite binds one variable in two sibling quantifiers.
+fn binds_apart(f: &Formula, bound: &mut Vec<Var>) -> bool {
+    match f {
+        Formula::Not(g) => binds_apart(g, bound),
+        Formula::And(gs) | Formula::Or(gs) => gs.iter().all(|g| binds_apart(g, bound)),
+        Formula::Exists(vs, g) | Formula::Forall(vs, g) => {
+            for &v in vs {
+                if bound.contains(&v) {
+                    return false;
+                }
+                bound.push(v);
+            }
+            binds_apart(g, bound)
+        }
+        _ => true,
+    }
+}
+
+/// Union–find over variable ids: the components of a set of links.
+struct Chains(Vec<u32>);
+
+impl Chains {
+    fn new(links: &[(Var, Var)]) -> Self {
+        let n = links.iter().map(|&(a, b)| a.0.max(b.0) as usize + 1).max();
+        let mut chains = Chains((0..n.unwrap_or(0) as u32).collect());
+        for &(a, b) in links {
+            let (ra, rb) = (chains.root(a), chains.root(b));
+            chains.0[ra as usize] = rb;
+        }
+        chains
+    }
+
+    fn root(&mut self, v: Var) -> u32 {
+        let mut x = v.0;
+        while let Some(&up) = self.0.get(x as usize).filter(|&&up| up != x) {
+            let grand = self.0[up as usize];
+            self.0[x as usize] = grand;
+            x = up;
+        }
+        x
+    }
+
+    fn joined(&mut self, a: Var, b: Var) -> bool {
+        a == b || self.root(a) == self.root(b)
+    }
+}
+
+/// The Step 5 output for accepted combinations in any order, duplicates
+/// allowed: sorted into canonical rank order and deduplicated, one clause
+/// per combination, its colors decoded from the packed `(ι+1, type)`
+/// words (`C_ι ∧ C_t` per part, `C_⊥` per padding word).
 fn step5_emit(
     core: &ReductionCore,
-    accepted: FxHashSet<Box<[u64]>>,
-    clause_sigs: Vec<Box<[u64]>>,
+    layout: &Step5Layout,
+    mut ranks: Vec<ComboRank>,
 ) -> Step5Output {
+    ranks.sort_unstable();
+    ranks.dedup();
+    let clause_sigs: Vec<Box<[u64]>> = ranks
+        .iter()
+        .map(|&rank| layout.signature(core.k, rank))
+        .collect();
     let clauses = clause_sigs
         .iter()
         .map(|sig| GraphClause {
@@ -1151,64 +1335,9 @@ fn step5_emit(
             edge: core.edge,
             clauses,
         },
-        accepted,
+        clause_sigs.iter().cloned().collect(),
         clause_sigs,
     )
-}
-
-/// Clause-granular Step 5: fetch each clause's acceptance set under
-/// `(cluster key, clause fingerprint)` from the [`ArtifactCache`], build
-/// every missed clause in one batched scan ([`clause_accept_sets`]),
-/// union the sets, and stitch the product from the union.
-///
-/// Bit-identical to the monolithic [`step5`]: the localized matrix is the
-/// disjunction of `local.clause_matrices`, so a combination is accepted
-/// monolithically iff some clause accepts it (the union), and
-/// [`step5_assemble`] re-emits exactly the union's combinations in the
-/// canonical order with the canonical colors. Because the misses build in
-/// one shared scan, a fully cold query costs no more than its monolithic
-/// pass would have.
-#[allow(clippy::too_many_arguments)]
-fn step5_clause_shared(
-    core: &ReductionCore,
-    local: &LocalQuery,
-    budget: u64,
-    par: &ParConfig,
-    cache: &ArtifactCache,
-    structure_fp: u64,
-    eps: Epsilon,
-    clause_fps: &[u64],
-) -> Result<Step5Output, EngineError> {
-    debug_assert_eq!(clause_fps.len(), local.clause_matrices.len());
-    let (r, k) = (local.radius, core.k);
-    let mut union: FxHashSet<Box<[u64]>> = FxHashSet::default();
-    let mut missing: Vec<ClauseJob> = Vec::new();
-    for (matrix, &fp) in local.clause_matrices.iter().zip(clause_fps) {
-        match cache.clause_product_cached(structure_fp, r, k, eps, fp) {
-            Some(product) => union.extend(product.accepted.iter().cloned()),
-            None => missing.push(ClauseJob {
-                free: &local.free,
-                matrix,
-                fp,
-            }),
-        }
-    }
-    step5_check_and_warm(core, budget, par, missing.iter().map(|job| job.matrix))?;
-    if !missing.is_empty() {
-        let sets = clause_accept_sets(core, par, &missing);
-        for (job, accepted) in missing.iter().zip(sets) {
-            union.extend(accepted.iter().cloned());
-            cache.clause_product_insert(
-                structure_fp,
-                r,
-                k,
-                eps,
-                job.fp,
-                ClauseAcceptance { accepted },
-            );
-        }
-    }
-    Ok(step5_assemble(core, union))
 }
 
 /// Shard count for a partitioned pass over `len` items.
@@ -2394,6 +2523,85 @@ mod tests {
                 assert_eq!(radix.core_digest(), reference.core_digest(), "`{src}`");
             }
         }
+    }
+
+    /// Classify the formula of `src` (free variables in first-occurrence
+    /// order) with free variable `i` in part `parts[i]`.
+    fn classify(src: &str, parts: &[usize]) -> Conjunct {
+        let s = small(1);
+        let q = parse_query(s.signature(), src).unwrap();
+        let part_of = |v: Var| q.free.iter().position(|&f| f == v).map(|i| parts[i]);
+        classify_conjunct(&q.formula, part_of)
+    }
+
+    #[test]
+    fn classifier_reads_exists_guards() {
+        assert_eq!(
+            classify("exists z. E(x, z) & R(z)", &[0]),
+            Conjunct::Local(0)
+        );
+        // chained through a second witness
+        let chained = "exists z w. E(w, z) & E(x, w) & R(z)";
+        assert_eq!(classify(chained, &[1]), Conjunct::Local(1));
+        // `z` meets `x` only through a negated atom: a witness may lie in
+        // another part
+        assert_eq!(
+            classify("exists z. R(z) & !E(x, z)", &[0]),
+            Conjunct::Residual
+        );
+        // a positive chain through a witness joins the two parts
+        let hop = "exists z. E(x, z) & E(z, y)";
+        assert_eq!(classify(hop, &[0, 1]), Conjunct::Never);
+        assert_eq!(classify(hop, &[0, 0]), Conjunct::Local(0));
+    }
+
+    #[test]
+    fn classifier_reads_forall_guards() {
+        let guarded = "forall z. dist(x, z) > 1 | B(z)";
+        assert_eq!(classify(guarded, &[0]), Conjunct::Local(0));
+        assert_eq!(
+            classify("forall z. !E(z, x) | B(z)", &[2]),
+            Conjunct::Local(2)
+        );
+        // a positive atom in the body does not confine a counterexample
+        assert_eq!(
+            classify("forall z. B(z) | E(x, z)", &[0]),
+            Conjunct::Residual
+        );
+    }
+
+    #[test]
+    fn classifier_folds_spanning_literals() {
+        assert_eq!(classify("E(x, y)", &[0, 1]), Conjunct::Never);
+        assert_eq!(classify("!E(x, y)", &[0, 1]), Conjunct::Always);
+        assert_eq!(classify("x = y", &[0, 1]), Conjunct::Never);
+        assert_eq!(classify("dist(x, y) <= 2", &[0, 1]), Conjunct::Never);
+        assert_eq!(classify("dist(x, y) > 2", &[0, 1]), Conjunct::Always);
+        assert_eq!(classify("!E(x, y)", &[0, 0]), Conjunct::Local(0));
+    }
+
+    #[test]
+    fn classifier_leaves_the_rest_residual() {
+        // a nested disjunction across parts, with or without a link
+        assert_eq!(classify("B(x) | R(y)", &[0, 1]), Conjunct::Residual);
+        assert_eq!(classify("B(x) | E(x, y)", &[0, 1]), Conjunct::Residual);
+        // a closed conjunct
+        assert_eq!(classify("exists z. B(z)", &[]), Conjunct::Residual);
+        // one variable bound by two sibling quantifiers: the chain test
+        // must not join their witnesses
+        let s = small(1);
+        let q = parse_query(s.signature(), "E(x, y)").unwrap();
+        let (x, y, z) = (q.free[0], q.free[1], Var(q.vars.len() as u32));
+        let edge = |a, b| Formula::Atom {
+            rel: s.signature().rel("E").unwrap(),
+            args: vec![a, b],
+        };
+        let siblings = Formula::And(vec![
+            Formula::Exists(vec![z], Box::new(edge(x, z))),
+            Formula::Exists(vec![z], Box::new(edge(z, y))),
+        ]);
+        let part_of = |v: Var| [x, y].iter().position(|&f| f == v);
+        assert_eq!(classify_conjunct(&siblings, part_of), Conjunct::Residual);
     }
 
     #[test]

@@ -154,9 +154,7 @@ impl Formula {
         }
     }
 
-    /// `|φ|`: a size measure (number of AST nodes) — the syntactic weight
-    /// used by cost models (e.g. the workload planner's per-clause Step 5
-    /// estimate).
+    /// `|φ|`: a size measure (number of AST nodes).
     pub fn size(&self) -> usize {
         match self {
             Formula::True | Formula::False | Formula::Eq(..) | Formula::Dist { .. } => 1,

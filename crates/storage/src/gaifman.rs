@@ -320,11 +320,16 @@ impl GaifmanGraph {
     }
 
     /// Bounded distance: `Some(dist(a,b))` when `dist(a,b) ≤ cap`, else
-    /// `None`. Bidirectional-free simple BFS from `a`, stopping at depth
-    /// `cap`; cost `O(|N_cap(a)| · d)`.
+    /// `None`. A cap of at most 1 reads `a`'s sorted neighbor list and
+    /// allocates nothing; larger caps run a simple BFS from `a`, stopping
+    /// at depth `cap`, in `O(|N_cap(a)| · d)`.
     pub fn distance_at_most(&self, a: Node, b: Node, cap: usize) -> Option<usize> {
         if a == b {
             return Some(0);
+        }
+        if cap <= 1 {
+            let adjacent = cap == 1 && self.neighbors(a).binary_search(&b).is_ok();
+            return adjacent.then_some(1);
         }
         let mut visited = VisitSet::new(self.len());
         visited.insert(a);
@@ -501,6 +506,61 @@ mod tests {
         assert_eq!(g.distance_at_most(node(0), node(3), 2), None);
         assert_eq!(g.distance_at_most(node(0), node(7), 5), Some(3)); // wraps
         assert_eq!(g.distance_at_most(node(4), node(4), 0), Some(0));
+    }
+
+    /// Graphs of maximum degree ≤ `d` on `n` nodes: `tries` random edge
+    /// proposals (splitmix64 stream), each kept when both ends have room.
+    fn random_bounded(n: u32, d: usize, tries: usize, seed: u64) -> Structure {
+        let sig = Arc::new(Signature::new(&[("E", 2)]));
+        let e = sig.rel("E").unwrap();
+        let mut b = Structure::builder(sig, n as usize);
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % u64::from(n)) as u32
+        };
+        let mut degree = vec![0usize; n as usize];
+        for _ in 0..tries {
+            let (u, v) = (next(), next());
+            if u != v && degree[u as usize] < d && degree[v as usize] < d {
+                degree[u as usize] += 1;
+                degree[v as usize] += 1;
+                b.edge(e, node(u), node(v)).unwrap();
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// `distance_at_most` agrees with BFS ball layers for caps 0–4, on
+    /// both sides of the allocation-free `cap ≤ 1` path.
+    #[test]
+    fn bounded_distance_matches_balls() {
+        let mut graphs = vec![cycle(7), cycle(12)];
+        for seed in 0..4 {
+            graphs.push(random_bounded(40, 3, 80, seed));
+        }
+        for s in &graphs {
+            let g = s.gaifman();
+            let n = g.len() as u32;
+            for a in (0..n).map(node) {
+                for cap in 0..=4 {
+                    let ball = g.ball(a, cap);
+                    for b in (0..n).map(node) {
+                        let within = ball.binary_search(&b).is_ok();
+                        let got = g.distance_at_most(a, b, cap);
+                        assert_eq!(got.is_some(), within, "{a} {b} cap {cap}");
+                        if let Some(dist) = got {
+                            assert!(dist <= cap);
+                            let closer = dist > 0 && g.ball(a, dist - 1).binary_search(&b).is_ok();
+                            assert!(!closer, "{a} {b}: reported {dist} is not the distance");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

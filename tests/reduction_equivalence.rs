@@ -8,13 +8,18 @@
 //! ids, the colored graph's content fingerprint, an order-sensitive hash
 //! of the full vertex-level `E`-adjacency (streamed — materializing the
 //! rows peaked at tens of GB on dense LogPower ternary instances), the
-//! Step 5 acceptance sets, and the clause count.
+//! Step 5 acceptance sets, and the clause count. The acceptance sets also
+//! compare the two Step 5 paths: `build` accepts each clause as a product
+//! of per-part filtered type lists (DESIGN.md §16), `build_reference`
+//! evaluates the whole matrix on every partition × type combination.
 //! Two builds that agree on a digest answer every engine query
 //! identically. Each type's representative — rebuilt from the exact
 //! neighborhood key, never from a neighborhood `Structure` — must also
 //! equal `neighborhood_of_tuple` of the type's first tuple, with the same
 //! local tuple: Step 5 evaluates on those representatives. The sweep covers the standing query corpus (binary,
-//! quantified, ternary) × the paper's degree classes × pool
+//! quantified, ternary) plus the product path's shapes (a two-clause
+//! disjunction, a guarded `∀`, a nested `∨` across parts) × the paper's
+//! degree classes × pool
 //! configurations (serial, forced-parallel, process default) × seeds; the
 //! CI thread matrix additionally runs the binary under
 //! `LOWDEG_THREADS ∈ {1, 0}` so `from_env` covers both ends.
@@ -41,6 +46,35 @@ use lowdeg_par::ParConfig;
 use lowdeg_storage::Structure;
 
 const EPS: f64 = 0.5;
+
+/// The `cli-build` disjunction: two radius-1 clauses, one of which rules
+/// out the split partition with a positive `E(x, y)`.
+const DISJUNCTION: &str = "(B(x) & R(y) & !E(x, y) & (exists z. E(x, z) & R(z))) \
+    | (B(x) & G(y) & E(x, y) & (exists z. E(y, z) & R(z)))";
+
+/// A clause with a guarded `∀`: every neighbour of `x` is red.
+const GUARDED_FORALL: &str = "B(x) & R(y) & !E(x, y) & (forall z. !E(x, z) | R(z))";
+
+/// A clause whose nested `∨` spans the split partition's parts, so that
+/// partition takes the residual union-view scan; the `E(x, y)` inside the
+/// `∨` must not rule the partition out.
+const NESTED_OR: &str = "(B(x) | E(x, y)) & R(y)";
+
+/// Every query the suite sweeps: the standing corpus plus the Step 5
+/// product-acceptance shapes (DESIGN.md §16).
+const CORPUS: [&str; 6] = [
+    RUNNING_EXAMPLE,
+    TWO_HOP,
+    TERNARY_SCATTER,
+    DISJUNCTION,
+    GUARDED_FORALL,
+    NESTED_OR,
+];
+
+/// The radius-1 shapes, whose LogPower cells are the suite's heaviest.
+fn quantified(src: &str) -> bool {
+    [TWO_HOP, DISJUNCTION, GUARDED_FORALL].contains(&src)
+}
 
 /// The pool configurations under test: genuinely serial, forced parallel
 /// (pool engaged even on tiny inputs), and the process default.
@@ -119,9 +153,9 @@ fn degree_class_sweep_matches_reference() {
         let quantified_is_heavy = matches!(class, lowdeg_gen::DegreeClass::LogPower(_));
         for seed in [3, 11] {
             let s = colored(128, class, seed);
-            for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
+            for src in CORPUS {
                 for (pi, par) in pools().iter().enumerate() {
-                    if src == TWO_HOP && quantified_is_heavy && (seed != 3 || pi != 0) {
+                    if quantified(src) && quantified_is_heavy && (seed != 3 || pi != 0) {
                         continue;
                     }
                     assert_equivalent(&s, src, par, &format!("{class:?} seed {seed} pool {pi}"));
@@ -138,7 +172,7 @@ fn bounded_degree_scales_match_reference() {
     // fix made it scale like the quantifier-free ones.
     for n in [48, 130, 384] {
         let s = colored(n, lowdeg_gen::DegreeClass::Bounded(2), 1400 + n as u64);
-        for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
+        for src in CORPUS {
             for (pi, par) in pools().iter().enumerate() {
                 assert_equivalent(&s, src, par, &format!("bounded(2) n {n} pool {pi}"));
             }
@@ -151,7 +185,7 @@ fn padded_clique_matches_reference() {
     // Low degree but not nowhere dense (§2.3): the clique forces dense
     // near-pair neighborhoods through the radix partitioner.
     let small = colored_padded_clique(64);
-    for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
+    for src in CORPUS {
         assert_equivalent(&small, src, &ParConfig::serial(), "clique n 64");
     }
     let large = colored_padded_clique(200);
@@ -165,7 +199,7 @@ fn parallel_pools_agree_with_serial_digest() {
     // Transitivity check made explicit: every pool's radix digest equals
     // the *serial* radix digest (not just its own reference).
     let s = colored(128, lowdeg_gen::DegreeClass::Bounded(4), 7);
-    for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
+    for src in CORPUS {
         let q = parse_query(s.signature(), src).expect("query parses");
         let eps = Epsilon::new(EPS);
         let serial = Reduction::build(&s, &q, eps, &ParConfig::serial()).expect("serial build");
