@@ -33,7 +33,8 @@
 //!   clause (four distinct cores) through one [`Engine::build_workload`]
 //!   versus sixteen independent normalization-free warm builds; the same
 //!   workload again with the counting tier cleared before each run
-//!   (reported only: the timed arm is mostly whole-query count hits); and
+//!   (reported only: the timed arm is mostly clause-tier and
+//!   combination-count hits); and
 //!   sixteen pair-disjunctions over a seven-clause pool (no shared core,
 //!   every clause shared) through the clause-sharing planner versus the
 //!   whole-core planner, each on a fresh cache per run.
@@ -686,22 +687,34 @@ fn engines_arm(engines: &[&Engine], wall: Duration, cache: Tally) -> Json {
 }
 
 /// A reading of a cache's counters: artifact hits and misses
-/// ([`ArtifactCache::stats`]) and counting-memo hits, misses and
-/// components ([`ArtifactCache::counting_stats`]).
+/// ([`ArtifactCache::stats`]), counting-memo component hits, misses and
+/// components ([`ArtifactCache::counting_stats`]), clause-tier hits and
+/// misses ([`ArtifactCache::clause_stats`]) and combination-tier hits and
+/// misses ([`ArtifactCache::combo_stats`]), so a build time that mostly
+/// measures a cache hit says which tier served it.
 #[derive(Clone, Copy, Default)]
-struct Tally([i64; 5]);
+struct Tally([i64; 9]);
 
 impl Tally {
     fn of(cache: &ArtifactCache) -> Tally {
         let (hits, misses) = cache.stats();
         let (memo_hits, memo_misses, components) = cache.counting_stats();
-        Tally([
-            hits as i64,
-            misses as i64,
-            memo_hits as i64,
-            memo_misses as i64,
-            components as i64,
-        ])
+        let (clause_hits, clause_misses, _) = cache.clause_stats();
+        let (combo_hits, combo_misses) = cache.combo_stats();
+        Tally(
+            [
+                hits,
+                misses,
+                memo_hits,
+                memo_misses,
+                components as u64,
+                clause_hits,
+                clause_misses,
+                combo_hits,
+                combo_misses,
+            ]
+            .map(|x| x as i64),
+        )
     }
 
     /// The counters' growth from `before` to `self`.
@@ -720,6 +733,10 @@ impl Tally {
             "memo_hits",
             "memo_misses",
             "memo_components",
+            "clause_hits",
+            "clause_misses",
+            "combo_hits",
+            "combo_misses",
         ];
         Json::obj(keys.into_iter().zip(self.0.map(|x| Json::Num(x as f64))))
     }
@@ -1280,9 +1297,9 @@ fn homogeneous(n: usize, par: &ParConfig) -> [(&'static str, Json); 11] {
         (dt, engines_arm(&built, dt, Tally::of(&cache).since(before)))
     });
 
-    // Reported only: with the counting tier (component memo and
-    // whole-query counts) cleared, `build_workload` recounts every
-    // distinct core instead of reading its whole-query count.
+    // Reported only: with the counting tier (component and combination
+    // counts) cleared, `build_workload` recounts every distinct core
+    // instead of reading its combination counts.
     let fp = s.fingerprint();
     let [(cold_dt, cold_arm)] = best_of(|_| {
         cache.invalidate_counting(fp);

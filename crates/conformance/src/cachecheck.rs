@@ -2,19 +2,22 @@
 //!
 //! The [`ArtifactCache`] memoizes the reduction's *extract* products
 //! (Gaifman graph, near-pair store, cluster tuples and canonical
-//! encodings) and, per quantifier-free core, a
-//! [`lowdeg_core::CountingMemo`] of exact Lemma 3.5 component counts that
-//! every later build against the same core probes. The contract is
-//! strict: an engine built through a cache — priming it, or warmed by
-//! earlier builds — must be *observably identical* to one built with no
-//! cache at all. This row builds every case cold (the reference arm) and
+//! encodings), each clause's Step 5 acceptance set, and, per
+//! quantifier-free core, a [`lowdeg_core::CountingMemo`] of exact
+//! Lemma 3.5 counts — per lattice component and per reduced clause
+//! (combination) — that every later build against the same core probes.
+//! The contract is strict: an engine built through a cache — priming it,
+//! or warmed by earlier builds — must be *observably identical* to one
+//! built with no cache at all. This row builds every case cold (the reference arm) and
 //! then three times through one fresh cache, comparing each cached build
 //! against the cold one.
 //!
 //! A warm build that never hits the cache would vacuously pass, so the
 //! row also requires core-tier hits (`cachecheck-no-hit`) and, whenever
-//! the builds discovered counting components, counting-memo hits
-//! (`memocheck-no-hit`).
+//! the builds probed the counting memo, hits in its component or
+//! combination tier (`memocheck-no-hit`). A repeat build is served by the
+//! combination tier — every combination hits, and the lattice and its
+//! component probes are skipped — so the two tiers are read together.
 
 use crate::differential::Disagreement;
 use crate::oracle::{observe, per_mode, Oracle};
@@ -44,9 +47,14 @@ pub const ORACLE: Oracle = Oracle {
                 let detail = format!("[{tag}] {CACHED_BUILDS} cached builds never hit the cache");
                 out.fail("no-hit", detail);
             }
-            let (hits, misses, components) = cache.counting_stats();
+            let (memo_hits, memo_misses, components) = cache.counting_stats();
+            let (combo_hits, combo_misses) = cache.combo_stats();
+            let (hits, misses) = (memo_hits + combo_hits, memo_misses + combo_misses);
             if hits == 0 && misses > 0 {
-                let detail = format!("[{tag}] {components} components, {misses} misses, no hit");
+                let detail = format!(
+                    "[{tag}] {components} components, {misses} component and combination \
+                     misses, no hit"
+                );
                 out.bad.push(Disagreement::new("memocheck-no-hit", detail));
             }
         })

@@ -9,9 +9,11 @@
 //! three or more clauses, `{c_0 ∨ c_1, c_0, c_1}` for exactly two). The
 //! family then builds twice through [`Engine::build_workload`]: once with
 //! `clause_sharing` enabled (clause acceptance sets and combination
-//! counts stitch from the [`ArtifactCache`]'s clause tier) and once with
-//! the whole-core planner (`clause_sharing: false`, the reference arm),
-//! each on a fresh cache. The contract is strict: per query, both arms
+//! counts stitch from the [`ArtifactCache`]'s clause tier and the counting
+//! memo's combination tier) and once with the whole-core planner
+//! (`clause_sharing: false`, the reference arm, which shares the core but
+//! runs every build's own Step 5 pass and lattice), each on a fresh
+//! cache. The contract is strict: per query, both arms
 //! must agree on the count, the full enumeration *order*, and the
 //! per-clause plan statistics; the planner statistics must agree on the distinct-clause
 //! decomposition; and — the memo-vacuity check — the sharing arm must

@@ -4,8 +4,10 @@
 //! The engine normalizes every query before building
 //! ([`lowdeg_logic::normalize()`]), so two queries in the same rewrite class
 //! — shuffled conjuncts, double negations, reassociated conjunctions —
-//! collapse onto one canonical form with one fingerprint, one cached
-//! Step 5 acceptance product, and one whole-query count. The contract is
+//! collapse onto one canonical form with one fingerprint and the same
+//! canonical clauses, so a warm build of any variant reads its Step 5
+//! acceptance from the cache's clause tier and its count from the
+//! counting memo's combination tier. The contract is
 //! strict: every variant's engine must agree with the base query's engine
 //! on the count, the full enumeration *order*, and the per-clause plan
 //! statistics — and [`Engine::build_workload`] over the family must group

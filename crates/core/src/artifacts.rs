@@ -10,11 +10,17 @@
 //! builds are guaranteed observably identical and the `cachecheck` row of
 //! the conformance oracle table cross-checks that guarantee case by case.
 //!
-//! The cache has four tiers — Gaifman graphs, reduction cores (each slot
-//! also holding the core's counting memo and position memo), whole-query
-//! Step 5 products, and per-clause acceptance sets — each one keyed LRU
-//! map (`Lru`) bounded by [`ArtifactCache::capacity`]. Evicting a core
-//! drops every Step 5 and clause entry derived from it.
+//! The cache has three tiers — Gaifman graphs, reduction cores (each slot
+//! also holding the core's counting memo and position memo), and
+//! per-clause Step 5 acceptance sets — each one keyed LRU map (`Lru`)
+//! bounded by [`ArtifactCache::capacity`]. Evicting a core drops every
+//! clause entry derived from it. Nothing is keyed by a whole query: a
+//! query's Step 5 acceptance is the union of its clauses' sets, and its
+//! count is the sum of its clauses' combination counts (the counting
+//! memo's combination tier), so a warm build of any query whose clauses
+//! are all cached is stitched from them. A clause entry stores its
+//! clause's canonical serialization and a probe compares it, so two
+//! clauses whose 64-bit fingerprints collide never read each other's set.
 //!
 //! Invalidation is explicit: the cache never watches structures. Callers
 //! that mutate a database (the `dynamic` module's update model) must either
@@ -31,7 +37,7 @@
 
 use crate::counting::CountingMemo;
 use crate::graph_query::PositionMemo;
-use crate::reduction::{ClauseAcceptance, ReductionCore, Step5Product};
+use crate::reduction::{ClauseAcceptance, ReductionCore};
 use lowdeg_index::{Epsilon, FxHashMap};
 use lowdeg_storage::{GaifmanGraph, Structure};
 use std::hash::Hash;
@@ -43,20 +49,13 @@ use std::time::Instant;
 /// radius, arity, and ε (the near store's layout depends on it).
 type ClusterKey = (u64, usize, usize, u64);
 
-/// Key of one cached Step 5 acceptance product: the core's [`ClusterKey`]
-/// plus the *normalized query fingerprint*
-/// (`lowdeg_logic::NormalForm::fingerprint`). Keying by the canonical
-/// fingerprint instead of raw query identity is what lets syntactically
-/// shuffled, α-renamed and color-permuted-but-identical variants of one
-/// query share the per-query acceptance pass.
-type Step5Key = (ClusterKey, u64);
-
 /// Key of one cached per-clause acceptance set: the core's [`ClusterKey`]
 /// plus the *clause-local* canonical fingerprint
 /// (`lowdeg_logic::ClauseForm::fingerprint`). The clause fingerprint is
 /// sibling-blind, so any two queries sharing a clause — inside one
-/// workload batch or across separate warm builds — probe the same entry
-/// and share that clause's Step 5 acceptance pass.
+/// workload batch, across separate warm builds, or as rewrite variants of
+/// one query — probe the same entry and share that clause's Step 5
+/// acceptance pass.
 type ClauseKey = (ClusterKey, u64);
 
 /// Default [`ArtifactCache`] capacity: generous enough that eviction never
@@ -157,15 +156,14 @@ impl CoreSlot {
 struct CacheInner {
     gaifman: Lru<u64, GaifmanGraph>,
     cores: Lru<ClusterKey, CoreSlot>,
-    step5: Lru<Step5Key, Arc<Step5Product>>,
     clauses: Lru<ClauseKey, Arc<ClauseAcceptance>>,
 }
 
 impl CacheInner {
     /// Evict least-recently-used entries down to `capacity` per kind. A
     /// core eviction drops the core's slot — its counting and position
-    /// memos — and every Step 5 / clause product derived from that core
-    /// with it; they are only meaningful against their core. Returns
+    /// memos — and every clause acceptance set derived from that core with
+    /// it; they are only meaningful against their core. Returns
     /// `(general evictions, clause-tier evictions)`; cascaded drops count
     /// with the eviction that caused them.
     fn enforce(&mut self, capacity: usize) -> (u64, u64) {
@@ -183,12 +181,7 @@ impl CacheInner {
             > capacity
         {
             let key = self.cores.pop_lru().expect("non-empty over capacity");
-            self.step5.retain(|&(core, _)| core != key);
             self.clauses.retain(|&(core, _)| core != key);
-            evicted += 1;
-        }
-        while self.step5.len() > capacity {
-            self.step5.pop_lru();
             evicted += 1;
         }
         while self.clauses.len() > capacity {
@@ -205,8 +198,8 @@ impl CacheInner {
 ///
 /// The cache is strictly opt-in — every default build path runs cold. It
 /// holds at most [`ArtifactCache::capacity`] entries per tier: Gaifman
-/// graphs, reduction cores (each with its counting and position memos),
-/// Step 5 products and clause acceptance sets; beyond that the
+/// graphs, reduction cores (each with its counting and position memos)
+/// and clause acceptance sets; beyond that the
 /// least-recently-used entry is evicted ([`ArtifactCache::evictions`] and
 /// [`ArtifactCache::clause_stats`] count them, and `--explain` surfaces
 /// the counters). See the module docs for the explicit-invalidation
@@ -257,8 +250,8 @@ impl ArtifactCache {
         self.capacity
     }
 
-    /// LRU evictions so far in the Gaifman, core and Step 5 tiers (the
-    /// clause tier counts its own, see [`Self::clause_stats`]).
+    /// LRU evictions so far in the Gaifman and core tiers (the clause
+    /// tier counts its own, see [`Self::clause_stats`]).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -392,54 +385,17 @@ impl ArtifactCache {
             .clone()
     }
 
-    /// The per-query Step 5 acceptance product for the core at
-    /// `(fingerprint, r, k, eps)` and the *normalized* query fingerprint
-    /// `query_fp`, building it with `build` on a miss and retaining the
-    /// result. Because the key is the canonical fingerprint
-    /// ([`lowdeg_logic::normalize`]), every rewrite variant of one query —
-    /// shuffled conjuncts, renamed bound variables, doubled negations —
-    /// probes the same entry and skips the acceptance pass entirely.
-    pub(crate) fn step5_product(
-        &self,
-        fingerprint: u64,
-        r: usize,
-        k: usize,
-        eps: Epsilon,
-        query_fp: u64,
-        build: impl FnOnce() -> Result<Step5Product, crate::EngineError>,
-    ) -> Result<Arc<Step5Product>, crate::EngineError> {
-        let key: Step5Key = ((fingerprint, r, k, eps.value().to_bits()), query_fp);
-        let stamp = self.touch();
-        {
-            let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(hit) = inner.step5.get(&key, stamp).cloned() {
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock (same discipline as `reduction_core`):
-        // concurrent builders at worst duplicate work; all candidates are
-        // identical by key.
-        let built = Arc::new(build()?);
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.step5.insert(key, built.clone(), stamp);
-        let evicted = inner.enforce(self.capacity);
-        drop(inner);
-        self.record_evictions(evicted);
-        Ok(built)
-    }
-
     /// Probe the per-clause Step 5 acceptance tier for the core at
     /// `(fingerprint, r, k, eps)` and the clause-local canonical
-    /// fingerprint `clause_fp`. This is the clause-granular tier beneath
-    /// [`Self::step5_product`]: the whole-query tier still collapses exact
-    /// rewrite variants, while this tier lets queries that merely *share a
-    /// clause* reuse that clause's acceptance pass. Probes maintain their
-    /// own counters ([`Self::clause_stats`]); a miss is counted here —
-    /// callers build each missed clause's acceptance and retain it via
-    /// [`Self::clause_product_insert`].
+    /// fingerprint `clause_fp`, whose canonical serialization is
+    /// `canonical` (`lowdeg_logic::ClauseForm::canonical`). Any two
+    /// queries that share a clause — rewrite variants of one query
+    /// included — reuse that clause's acceptance pass. A hit is verified:
+    /// an entry whose stored serialization differs (a fingerprint
+    /// collision) is a miss. Probes maintain their own counters
+    /// ([`Self::clause_stats`]); a miss is counted here — callers build
+    /// each missed clause's acceptance and retain it via
+    /// [`Self::clause_product_insert`], which replaces a colliding entry.
     pub(crate) fn clause_product_cached(
         &self,
         fingerprint: u64,
@@ -447,23 +403,28 @@ impl ArtifactCache {
         k: usize,
         eps: Epsilon,
         clause_fp: u64,
+        canonical: &[u64],
     ) -> Option<Arc<ClauseAcceptance>> {
         let key: ClauseKey = ((fingerprint, r, k, eps.value().to_bits()), clause_fp);
         let stamp = self.touch();
-        {
+        let hit = {
             let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(hit) = inner.clauses.get(&key, stamp).cloned() {
-                drop(inner);
-                self.clause_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(hit);
-            }
-        }
-        self.clause_misses.fetch_add(1, Ordering::Relaxed);
-        None
+            inner
+                .clauses
+                .get(&key, stamp)
+                .filter(|hit| *hit.canonical == *canonical)
+                .cloned()
+        };
+        match hit {
+            Some(_) => self.clause_hits.fetch_add(1, Ordering::Relaxed),
+            None => self.clause_misses.fetch_add(1, Ordering::Relaxed),
+        };
+        hit
     }
 
-    /// Retain one clause's acceptance set (built outside the lock — same
-    /// discipline as [`Self::step5_product`]) under its clause key.
+    /// Retain one clause's acceptance set (built outside the lock, so
+    /// concurrent builders at worst duplicate work; all candidates are
+    /// identical by key) under its clause key.
     pub(crate) fn clause_product_insert(
         &self,
         fingerprint: u64,
@@ -499,13 +460,14 @@ impl ArtifactCache {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.gaifman.retain(|&fp| fp != fingerprint);
         inner.cores.retain(|&(fp, ..)| fp != fingerprint);
-        inner.step5.retain(|&((fp, ..), _)| fp != fingerprint);
         inner.clauses.retain(|&((fp, ..), _)| fp != fingerprint);
     }
 
-    /// Drop only the counting memos derived from `fingerprint`, keeping
-    /// the reduction cores. Benchmarks use this to measure a warm-core /
-    /// cold-memo build (what N independent per-query caches would do).
+    /// Drop only the counting memos derived from `fingerprint` — their
+    /// component and combination tiers — keeping the reduction cores and
+    /// the clause acceptance sets. Benchmarks use this to measure a
+    /// warm-core / cold-memo build (what N independent per-query caches
+    /// would do).
     pub fn invalidate_counting(&self, fingerprint: u64) {
         let mut inner = self.inner.lock().expect("cache poisoned");
         for (_, slot) in inner
@@ -522,12 +484,11 @@ impl ArtifactCache {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.gaifman.clear();
         inner.cores.clear();
-        inner.step5.clear();
         inner.clauses.clear();
     }
 
-    /// `(hits, misses)` across the keyed artifact kinds (diagnostics; the
-    /// counting memos keep their own probe counters).
+    /// `(hits, misses)` across the Gaifman and core tiers (diagnostics; the
+    /// clause tier and the counting memos keep their own probe counters).
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -536,13 +497,12 @@ impl ArtifactCache {
     }
 
     /// Number of retained entries across all artifact kinds: Gaifman
-    /// graphs, reduction cores, counting memos, position memos, Step 5
-    /// products and clause acceptance sets.
+    /// graphs, reduction cores, counting memos, position memos and clause
+    /// acceptance sets.
     pub fn entries(&self) -> usize {
         let inner = self.inner.lock().expect("cache poisoned");
         inner.gaifman.len()
             + inner.cores.values().map(CoreSlot::len).sum::<usize>()
-            + inner.step5.len()
             + inner.clauses.len()
     }
 
@@ -887,35 +847,27 @@ mod tests {
         Epsilon::new(0.5)
     }
 
-    fn product() -> Step5Product {
-        Step5Product {
-            query: crate::GraphQuery {
-                k: 1,
-                edge: lowdeg_storage::RelId(0),
-                clauses: Vec::new(),
-            },
-            accepted: Default::default(),
-            clause_sigs: Vec::new(),
-        }
-    }
-
-    fn acceptance() -> ClauseAcceptance {
+    /// An empty acceptance set for the clause serialized as `canonical`.
+    fn acceptance(canonical: &[u64]) -> ClauseAcceptance {
         ClauseAcceptance {
-            accepted: Default::default(),
+            canonical: canonical.into(),
+            accepted: Vec::new(),
         }
     }
 
-    /// Probe the Step 5 tier at `(fp, 0, k)` / `query_fp`; `true` when the
+    /// Probe the clause tier at `(fp, 0, k)` / `clause_fp` for the clause
+    /// serialized as `[clause_fp]`, inserting on a miss; `true` when the
     /// probe missed and built.
-    fn step5_built(cache: &ArtifactCache, fp: u64, k: usize, query_fp: u64) -> bool {
-        let mut built = false;
-        cache
-            .step5_product(fp, 0, k, eps(), query_fp, || {
-                built = true;
-                Ok(product())
-            })
-            .unwrap();
-        built
+    fn clause_built(cache: &ArtifactCache, fp: u64, k: usize, clause_fp: u64) -> bool {
+        let canonical = [clause_fp];
+        if cache
+            .clause_product_cached(fp, 0, k, eps(), clause_fp, &canonical)
+            .is_some()
+        {
+            return false;
+        }
+        cache.clause_product_insert(fp, 0, k, eps(), clause_fp, acceptance(&canonical));
+        true
     }
 
     /// Fetch the core at `(s, 0, k)`; `true` when it had to be built.
@@ -932,31 +884,56 @@ mod tests {
     #[test]
     fn lru_hit_refreshes_recency() {
         let cache = ArtifactCache::with_capacity(2);
-        assert!(step5_built(&cache, 1, 1, 10));
-        assert!(step5_built(&cache, 1, 1, 20));
+        assert!(clause_built(&cache, 1, 1, 10));
+        assert!(clause_built(&cache, 1, 1, 20));
         // the hit makes 10 the most recent entry, so 20 is the victim
-        assert!(!step5_built(&cache, 1, 1, 10));
-        assert!(step5_built(&cache, 1, 1, 30));
-        assert_eq!(cache.evictions(), 1);
-        assert!(!step5_built(&cache, 1, 1, 10), "refreshed entry survives");
-        assert!(!step5_built(&cache, 1, 1, 30));
-        assert!(step5_built(&cache, 1, 1, 20), "least recent entry evicted");
+        assert!(!clause_built(&cache, 1, 1, 10));
+        assert!(clause_built(&cache, 1, 1, 30));
+        assert_eq!(cache.clause_stats().2, 1);
+        assert!(!clause_built(&cache, 1, 1, 10), "refreshed entry survives");
+        assert!(!clause_built(&cache, 1, 1, 30));
+        assert!(clause_built(&cache, 1, 1, 20), "least recent entry evicted");
     }
 
     #[test]
     fn lru_over_capacity_inserts_evict_least_recent() {
         let cache = ArtifactCache::with_capacity(1);
-        assert!(step5_built(&cache, 1, 1, 10));
-        assert!(step5_built(&cache, 1, 1, 20));
-        assert_eq!(cache.evictions(), 1);
-        assert!(!step5_built(&cache, 1, 1, 20), "newest entry kept");
-        // the clause tier keeps its own eviction counter
-        cache.clause_product_insert(1, 0, 1, eps(), 100, acceptance());
-        cache.clause_product_insert(1, 0, 1, eps(), 200, acceptance());
+        assert!(clause_built(&cache, 1, 1, 10));
+        assert!(clause_built(&cache, 1, 1, 20));
         assert_eq!(cache.clause_stats().2, 1);
-        assert_eq!(cache.evictions(), 1, "clause evictions count apart");
-        assert!(cache.clause_product_cached(1, 0, 1, eps(), 200).is_some());
-        assert!(cache.clause_product_cached(1, 0, 1, eps(), 100).is_none());
+        assert!(!clause_built(&cache, 1, 1, 20), "newest entry kept");
+        assert!(clause_built(&cache, 1, 1, 10), "oldest entry evicted");
+        // the clause tier keeps its own eviction counter
+        assert_eq!(cache.clause_stats().2, 2);
+        assert_eq!(cache.evictions(), 0, "clause evictions count apart");
+        let s = sample(8);
+        assert!(core_built(&cache, &s, 1));
+        assert!(core_built(&cache, &s, 2));
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.clause_stats().2, 2);
+    }
+
+    /// The clause tier verifies a hit against the stored serialization: a
+    /// second clause under the same fingerprint misses, rebuilds and
+    /// replaces the entry, and neither clause ever reads the other's set.
+    #[test]
+    fn clause_fingerprint_collision_is_a_miss() {
+        let cache = ArtifactCache::new();
+        let (first, second): (&[u64], &[u64]) = (&[1, 7, 7], &[1, 7, 8]);
+        let set = |canonical: &[u64], rank: u64| ClauseAcceptance {
+            canonical: canonical.into(),
+            accepted: vec![(0, rank)],
+        };
+        let probe = |canonical: &[u64]| cache.clause_product_cached(1, 0, 1, eps(), 42, canonical);
+        assert!(probe(first).is_none());
+        cache.clause_product_insert(1, 0, 1, eps(), 42, set(first, 3));
+        assert_eq!(probe(first).expect("verified hit").accepted, [(0, 3)]);
+        assert!(probe(second).is_none(), "a colliding clause must miss");
+        cache.clause_product_insert(1, 0, 1, eps(), 42, set(second, 5));
+        assert_eq!(probe(second).expect("rebuilt entry").accepted, [(0, 5)]);
+        assert!(probe(first).is_none(), "the replaced clause misses too");
+        assert_eq!(cache.clause_stats(), (2, 3, 0));
+        assert_eq!(cache.entries(), 1, "one slot per fingerprint");
     }
 
     #[test]
@@ -967,8 +944,7 @@ mod tests {
         assert!(core_built(&cache, &s, 1));
         let memo = cache.counting_memo(fp, 0, 1, eps());
         let positions = cache.position_memo(fp, 0, 1, eps());
-        assert!(step5_built(&cache, fp, 1, 10));
-        cache.clause_product_insert(fp, 0, 1, eps(), 100, acceptance());
+        assert!(clause_built(&cache, fp, 1, 100));
         assert_eq!(cache.evictions(), 0);
         // a second core over capacity evicts the first and everything
         // derived from it, as ONE eviction
@@ -979,8 +955,7 @@ mod tests {
             0,
             "cascaded drops are not clause evictions"
         );
-        assert!(cache.clause_product_cached(fp, 0, 1, eps(), 100).is_none());
-        assert!(step5_built(&cache, fp, 1, 10), "Step 5 entry dropped");
+        assert!(clause_built(&cache, fp, 1, 100), "clause entry dropped");
         assert!(!Arc::ptr_eq(&memo, &cache.counting_memo(fp, 0, 1, eps())));
         assert!(!Arc::ptr_eq(
             &positions,
@@ -1003,8 +978,7 @@ mod tests {
                 cache.counting_memo(fp, 0, 1, eps()),
                 cache.position_memo(fp, 0, 1, eps()),
             ));
-            assert!(step5_built(&cache, fp, 1, 10));
-            cache.clause_product_insert(fp, 0, 1, eps(), 100, acceptance());
+            assert!(clause_built(&cache, fp, 1, 100));
         }
         cache.invalidate(a.fingerprint());
         let fp = b.fingerprint();
@@ -1012,8 +986,7 @@ mod tests {
         cache.prime_gaifman(&sample(6), &par);
         assert_eq!(cache.stats().0, hits + 1, "b's Gaifman graph survives");
         assert!(!core_built(&cache, &b, 1));
-        assert!(!step5_built(&cache, fp, 1, 10));
-        assert!(cache.clause_product_cached(fp, 0, 1, eps(), 100).is_some());
+        assert!(!clause_built(&cache, fp, 1, 100));
         assert!(Arc::ptr_eq(
             &memos[1].0,
             &cache.counting_memo(fp, 0, 1, eps())
@@ -1024,8 +997,7 @@ mod tests {
         ));
         // and a's entries are gone
         let fa = a.fingerprint();
-        assert!(cache.clause_product_cached(fa, 0, 1, eps(), 100).is_none());
-        assert!(step5_built(&cache, fa, 1, 10));
+        assert!(clause_built(&cache, fa, 1, 100));
         assert!(core_built(&cache, &a, 1));
     }
 
@@ -1040,9 +1012,8 @@ mod tests {
         cache.prime_gaifman(&s, &par);
         core_built(&cache, &s, 1);
         cache.counting_memo(fp, 0, 1, eps());
-        step5_built(&cache, fp, 1, 10);
-        cache.clause_product_insert(fp, 0, 1, eps(), 100, acceptance());
-        assert_eq!(cache.entries(), 6, "one entry in each of the six tiers");
+        clause_built(&cache, fp, 1, 100);
+        assert_eq!(cache.entries(), 5, "one entry in each of the five tiers");
     }
 
     #[test]

@@ -422,17 +422,15 @@ pub struct CountingMemo {
     /// the engine from the reduction core; the core's cache key pins the
     /// colored graph, so every build sharing this memo agrees on it.
     iota_sizes: std::sync::OnceLock<Vec<u32>>,
-    /// Whole-query answer counts keyed by normalized-query fingerprint.
-    /// A hit lets a repeat build (or a rewrite variant with the same
-    /// normal form) skip the inclusion–exclusion walk entirely; the memo
-    /// is scoped to one core key, so the colored graph is pinned.
-    query_counts: Mutex<FxHashMap<u64, u64>>,
     /// Per-reduced-clause answer counts keyed by the clause's packed
     /// acceptance signature (one `(injection, type)` word per partition
     /// part, `0` padding — see `reduction::pack_signature`). The signature
     /// determines the clause's colors against this memo's core, so the
     /// count is a pure function of the key; any two queries whose Step 5
-    /// acceptance sets share a combo share that clause's count.
+    /// acceptance sets share a combo share that clause's count, and a
+    /// repeat build (or a rewrite variant) whose combos are all here skips
+    /// the inclusion–exclusion walk outright. The key is the full
+    /// signature, so a hit is exact.
     combo_counts: Mutex<FxHashMap<Box<[u64]>, u64>>,
     combo_hits: AtomicU64,
     combo_misses: AtomicU64,
@@ -488,46 +486,19 @@ impl CountingMemo {
         out
     }
 
-    /// Whole-query count for a normalized-query fingerprint, if a prior
-    /// build against this core published one. A hit counts toward
-    /// [`stats`](Self::stats) — it stands in for every component probe
-    /// the skipped inclusion–exclusion pass would have made.
-    pub fn query_count(&self, fingerprint: u64) -> Option<u64> {
-        let got = self
-            .query_counts
-            .lock()
-            .expect("memo poisoned")
-            .get(&fingerprint)
-            .copied();
-        if got.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        got
-    }
-
-    /// Publish a whole-query count (racing writers agree by construction).
-    pub(crate) fn record_query_count(&self, fingerprint: u64, count: u64) {
-        self.query_counts
-            .lock()
-            .expect("memo poisoned")
-            .insert(fingerprint, count);
-    }
-
-    /// Per-reduced-clause count for a packed acceptance signature, if a
-    /// prior build against this core counted that combo. A hit takes the
-    /// clause out of the inclusion–exclusion pass.
-    pub(crate) fn combo_count(&self, signature: &[u64]) -> Option<u64> {
-        let got = self
-            .combo_counts
-            .lock()
-            .expect("memo poisoned")
-            .get(signature)
-            .copied();
-        match got {
-            Some(_) => self.combo_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.combo_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        got
+    /// Per-reduced-clause counts for a batch of packed acceptance
+    /// signatures, probed under one lock: `Some` where a prior build
+    /// against this core counted that combo. A hit takes the clause out of
+    /// the inclusion–exclusion pass.
+    pub(crate) fn probe_combos(&self, signatures: &[Box<[u64]>]) -> Vec<Option<u64>> {
+        let map = self.combo_counts.lock().expect("memo poisoned");
+        let out: Vec<Option<u64>> = signatures.iter().map(|s| map.get(s).copied()).collect();
+        drop(map);
+        let hits = out.iter().filter(|c| c.is_some()).count() as u64;
+        self.combo_hits.fetch_add(hits, Ordering::Relaxed);
+        self.combo_misses
+            .fetch_add(out.len() as u64 - hits, Ordering::Relaxed);
+        out
     }
 
     /// Publish a per-clause count (racing writers agree by construction).
@@ -1588,10 +1559,11 @@ fn rec_count(
 /// and published. With `signatures` as well — `signatures[i]` the packed
 /// acceptance signature of `gq.clauses[i]` (see
 /// `reduction::pack_signature`) — the per-clause combination-count tier is
-/// engaged: each clause probes the memo by signature, only novel clauses
-/// enter the pass, and their counts are published for the next query
-/// touching the same combination. Signatures that do not align with the
-/// clauses are ignored. The count is bit-identical on every path: a memo
+/// engaged: the clauses probe the memo by signature under one lock, only
+/// novel clauses enter the pass, and their counts are published for the
+/// next query touching the same combination. When every clause hits, no
+/// candidate table or lattice is built. Signatures that do not align with
+/// the clauses are ignored. The count is bit-identical on every path: a memo
 /// entry is the exact count of its key, and the total is the same
 /// commutative sum. A total that does not fit `u64` is
 /// [`EngineError::CountOverflow`].
@@ -1606,21 +1578,23 @@ pub fn count_graph_query(
 ) -> Result<u64, EngineError> {
     let combos = memo.zip(signatures.filter(|s| s.len() == gq.clauses.len()));
     let cached: Vec<Option<u64>> = match combos {
-        Some((memo, signatures)) => signatures.iter().map(|s| memo.combo_count(s)).collect(),
+        Some((memo, signatures)) => memo.probe_combos(signatures),
         None => vec![None; gq.clauses.len()],
     };
+    let mut total: u128 = cached.iter().flatten().map(|&c| u128::from(c)).sum();
     let miss: Vec<usize> = (0..gq.clauses.len())
         .filter(|&i| cached[i].is_none())
         .collect();
-    let clauses: Vec<&GraphClause> = miss.iter().map(|&i| &gq.clauses[i]).collect();
-    let table = CandidateTable::build(graph, positions, clauses.iter().copied(), par);
-    let computed = count_clauses(&table, adjacency, gq.k, &clauses, par, memo)?;
-    let mut total: u128 = cached.iter().flatten().map(|&c| u128::from(c)).sum();
-    for (&i, count) in miss.iter().zip(computed) {
-        if let Some((memo, signatures)) = combos {
-            memo.record_combo_count(signatures[i].clone(), count);
+    if !miss.is_empty() {
+        let clauses: Vec<&GraphClause> = miss.iter().map(|&i| &gq.clauses[i]).collect();
+        let table = CandidateTable::build(graph, positions, clauses.iter().copied(), par);
+        let computed = count_clauses(&table, adjacency, gq.k, &clauses, par, memo)?;
+        for (&i, count) in miss.iter().zip(computed) {
+            if let Some((memo, signatures)) = combos {
+                memo.record_combo_count(signatures[i].clone(), count);
+            }
+            total += u128::from(count);
         }
-        total += u128::from(count);
     }
     u64::try_from(total).map_err(|_| EngineError::CountOverflow)
 }

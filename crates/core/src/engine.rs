@@ -8,7 +8,7 @@ use crate::reduction::{Reduction, DEFAULT_COMBINATION_BUDGET};
 use crate::testing::TestIndex;
 use crate::EngineError;
 use lowdeg_index::Epsilon;
-use lowdeg_logic::{normalize, Query};
+use lowdeg_logic::{normalize, ClauseForm, Query};
 use lowdeg_par::{par_map, ParConfig};
 use lowdeg_storage::{Node, Structure};
 use std::collections::HashMap;
@@ -37,24 +37,28 @@ pub struct EngineConfig {
     pub warm_up: bool,
     /// Run the query-rewrite normalization pass
     /// ([`lowdeg_logic::normalize()`]) before building, so syntactic rewrite
-    /// variants of one query share cached Step 5 acceptance products and
-    /// whole-query counts, and [`Engine::build_workload`] can group them
-    /// onto one shared engine. On by default; the built engine is
-    /// observably equivalent either way (the `normcheck` row of the
-    /// conformance oracle table enforces it), but clause/answer *order* follows the
-    /// canonical form when enabled. When the normalized syntax fails to
-    /// localize, the build transparently falls back to the original query.
+    /// variants of one query have the same canonical clauses — and so share
+    /// cached clause acceptance sets and combination counts — and
+    /// [`Engine::build_workload`] can group them onto one shared engine.
+    /// On by default; the built engine is observably equivalent either way
+    /// (the `normcheck` row of the conformance oracle table enforces it),
+    /// but clause/answer *order* follows the canonical form when enabled.
+    /// When the normalized syntax fails to localize, the build
+    /// transparently falls back to the original query.
     pub normalize: bool,
-    /// Build Step 5 acceptance and inclusion–exclusion counts at *clause*
-    /// granularity: each clause of the canonical normal form gets its own
-    /// fingerprint-keyed acceptance set in the [`ArtifactCache`] and its
-    /// own signed count in the per-core counting memo, so any two queries
-    /// sharing a clause — across a workload batch or across warm builds —
-    /// share that clause's work. Requires `normalize` (clause fingerprints
-    /// are properties of the canonical form); inert without a cache. Off
-    /// reproduces the whole-query-granular build exactly (the `clausecheck`
-    /// row of the conformance oracle table enforces that both settings are
-    /// bit-identical).
+    /// Share Step 5 acceptance and inclusion–exclusion counts through the
+    /// cache at *clause* granularity: each clause of the canonical normal
+    /// form gets its own fingerprint-keyed acceptance set in the
+    /// [`ArtifactCache`], and each reduced clause its own count in the
+    /// per-core counting memo's combination tier, so any two queries
+    /// sharing a clause — across a workload batch, across warm builds, or
+    /// as rewrite variants — share that clause's work. Requires
+    /// `normalize` (clause fingerprints are properties of the canonical
+    /// form); inert without a cache. Off shares the core (and the memo's
+    /// component counts) but not Step 5 or combination counts: every build
+    /// runs its own acceptance pass and lattice, which is the reference the
+    /// `clausecheck` row of the conformance oracle table compares against
+    /// (both settings are bit-identical).
     pub clause_sharing: bool,
 }
 
@@ -75,16 +79,17 @@ impl Default for EngineConfig {
 /// disabled via [`EngineConfig::normalize`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NormalizationInfo {
-    /// The canonical fingerprint of the normal form — the per-query part
-    /// of the Step 5 acceptance and whole-query-count cache keys, shared
-    /// by every rewrite variant of the query.
+    /// The canonical fingerprint of the normal form, shared by every
+    /// rewrite variant of the query: the key [`Engine::build_workload`]
+    /// groups a batch by. No cache tier is keyed by it; cached work is
+    /// keyed by clause.
     pub fingerprint: u64,
     /// Stable names of the rewrite passes that changed the query
     /// (empty when the input was already canonical).
     pub rewrites: Vec<&'static str>,
     /// The normalized syntax failed to localize and the engine was built
-    /// from the original query instead (without the fingerprinted Step 5
-    /// cache key — normalization can perturb *syntactic* localizability).
+    /// from the original query instead (without the clause-keyed Step 5
+    /// tier — normalization can perturb *syntactic* localizability).
     pub fallback: bool,
 }
 
@@ -172,13 +177,14 @@ impl Engine {
     /// [`Engine::profile`].
     ///
     /// With normalization on (the default), the engine is built from the
-    /// query's canonical normal form: the Step 5 acceptance product and
-    /// the whole-query count are then cached under the normal form's
-    /// fingerprint, so rebuilding any rewrite variant of the query against
-    /// a warm cache skips both. Answer tuples align positionally with the
-    /// original query (free variables canonicalize in answer-column
-    /// order). Should the canonical syntax fail to localize, the build
-    /// silently retries the original query uncached.
+    /// query's canonical normal form: each clause's Step 5 acceptance set
+    /// and each reduced clause's count are then cached by clause, so
+    /// rebuilding any rewrite variant of the query against a warm cache
+    /// stitches both from the cache instead of recomputing them. Answer
+    /// tuples align positionally with the original query (free variables
+    /// canonicalize in answer-column order). Should the canonical syntax
+    /// fail to localize, the build silently retries the original query
+    /// without the clause tier.
     pub fn build_configured(
         structure: &Structure,
         query: &Query,
@@ -200,13 +206,11 @@ impl Engine {
         par: &ParConfig,
         cache: Option<&ArtifactCache>,
     ) -> Result<Self, EngineError> {
-        let raw = |query: &Query, query_fp: Option<u64>, clause_fps: Option<&[u64]>| {
-            Self::build_raw(
-                structure, query, config, limits, par, cache, query_fp, clause_fps,
-            )
+        let raw = |query: &Query, clauses: Option<&[ClauseForm]>| {
+            Self::build_raw(structure, query, config, limits, par, cache, clauses)
         };
         if !config.normalize {
-            return raw(query, None, None);
+            return raw(query, None);
         }
         let nf = normalize(query);
         let info = NormalizationInfo {
@@ -214,18 +218,10 @@ impl Engine {
             rewrites: nf.rewrite_names(),
             fallback: false,
         };
-        // Clause fingerprints are properties of the canonical form, so
+        // Canonical clauses are properties of the normal form, so
         // clause-granular sharing only applies on the canonical path.
-        let clause_fps: Vec<u64> = if config.clause_sharing {
-            nf.clauses.iter().map(|c| c.fingerprint).collect()
-        } else {
-            Vec::new()
-        };
-        match raw(
-            &nf.query,
-            Some(nf.fingerprint),
-            config.clause_sharing.then_some(clause_fps.as_slice()),
-        ) {
+        let clauses = config.clause_sharing.then_some(nf.clauses.as_slice());
+        match raw(&nf.query, clauses) {
             Ok(mut engine) => {
                 engine.normalization = Some(info);
                 Ok(engine)
@@ -234,9 +230,9 @@ impl Engine {
             // reorders conjuncts can push a query off the syntactic
             // fragment the localizer accepts even though the original
             // parses through it. The original query is the user's contract
-            // — build it directly, without the fingerprinted cache key.
+            // — build it directly, without the clause tier.
             Err(EngineError::Localize(_)) if !nf.is_trivial() => {
-                let mut engine = raw(query, None, None)?;
+                let mut engine = raw(query, None)?;
                 engine.normalization = Some(NormalizationInfo {
                     fallback: true,
                     ..info
@@ -247,15 +243,13 @@ impl Engine {
         }
     }
 
-    /// The normalization-free inner build. `query_fp` is the normal form's
-    /// fingerprint when `query` *is* a canonical normal form (it keys the
-    /// Step 5 product and whole-query-count caches); `None` builds the
-    /// query as written with per-core caching only. `clause_fps` carries
-    /// the canonical per-clause fingerprints when clause-granular sharing
-    /// is on — the reduction then stitches its Step 5 product from
-    /// clause-keyed cache entries and the count sums clause-memoized
-    /// combination counts, both bit-identical to the monolithic passes.
-    #[allow(clippy::too_many_arguments)]
+    /// The normalization-free inner build. `clauses` carries the canonical
+    /// clauses when `query` *is* a canonical normal form and
+    /// clause-granular sharing is on — the reduction then stitches its
+    /// Step 5 acceptance from clause-keyed cache entries; `None` builds
+    /// the query as written with per-core caching only. With
+    /// [`EngineConfig::clause_sharing`] the count sums memoized
+    /// combination counts. Both are bit-identical to the uncached passes.
     fn build_raw(
         structure: &Structure,
         query: &Query,
@@ -263,8 +257,7 @@ impl Engine {
         limits: SkipLimits,
         par: &ParConfig,
         cache: Option<&ArtifactCache>,
-        query_fp: Option<u64>,
-        clause_fps: Option<&[u64]>,
+        clauses: Option<&[ClauseForm]>,
     ) -> Result<Self, EngineError> {
         let eps = config.eps;
         let mode = config.skip_mode;
@@ -288,8 +281,7 @@ impl Engine {
             par,
             cache,
             &profiler,
-            query_fp,
-            clause_fps,
+            clauses,
         )?;
         // The E-adjacency CSR is part of the reduction core (and so of the
         // cached extract product): counting, enumeration and the test
@@ -313,13 +305,6 @@ impl Engine {
         if let Some(m) = &memo {
             m.set_iota_sizes(reduction.iota_color_sizes());
         }
-        // A fingerprinted build against a warm memo can skip the
-        // inclusion–exclusion walk outright: the whole-query count was
-        // published by the first build of any query in this rewrite class.
-        let memoized = match (&memo, query_fp) {
-            (Some(m), Some(fp)) => m.query_count(fp),
-            _ => None,
-        };
         // The build's one candidate-list table, read by the IE count and
         // the enumerator alike. Lists are per-core artifacts: with a cache
         // every engine on the core shares the cache-held table (and its
@@ -333,32 +318,24 @@ impl Engine {
             ),
             None => Arc::new(PositionMemo::new()),
         };
-        let count = match memoized {
-            Some(c) => c,
-            None => {
-                // Clause-granular counting: each graph clause realizes one
-                // (partition, types) combination, so clause answer sets are
-                // disjoint and the query count is the sum of per-clause
-                // counts — memoized under the clause's packed signature so
-                // queries sharing a combination share its signed count.
-                let signatures = config.clause_sharing.then(|| reduction.clause_signatures());
-                let c = profiler.time(Stage::IeCount, || {
-                    count_graph_query(
-                        reduction.graph(),
-                        reduction.query(),
-                        &adjacency,
-                        par,
-                        memo.as_deref(),
-                        signatures,
-                        &positions,
-                    )
-                })?;
-                if let (Some(m), Some(fp)) = (&memo, query_fp) {
-                    m.record_query_count(fp, c);
-                }
-                c
-            }
-        };
+        // Clause-granular counting: each graph clause realizes one
+        // (partition, types) combination, so clause answer sets are
+        // disjoint and the query count is the sum of per-clause counts —
+        // memoized under the clause's packed signature so queries sharing
+        // a combination share its count, and a warm build whose
+        // combinations are all memoized skips the lattice outright.
+        let signatures = config.clause_sharing.then(|| reduction.clause_signatures());
+        let count = profiler.time(Stage::IeCount, || {
+            count_graph_query(
+                reduction.graph(),
+                reduction.query(),
+                &adjacency,
+                par,
+                memo.as_deref(),
+                signatures,
+                &positions,
+            )
+        })?;
         let enumerator = Enumerator::build(
             reduction.graph(),
             reduction.query(),
@@ -1042,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_rebuild_skips_ie_count_via_query_memo() {
+    fn warm_rebuild_skips_lattice_via_combination_tier() {
         let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(3)).generate(11);
         let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
         // a rewrite variant: same normal form, different syntax
@@ -1055,19 +1032,71 @@ mod tests {
         };
         let cold = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
         assert!(cold.profile().nanos(Stage::IeCount) > 0);
-        let (hits_before, _, _) = cache.counting_stats();
+        let (combo_hits, combo_misses) = cache.combo_stats();
+        assert!(combo_misses > 0, "the cold build counts its combinations");
+        let (memo_hits, memo_misses, _) = cache.counting_stats();
         let warm = Engine::build_configured(&s, &v, &config, &par, Some(&cache)).unwrap();
         assert_eq!(warm.count(), cold.count());
+        let (hits, misses) = cache.combo_stats();
+        assert_eq!(misses, combo_misses, "every combination count is a hit");
+        assert!(hits > combo_hits);
         assert_eq!(
-            warm.profile().nanos(Stage::IeCount),
-            0,
-            "whole-query count memo must skip the ie-count stage"
+            cache.counting_stats().0 + cache.counting_stats().1,
+            memo_hits + memo_misses,
+            "the combination tier skips the lattice: no component probes"
         );
-        let (hits_after, _, _) = cache.counting_stats();
-        assert!(hits_after > hits_before, "query-count hit counts as a hit");
         let a: Vec<Vec<Node>> = warm.enumerate().collect();
         let b: Vec<Vec<Node>> = cold.enumerate().collect();
         assert_eq!(a, b, "rewrite variants share answers and order");
+    }
+
+    /// A warm build of a two-clause rewrite variant (disjuncts swapped) is
+    /// stitched from the clause tier and the combination tier — the path
+    /// every warm build takes — and is bit-identical to a cold build.
+    #[test]
+    fn warm_two_clause_variant_is_stitched_bit_identically() {
+        let s = ColoredGraphSpec::balanced(48, DegreeClass::Bounded(3)).generate(12);
+        let q = parse_query(
+            s.signature(),
+            "(B(x) & R(y) & !E(x, y)) | (exists z. E(x, z) & E(z, y) & G(y))",
+        )
+        .unwrap();
+        let v = parse_query(
+            s.signature(),
+            "(exists w. E(x, w) & E(w, y) & G(y)) | (R(y) & B(x) & !E(x, y))",
+        )
+        .unwrap();
+        let cache = crate::ArtifactCache::new();
+        let par = ParConfig::serial();
+        let config = EngineConfig {
+            eps: Epsilon::new(0.5),
+            ..EngineConfig::default()
+        };
+        let cold = Engine::build_configured(&s, &v, &config, &par, None).unwrap();
+        let first = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
+        let (clause_hits, clause_misses, _) = cache.clause_stats();
+        assert_eq!(clause_misses, 2, "the first build accepts both clauses");
+        let combo_misses = cache.combo_stats().1;
+        let warm = Engine::build_configured(&s, &v, &config, &par, Some(&cache)).unwrap();
+        assert_eq!(
+            cache.clause_stats().1,
+            clause_misses,
+            "no new clause misses"
+        );
+        assert_eq!(cache.clause_stats().0, clause_hits + 2);
+        assert_eq!(
+            cache.combo_stats().1,
+            combo_misses,
+            "no new combination misses"
+        );
+        assert_eq!(warm.explain().step5, Default::default());
+        for engine in [&first, &warm] {
+            assert_eq!(engine.count(), cold.count());
+            let got: Vec<Vec<Node>> = engine.enumerate().collect();
+            let want: Vec<Vec<Node>> = cold.enumerate().collect();
+            assert_eq!(got, want, "answers and their order match the cold build");
+        }
+        assert_eq!(warm.explain().reduction, cold.explain().reduction);
     }
 
     #[test]

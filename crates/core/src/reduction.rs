@@ -61,7 +61,7 @@ use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner}
 use lowdeg_locality::types::Canonicalizer;
 use lowdeg_locality::{localize, LocalQuery, TypeId, TypeInterner};
 use lowdeg_logic::eval::{eval, Assignment, Model};
-use lowdeg_logic::{DistCmp, Formula, Query, Var};
+use lowdeg_logic::{ClauseForm, DistCmp, Formula, Query, Var};
 use lowdeg_par::{par_flat_map, par_map, par_partition, ParConfig};
 use lowdeg_storage::{GaifmanGraph, Node, RelId, Signature, Structure, MAX_ARITY as MAX_REL_ARITY};
 use std::collections::BTreeSet;
@@ -299,7 +299,6 @@ impl Reduction {
             None,
             &Profiler::new(),
             None,
-            None,
         )
     }
 
@@ -312,24 +311,20 @@ impl Reduction {
     /// memoizes deterministic products. The query-independent
     /// [`ReductionCore`] (Gaifman graph, near-pair store, cluster vertices
     /// with interned types, the colored graph `G`) is keyed by the
-    /// structure content and `(r, k, ε)`. With a cache and the query's
-    /// *normalized fingerprint* `query_fp`
-    /// (`lowdeg_logic::NormalForm::fingerprint`), the per-query Step 5
-    /// acceptance product is memoized under `(core key, fingerprint)`, so
-    /// rewrite variants of one query (and repeated builds of the same
-    /// query) skip the acceptance pass entirely. With the per-clause
-    /// canonical fingerprints `clause_fps` as well (`NormalForm::clauses`,
+    /// structure content and `(r, k, ε)`. With a cache and the canonical
+    /// clauses `clauses` of the query (`lowdeg_logic::NormalForm::clauses`,
     /// in clause order), each clause's acceptance set is memoized under
-    /// `(cluster key, clause fingerprint)`, so queries that share a clause
-    /// share its acceptance work and the whole-query product is stitched
-    /// from the per-clause sets bit-identically to the uncached pass.
+    /// `(cluster key, clause fingerprint)` and verified against the
+    /// clause's canonical serialization on a hit, so queries that share a
+    /// clause — rewrite variants and repeated builds of one query
+    /// included — share its acceptance work, and the query's acceptance is
+    /// stitched from the per-clause sets bit-identically to the uncached
+    /// pass.
     ///
-    /// Contract: when `query_fp` is `Some`, `query` must be the
-    /// *canonical* query of that fingerprint (the `lowdeg_logic::normalize`
-    /// output), so every caller probing the same key would build the same
-    /// product. `clause_fps` is advisory: if its length doesn't match the
-    /// localized clause decomposition (or it is `None`), Step 5 runs
-    /// without the clause tier.
+    /// Contract: when `clauses` is `Some`, `query` must be the canonical
+    /// query they were taken from (the `lowdeg_logic::normalize` output).
+    /// If their number doesn't match the localized clause decomposition
+    /// (or `clauses` is `None`), Step 5 runs without the clause tier.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build_keyed(
         structure: &Structure,
@@ -339,8 +334,7 @@ impl Reduction {
         par: &ParConfig,
         cache: Option<&ArtifactCache>,
         profiler: &Profiler,
-        query_fp: Option<u64>,
-        clause_fps: Option<&[u64]>,
+        clauses: Option<&[ClauseForm]>,
     ) -> Result<Self, EngineError> {
         let k = query.arity();
         if k == 0 {
@@ -366,43 +360,25 @@ impl Reduction {
         };
 
         let reduce_started = std::time::Instant::now();
-        // Step 5 work of this build only: a cached product counts nothing
+        // Step 5 work of this build only: a cached clause set counts nothing
         let mut step5_stats = Step5Stats::default();
-        let stats = &mut step5_stats;
-        let (query_out, accepted, clause_sigs) = match (cache, query_fp) {
-            (Some(c), Some(fp)) => {
-                let product = c.step5_product(structure.fingerprint(), r, k, eps, fp, || {
-                    let (q, a, s) = match clause_fps {
-                        // Defensive alignment check: the clause fingerprints
-                        // come from `normalize`, the clause matrices from
-                        // `localize`; both preserve the canonical top-level
-                        // disjunction, but a mismatch must degrade to the
-                        // uncached pass, never mis-key the cache.
-                        Some(fps) if fps.len() == local.clause_matrices.len() => {
-                            let tier = ClauseTier {
-                                cache: c,
-                                structure_fp: structure.fingerprint(),
-                                eps,
-                                fps,
-                            };
-                            step5(&core, &local, budget, par, Some(tier), stats)?
-                        }
-                        _ => step5(&core, &local, budget, par, None, stats)?,
-                    };
-                    Ok(Step5Product {
-                        query: q,
-                        accepted: a,
-                        clause_sigs: s,
-                    })
-                })?;
-                (
-                    product.query.clone(),
-                    product.accepted.clone(),
-                    product.clause_sigs.clone(),
-                )
+        let tier = match (cache, clauses) {
+            // Alignment check: the clauses come from `normalize`, the clause
+            // matrices from `localize`; both preserve the canonical
+            // top-level disjunction, but a mismatch must degrade to the
+            // uncached pass, never mis-key the cache.
+            (Some(cache), Some(clauses)) if clauses.len() == local.clause_matrices.len() => {
+                Some(ClauseTier {
+                    cache,
+                    structure_fp: structure.fingerprint(),
+                    eps,
+                    clauses,
+                })
             }
-            _ => step5(&core, &local, budget, par, None, stats)?,
+            _ => None,
         };
+        let (query_out, accepted, clause_sigs) =
+            step5(&core, &local, budget, par, tier, &mut step5_stats)?;
         profiler.add(Stage::Reduce, reduce_started.elapsed().as_nanos() as u64);
 
         Ok(Reduction {
@@ -748,25 +724,17 @@ impl Reduction {
 /// signatures aligned with the clause list.
 type Step5Output = (GraphQuery, FxHashSet<Box<[u64]>>, Vec<Box<[u64]>>);
 
-/// The cacheable form of a [`step5`] result. Deterministic given the core
-/// and the query, so the [`crate::ArtifactCache`] keys it by the core's
-/// cluster key plus the query's *normalized fingerprint* — every rewrite
-/// variant of one query shares the entry.
-#[derive(Debug)]
-pub(crate) struct Step5Product {
-    pub(crate) query: GraphQuery,
-    pub(crate) accepted: FxHashSet<Box<[u64]>>,
-    pub(crate) clause_sigs: Vec<Box<[u64]>>,
-}
-
 /// The cacheable per-clause acceptance set: the combinations *one*
 /// localized clause matrix accepts against a core, as ascending
 /// [`ComboRank`]s. Deterministic given the core and the clause's
 /// canonical form, so the [`crate::ArtifactCache`] keys it by
 /// `(cluster key, clause fingerprint)` — any two queries sharing the
-/// clause share the entry, whatever their other clauses look like.
+/// clause share the entry, whatever their other clauses look like — and
+/// keeps the clause's canonical serialization to verify every hit.
 #[derive(Debug)]
 pub(crate) struct ClauseAcceptance {
+    /// `lowdeg_logic::ClauseForm::canonical` of the clause.
+    pub(crate) canonical: Box<[u64]>,
     pub(crate) accepted: Vec<ComboRank>,
 }
 
@@ -778,9 +746,8 @@ pub(crate) type ComboRank = (u32, u64);
 
 /// Step 5 work counters of one build: what the product acceptance
 /// (DESIGN.md §16) decided without a union-view evaluation, and what it
-/// still evaluated. Reported by `lowdeg explain`; a build whose Step 5
-/// product or clause sets came from an [`ArtifactCache`] counts nothing
-/// for them.
+/// still evaluated. Reported by `lowdeg explain`; a build whose clause
+/// sets came from an [`ArtifactCache`] counts nothing for them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Step5Stats {
     /// (clause, partition) pairs rejected outright: a positive chain of
@@ -857,12 +824,12 @@ impl Step5Layout {
 
 /// The clause tier a Step 5 pass reads and publishes each clause's
 /// acceptance through: the cache, the structure's fingerprint, ε, and the
-/// clause fingerprints aligned with `local.clause_matrices`.
+/// canonical clauses aligned with `local.clause_matrices`.
 struct ClauseTier<'a> {
     cache: &'a ArtifactCache,
     structure_fp: u64,
     eps: Epsilon,
-    fps: &'a [u64],
+    clauses: &'a [ClauseForm],
 }
 
 /// Step 5 of the production build: the budget check, then each localized
@@ -891,12 +858,19 @@ fn step5(
             continue;
         };
         let (fp, r, k, eps) = (t.structure_fp, local.radius, core.k, t.eps);
-        let product = match t.cache.clause_product_cached(fp, r, k, eps, t.fps[ci]) {
+        let clause = &t.clauses[ci];
+        let cached =
+            t.cache
+                .clause_product_cached(fp, r, k, eps, clause.fingerprint, &clause.canonical);
+        let product = match cached {
             Some(product) => product,
             None => {
-                let product = ClauseAcceptance { accepted: accept() };
+                let product = ClauseAcceptance {
+                    canonical: clause.canonical.clone(),
+                    accepted: accept(),
+                };
                 t.cache
-                    .clause_product_insert(fp, r, k, eps, t.fps[ci], product)
+                    .clause_product_insert(fp, r, k, eps, clause.fingerprint, product)
             }
         };
         ranks.extend_from_slice(&product.accepted);
@@ -2632,9 +2606,8 @@ mod tests {
         let s = small(9);
         let q = parse_query(s.signature(), "B(x) & R(y)").unwrap();
         let par = ParConfig::from_env();
-        let err =
-            Reduction::build_keyed(&s, &q, eps(), 0, &par, None, &Profiler::new(), None, None)
-                .unwrap_err();
+        let err = Reduction::build_keyed(&s, &q, eps(), 0, &par, None, &Profiler::new(), None)
+            .unwrap_err();
         assert!(matches!(err, EngineError::CombinationBudget { .. }));
     }
 

@@ -102,6 +102,11 @@ pub struct ClauseForm {
     /// reordering (the clause is already sorted) and under disjunct
     /// reordering of the surrounding query (sibling-blind renumbering).
     pub fingerprint: u64,
+    /// The canonical serialization the fingerprint hashes: the arity, then
+    /// the clause-local form's words with variable ids verbatim. Equal
+    /// words mean equal clauses, so a cache keyed by the fingerprint can
+    /// store them and verify every hit.
+    pub canonical: Box<[u64]>,
 }
 
 /// The canonical form of a query: the rewritten [`Query`], the recorded
@@ -263,10 +268,11 @@ fn clause_forms(body: &Formula, free: &[Var]) -> Vec<ClauseForm> {
         .into_iter()
         .map(|clause| {
             let (local, _) = alpha_rename(clause, free);
-            let fp = fingerprint(&local, free.len());
+            let canonical = canonical_words(&local, free.len());
             ClauseForm {
                 formula: local,
-                fingerprint: fp,
+                fingerprint: hash_words(&canonical),
+                canonical: canonical.into(),
             }
         })
         .collect()
@@ -614,16 +620,24 @@ fn apply_renaming(f: &Formula, map: &BTreeMap<Var, Var>) -> Formula {
 /// (structure fingerprint, query fingerprint) is a stable cross-process
 /// cache key.
 fn fingerprint(f: &Formula, arity: usize) -> u64 {
+    hash_words(&canonical_words(f, arity))
+}
+
+/// The words [`fingerprint`] hashes: the arity, then the identity
+/// serialization. Canonical ids are already assigned, so identity
+/// serialization (not the subtree-local one) is what distinguishes e.g.
+/// `E(x,y)` from `E(y,x)`.
+fn canonical_words(f: &Formula, arity: usize) -> Vec<u64> {
+    let mut out = vec![arity as u64];
+    identity_serialize(f, &mut out);
+    out
+}
+
+fn hash_words(words: &[u64]) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     let mut h: u64 = 0xd6e8_feb8_6659_fd93;
-    let mut mix = |v: u64| h = (h.rotate_left(5) ^ v).wrapping_mul(K);
-    mix(arity as u64);
-    // canonical ids are already assigned, so identity serialization (not
-    // the subtree-local one) is what distinguishes e.g. E(x,y) from E(y,x)
-    let mut out = Vec::new();
-    identity_serialize(f, &mut out);
-    for w in out {
-        mix(w);
+    for &w in words {
+        h = (h.rotate_left(5) ^ w).wrapping_mul(K);
     }
     h
 }
@@ -930,6 +944,13 @@ mod tests {
         let ga: Vec<u64> = a.clauses.iter().map(|c| c.fingerprint).collect();
         let gb: Vec<u64> = b.clauses.iter().map(|c| c.fingerprint).collect();
         assert_eq!(ga, gb);
+        // the canonical words are what the fingerprints hash, so they agree
+        // exactly where the fingerprints do
+        for (ca, cb) in a.clauses.iter().zip(&b.clauses) {
+            assert_eq!(ca.canonical, cb.canonical);
+            assert_eq!(hash_words(&ca.canonical), ca.fingerprint);
+        }
+        assert_ne!(a.clauses[0].canonical, a.clauses[1].canonical);
     }
 
     #[test]
