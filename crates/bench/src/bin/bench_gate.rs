@@ -1049,6 +1049,22 @@ fn enumerate_scale(n: usize, par: &ParConfig) -> Json {
         (dt, ())
     });
 
+    // the parallel path's time to its first answer, best of REPS: the
+    // caller runs the first slice itself, so no shard is waited for
+    let par_first = (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut first = Duration::ZERO;
+            engine.par_for_each_answer(par, |t| {
+                black_box(t);
+                first = t0.elapsed();
+                ControlFlow::Break(())
+            });
+            first
+        })
+        .min()
+        .expect("REPS > 0");
+
     // Instrumented pass: per-answer wall-ns and RAM-op delays. The wall
     // sample is the per-answer minimum over REPS passes; the sample
     // vectors are prefaulted so the probe never page-faults mid-run. RAM
@@ -1088,11 +1104,12 @@ fn enumerate_scale(n: usize, par: &ParConfig) -> Json {
     let rate = |d: Duration| Json::Num((count as f64 / d.as_secs_f64().max(1e-12)).round());
     let par_speedup = streaming.as_secs_f64() / parallel.as_secs_f64().max(1e-12);
     println!(
-        "{n:>8}  {count:>8} answers  boxed {:>9}  streaming {:>9}  parallel {:>9} ({par_speedup:.2}x)  \
-         wall {p50}/{p99}/{p999}/{max} ns (max/p50 {max_p50:.1})  ops {o50}/{o99}/{omax}",
+        "{n:>8}  {count:>8} answers  boxed {:>9}  streaming {:>9}  parallel {:>9} ({par_speedup:.2}x, \
+         first {:>9})  wall {p50}/{p99}/{p999}/{max} ns (max/p50 {max_p50:.1})  ops {o50}/{o99}/{omax}",
         fmt_dur(boxed),
         fmt_dur(streaming),
-        fmt_dur(parallel)
+        fmt_dur(parallel),
+        fmt_dur(par_first)
     );
     Json::obj([
         ("n", int(n as u64)),
@@ -1109,6 +1126,7 @@ fn enumerate_scale(n: usize, par: &ParConfig) -> Json {
             "parallel",
             Json::obj([
                 ("par_ms", ms(parallel)),
+                ("par_first_ms", ms(par_first)),
                 ("par_answers_per_s", rate(parallel)),
                 ("par_speedup", r3(par_speedup)),
             ]),

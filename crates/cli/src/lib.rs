@@ -20,9 +20,43 @@ use std::ops::ControlFlow;
 enum OutputFormat {
     /// Tab-separated rows plus a trailing `# N answers` comment (default).
     Tsv,
-    /// One JSON array per answer, streamed through the visitor API — no
-    /// materialization, no trailing comment (every line is valid JSON).
+    /// One JSON array per answer, no trailing comment (every line is
+    /// valid JSON).
     Ndjson,
+}
+
+impl OutputFormat {
+    /// Append one answer row to `line`: tab-separated node ids, or a JSON
+    /// array of them, then a newline.
+    fn push_row(self, line: &mut Vec<u8>, answer: &[Node]) {
+        let (open, sep, close): (&[u8], u8, &[u8]) = match self {
+            OutputFormat::Tsv => (b"", b'\t', b"\n"),
+            OutputFormat::Ndjson => (b"[", b',', b"]\n"),
+        };
+        line.extend_from_slice(open);
+        for (i, n) in answer.iter().enumerate() {
+            if i > 0 {
+                line.push(sep);
+            }
+            push_decimal(line, n.0);
+        }
+        line.extend_from_slice(close);
+    }
+}
+
+/// Append the decimal digits of `v` to `line`, as `{v}` would print them.
+fn push_decimal(line: &mut Vec<u8>, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    line.extend_from_slice(&digits[at..]);
 }
 
 /// Execute one CLI invocation; `args` excludes the program name.
@@ -124,61 +158,33 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), String> {
                 None => usize::MAX,
             };
             let engine = build(&db, &q)?;
-            // both formats stream through the sharded parallel visitor —
-            // the pool from --threads / LOWDEG_THREADS produces answers in
-            // the serial order, so the output is thread-count-invariant;
-            // a serial pool falls back to the delay-accounted visitor
-            match format {
-                OutputFormat::Tsv => {
-                    let mut emitted = 0usize;
-                    let mut werr: Option<std::io::Error> = None;
-                    engine.par_for_each_answer(&par, |t| {
-                        if emitted == limit {
-                            return ControlFlow::Break(());
-                        }
-                        let row: Vec<String> = t.iter().map(|n| n.to_string()).collect();
-                        if let Err(e) = writeln!(out, "{}", row.join("\t")) {
-                            werr = Some(e);
-                            return ControlFlow::Break(());
-                        }
-                        emitted += 1;
-                        ControlFlow::Continue(())
-                    });
-                    if let Some(e) = werr {
-                        return Err(w(e));
-                    }
-                    writeln!(out, "# {emitted} answers").map_err(w)?;
+            // both formats stream through the sharded parallel visitor:
+            // the pool from --threads / LOWDEG_THREADS hands answers over
+            // in the serial order, so the output is thread-count-invariant;
+            // the calling thread writes the first rows while the workers
+            // start, and stopping at `limit` stops the workers. A serial
+            // pool falls back to the delay-accounted visitor.
+            let mut emitted = 0usize;
+            let mut line: Vec<u8> = Vec::new();
+            let mut werr: Option<std::io::Error> = None;
+            engine.par_for_each_answer(&par, |t| {
+                if emitted == limit {
+                    return ControlFlow::Break(());
                 }
-                OutputFormat::Ndjson => {
-                    // one reused line buffer, answers printed as produced
-                    use std::fmt::Write as _;
-                    let mut emitted = 0usize;
-                    let mut line = String::new();
-                    let mut werr: Option<std::io::Error> = None;
-                    engine.par_for_each_answer(&par, |t| {
-                        if emitted == limit {
-                            return ControlFlow::Break(());
-                        }
-                        line.clear();
-                        line.push('[');
-                        for (i, n) in t.iter().enumerate() {
-                            if i > 0 {
-                                line.push(',');
-                            }
-                            write!(line, "{n}").expect("string write");
-                        }
-                        line.push(']');
-                        if let Err(e) = writeln!(out, "{line}") {
-                            werr = Some(e);
-                            return ControlFlow::Break(());
-                        }
-                        emitted += 1;
-                        ControlFlow::Continue(())
-                    });
-                    if let Some(e) = werr {
-                        return Err(w(e));
-                    }
+                line.clear();
+                format.push_row(&mut line, t);
+                if let Err(e) = out.write_all(&line) {
+                    werr = Some(e);
+                    return ControlFlow::Break(());
                 }
+                emitted += 1;
+                ControlFlow::Continue(())
+            });
+            if let Some(e) = werr {
+                return Err(w(e));
+            }
+            if format == OutputFormat::Tsv {
+                writeln!(out, "# {emitted} answers").map_err(w)?;
             }
             Ok(())
         }
@@ -439,12 +445,14 @@ pub fn usage() -> String {
   lowdeg generate     <n> <degree> <seed> [path]
   lowdeg import-edges <edge-list> [path]
 options: --eps <x>       pseudo-linearity parameter (default 0.25)
-         --threads <n>   worker threads for preprocessing AND the sharded
-                         enumerate answer path; 0 = auto, 1 = serial
-                         (default: LOWDEG_THREADS, else auto). Answer order
-                         and counts are identical at every thread count
-         --format <f>    enumerate output: tsv (default) or ndjson, the
-                         latter streamed answer-by-answer (constant memory)"
+         --threads <n>   threads for preprocessing AND the sharded
+                         enumerate answer path, the calling thread
+                         included; 0 = auto, 1 = serial (default:
+                         LOWDEG_THREADS, else auto). Answer order and
+                         counts are identical at every thread count
+         --format <f>    enumerate output: tsv (default) or ndjson; both
+                         stream answer by answer at every thread count,
+                         the first at serial delay"
         .into()
 }
 
@@ -585,32 +593,50 @@ mod tests {
 
     #[test]
     fn threads_do_not_change_enumeration_output() {
-        // the sharded answer path drains slices in serial order, so every
-        // thread count prints byte-identical rows — both formats
-        let db = temp_db();
+        // the sharded answer path streams slices in serial order, so every
+        // thread count prints byte-identical rows — both formats, a full
+        // drain and pages that stop the workers early. The database is
+        // large enough that the query's answers clear the pool's item
+        // cutoff, so --threads 4 really runs the sharded path.
+        let db = temp_path("parallel.db");
+        run_str(&["generate", "512", "2", "1", db.to_str().unwrap()]).unwrap();
         let q = "B(x) & R(y) & !E(x, y)";
+        let count: usize = run_str(&["count", db.to_str().unwrap(), q])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
+        assert!(count >= 4 * ParConfig::DEFAULT_MIN_ITEMS, "{count} answers");
+        // 1 ends inside the first slice, which the caller runs itself;
+        // count/2 + 1 ends inside a later slice at 2 and 4 threads
+        let half = (count / 2 + 1).to_string();
         for format in ["tsv", "ndjson"] {
-            let serial = run_str(&[
-                "--threads",
-                "1",
-                "--format",
-                format,
-                "enumerate",
-                db.to_str().unwrap(),
-                q,
-            ])
-            .unwrap();
-            let parallel = run_str(&[
-                "--threads",
-                "4",
-                "--format",
-                format,
-                "enumerate",
-                db.to_str().unwrap(),
-                q,
-            ])
-            .unwrap();
-            assert_eq!(serial, parallel, "{format} output differs across pools");
+            for limit in [None, Some("1"), Some(half.as_str())] {
+                let run_at = |threads: &str| {
+                    let mut args = vec![
+                        "--threads",
+                        threads,
+                        "--format",
+                        format,
+                        "enumerate",
+                        db.to_str().unwrap(),
+                        q,
+                    ];
+                    args.extend(limit);
+                    run_str(&args).unwrap()
+                };
+                let serial = run_at("1");
+                let rows = serial.lines().filter(|l| !l.starts_with('#')).count();
+                let want = limit.map_or(count, |l| l.parse().unwrap());
+                assert_eq!(rows, want, "{format} limit {limit:?}");
+                for threads in ["2", "4"] {
+                    assert_eq!(
+                        serial,
+                        run_at(threads),
+                        "{format} limit {limit:?}: output differs at --threads {threads}"
+                    );
+                }
+            }
         }
     }
 

@@ -2,14 +2,17 @@
 //! reference.
 //!
 //! [`Engine::par_for_each_answer`] shards each clause's top-level
-//! candidate list into contiguous slices, enumerates the slices on a
-//! worker pool and concatenates the shard outputs in slice order. The
-//! contract is strict: under the [`forced_parallel`] pool it must visit
-//! *bit-identical* answers in *bit-identical order* to the serial,
-//! delay-accounted [`Engine::for_each_answer`] — not just the same set.
-//! The row also checks [`Engine::par_count`], an early `Break` prefix, and
-//! that a second parallel pass over the same engine reproduces the first
-//! (the per-traversal state really is per-traversal).
+//! candidate list into contiguous slices and streams the slices' answers
+//! in slice order: the calling thread runs every slice no worker has
+//! claimed yet straight into the callback, and workers hand theirs over in
+//! batches. The contract is strict: under the [`forced_parallel`] pool it
+//! must visit *bit-identical* answers in *bit-identical order* to the
+//! serial, delay-accounted [`Engine::for_each_answer`] — not just the
+//! same set. The row also checks [`Engine::par_count`], that a `Break`
+//! after the first answer, half way and one short of the end leaves the
+//! serial prefix (a `Break` also stops the workers mid-stream), and that
+//! a second parallel pass over the same engine reproduces the first (the
+//! per-traversal state really is per-traversal).
 
 use crate::oracle::{divergence, forced_parallel, per_mode, Oracle};
 use lowdeg_core::Engine;
@@ -55,12 +58,17 @@ pub const ORACLE: Oracle = Oracle {
                     format!("par_count {pc} vs precomputed count {count}"),
                 );
             }
-            let k = (want.len() / 2).max(1).min(want.len());
-            if want[..k] != prefix(&e, Some(&parallel), k)[..] {
-                fail(
-                    "break-prefix",
-                    format!("Break after {k} answers: another prefix"),
-                );
+            // the first answer, half way, and one short of the end
+            let mut ks = vec![1, want.len() / 2, want.len().saturating_sub(1)];
+            ks.retain(|&k| k >= 1 && k <= want.len());
+            ks.dedup();
+            for k in ks {
+                if want[..k] != prefix(&e, Some(&parallel), k)[..] {
+                    fail(
+                        "break-prefix",
+                        format!("Break after {k} answers: another prefix"),
+                    );
+                }
             }
             if let Some(d) = divergence(&want, &prefix(&e, Some(&parallel), usize::MAX)) {
                 fail("restart", format!("serial vs second parallel pass: {d}"));

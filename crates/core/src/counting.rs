@@ -749,8 +749,7 @@ fn count_clauses(
     let lattice = Lattice::new(k);
     let width = lattice.patterns.len();
     // job key: the list id at each member of the pattern, then the pattern
-    // id. The lists lead because FxHash's bucket bits see little of a
-    // short key beyond its first word, and the pattern id barely varies.
+    // id
     let mut jobs: SliceInterner<u32> = SliceInterner::new();
     let mut rows: Vec<u32> = Vec::with_capacity(clauses.len() * width);
     let mut key: Vec<u32> = Vec::with_capacity(k + 1);

@@ -9,11 +9,17 @@ use crate::testing::TestIndex;
 use crate::EngineError;
 use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, ClauseForm, Query};
-use lowdeg_par::{par_map, ParConfig};
+use lowdeg_par::{par_stream, ParConfig};
 use lowdeg_storage::{Node, Structure};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
+
+/// Answers a slice of the sharded answer path aims at. A `par_stream`
+/// worker hands over at most a few such slices' worth of answers before
+/// it waits for the in-order drain, so slices this small keep the workers
+/// running ahead of the drain instead of blocking inside one long slice.
+const SLICE_ANSWERS: u64 = 8192;
 
 /// Build-time configuration beyond the structure/query pair, consumed by
 /// [`Engine::build_configured`] and [`Engine::build_workload`].
@@ -596,18 +602,30 @@ impl Engine {
         }
     }
 
-    /// Shard the answer space into contiguous tasks `(clause, lo, hi)` over
-    /// each clause's outermost candidate list. Task order (clause-major,
-    /// ascending slices) is the serial enumeration order, so draining task
-    /// results in this order reproduces it exactly.
-    fn shard_tasks(enumerator: &Enumerator, parts_per_clause: usize) -> Vec<(usize, usize, usize)> {
+    /// The slices the sharded answer path streams, in order: contiguous
+    /// `(clause, lo, hi)` ranges of each clause's outermost candidate list.
+    /// Clause-major with ascending slices — the serial enumeration order,
+    /// so concatenating the slices' answers reproduces it exactly (DESIGN
+    /// §14). Each clause is cut into `threads × 4` slices, or into more
+    /// when the answers are many, aiming at 8,192 answers per slice; a
+    /// slice never holds less than one top-list entry, so the list never
+    /// outgrows the top lists themselves. Empty for a sentence.
+    pub fn answer_slices(&self, par: &ParConfig) -> Vec<(usize, usize, usize)> {
+        let EngineKind::Reduced {
+            enumerator, count, ..
+        } = &self.kind
+        else {
+            return Vec::new();
+        };
+        let parts_per_clause = par
+            .threads()
+            .saturating_mul(4)
+            .max(count.div_ceil(SLICE_ANSWERS) as usize);
         let mut tasks = Vec::new();
         for (ci, plan) in enumerator.plans().iter().enumerate() {
             let top = plan.top_len();
-            if top == 0 {
-                continue; // empty outer list: the clause has no answers
-            }
-            let part_len = top.div_ceil(parts_per_clause.max(1)).max(1);
+            let part_len = top.div_ceil(parts_per_clause).max(1);
+            // an empty outer list (a clause without answers) adds nothing
             let mut lo = 0;
             while lo < top {
                 tasks.push((ci, lo, (lo + part_len).min(top)));
@@ -618,26 +636,27 @@ impl Engine {
     }
 
     /// Theorem 2.7, sharded: drive every answer through `f` in **exactly
-    /// the serial order** ([`Engine::for_each_answer`]), materializing the
-    /// shards on the worker pool.
+    /// the serial order** ([`Engine::for_each_answer`]), streamed from the
+    /// worker pool as it is produced.
     ///
     /// Each clause's outermost candidate list is cut into contiguous
-    /// slices; workers run the per-level skip machinery independently per
-    /// slice ([`crate::ClausePlan::iter_slice`]) and the results are
-    /// concatenated in slice order — bit-identical to the serial visitor,
-    /// because the outermost level walks its sorted list in order with an
-    /// empty forbidden set and inner levels depend only on the values fixed
-    /// above them (DESIGN §14). What is traded away is the *delay*
-    /// guarantee: answers arrive in order but in shard-sized bursts, so the
-    /// delay-accounted reference path stays [`Engine::for_each_answer`].
+    /// slices ([`Engine::answer_slices`]), one task each
+    /// ([`crate::ClausePlan::iter_slice`] runs the per-level skip machinery
+    /// over one slice), and [`lowdeg_par::par_stream`] hands the tasks'
+    /// answers to `f` in slice order — bit-identical to the serial visitor, because the outermost
+    /// level walks its sorted list in order with an empty forbidden set and
+    /// inner levels depend only on the values fixed above them (DESIGN
+    /// §14). The calling thread counts toward `par.threads()` and runs
+    /// every slice no worker has claimed yet straight into `f`, starting
+    /// with the first, so the first answer arrives at serial delay; worker
+    /// slices arrive in batches, so the per-answer delay guarantee belongs
+    /// to [`Engine::for_each_answer`] alone.
     ///
-    /// Returning [`ControlFlow::Break`] stops the drain at that answer.
-    /// The shards are materialized before the drain begins, so a Break
-    /// saves callback work but not shard work — callers that mostly stop
-    /// early (e.g. `first()`) should prefer the serial visitor.
-    /// Configurations that would run serially (1 thread, or fewer answers
-    /// than the pool's cutoff) fall back to the serial visitor with zero
-    /// overhead.
+    /// Returning [`ControlFlow::Break`] stops the drain at that answer and
+    /// stops the workers: no slice starts after it, and running ones stop
+    /// at their next answer. Configurations that would run serially (1
+    /// thread, or fewer answers than the pool's cutoff) fall back to the
+    /// serial visitor with zero overhead.
     pub fn par_for_each_answer(
         &self,
         par: &ParConfig,
@@ -651,41 +670,42 @@ impl Engine {
         else {
             return self.for_each_answer(f);
         };
-        if par.is_serial() || par.runs_serial(*count as usize) {
+        if par.runs_serial(*count as usize) {
             return self.for_each_answer(f);
         }
         let reduction = test.reduction();
-        let tasks = Self::shard_tasks(enumerator, par.threads().saturating_mul(4));
-        // Task lists are tiny (threads·4 per clause), far below any sane
-        // serial-fallback cutoff — distribute them unconditionally.
-        let cfg = par.min_items(1);
         let arity = self.arity;
-        let shards: Vec<Vec<Node>> = par_map(&cfg, &tasks, |&(ci, lo, hi)| {
-            let plan = &enumerator.plans()[ci];
-            let mut iter = plan.iter_slice(enumerator.adjacency(), lo, hi);
-            let mut answer: Vec<Node> = Vec::with_capacity(arity);
-            let mut buf: Vec<Node> = Vec::new();
-            while iter.advance() {
-                let ok = reduction.backward_into(iter.tuple(), &mut answer);
-                assert!(ok, "ψ(G) answers lie in the image of f");
-                buf.extend_from_slice(&answer);
-            }
-            buf
-        });
-        for shard in &shards {
-            for answer in shard.chunks_exact(arity) {
-                if f(answer).is_break() {
-                    return;
+        // the pool's item cutoff is about answers, checked above; every
+        // slice list is worth distributing
+        par_stream(
+            &par.min_items(1),
+            &self.answer_slices(par),
+            |&(ci, lo, hi), sink| {
+                let plan = &enumerator.plans()[ci];
+                let mut iter = plan.iter_slice(enumerator.adjacency(), lo, hi);
+                let mut answer: Vec<Node> = Vec::with_capacity(arity);
+                while iter.advance() {
+                    let ok = reduction.backward_into(iter.tuple(), &mut answer);
+                    assert!(ok, "ψ(G) answers lie in the image of f");
+                    if sink(&answer).is_break() {
+                        return;
+                    }
                 }
-            }
-        }
+            },
+            |answers| {
+                for answer in answers.chunks_exact(arity) {
+                    f(answer)?;
+                }
+                ControlFlow::Continue(())
+            },
+        );
     }
 
     /// `|φ(A)|` by sharded parallel traversal. The build-time
     /// [`Engine::count`] is free and exact — this path exists to *measure*
-    /// the parallel enumeration machinery (it drives the same sharded
-    /// cursors as [`Engine::par_for_each_answer`], skipping answer
-    /// materialization) and as an end-to-end cross-check. Serial-falling
+    /// the parallel enumeration machinery (it streams the same slices as
+    /// [`Engine::par_for_each_answer`], one count per slice instead of its
+    /// answers) and as an end-to-end cross-check. Serial-falling
     /// configurations return the precomputed count directly.
     pub fn par_count(&self, par: &ParConfig) -> u64 {
         let EngineKind::Reduced {
@@ -694,25 +714,33 @@ impl Engine {
         else {
             return self.count();
         };
-        if par.is_serial() || par.runs_serial(*count as usize) {
+        if par.runs_serial(*count as usize) {
             return *count;
         }
-        let tasks = Self::shard_tasks(enumerator, par.threads().saturating_mul(4));
-        let cfg = par.min_items(1);
-        let counts: Vec<u64> = par_map(&cfg, &tasks, |&(ci, lo, hi)| {
-            let plan = &enumerator.plans()[ci];
-            let mut iter = plan.iter_slice(enumerator.adjacency(), lo, hi);
-            let mut c = 0u64;
-            while iter.advance() {
-                c += 1;
-            }
-            c
-        });
-        counts.iter().sum()
+        let mut total = 0u64;
+        par_stream(
+            &par.min_items(1),
+            &self.answer_slices(par),
+            |&(ci, lo, hi), sink| {
+                let plan = &enumerator.plans()[ci];
+                let mut iter = plan.iter_slice(enumerator.adjacency(), lo, hi);
+                let mut c = 0u64;
+                while iter.advance() {
+                    c += 1;
+                }
+                let _ = sink(&[c]);
+            },
+            |counts| {
+                total += counts.iter().sum::<u64>();
+                ControlFlow::Continue(())
+            },
+        );
+        total
     }
 
     /// Theorem 2.7, sharded and materialized: every answer in exactly the
-    /// serial enumeration order (see [`Engine::par_for_each_answer`]).
+    /// serial enumeration order, collected from
+    /// [`Engine::par_for_each_answer`]'s stream.
     pub fn par_enumerate(&self, par: &ParConfig) -> Vec<Vec<Node>> {
         let mut out = Vec::new();
         self.par_for_each_answer(par, |a| {

@@ -67,9 +67,13 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The state with its high half folded into the low one. A product's
+    /// low bits depend only on its operands' low bits, and `HashMap` picks
+    /// buckets by the low bits, so the raw state would ignore the high
+    /// half of a key's last word.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ (self.hash >> 32)
     }
 }
 
@@ -104,6 +108,19 @@ mod tests {
         let mut h2 = FxHasher::default();
         h2.write(&[1, 2, 4]);
         assert_ne!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn low_bits_see_the_high_half() {
+        // keys differing only in the high half of their last word must
+        // not share their low (bucket) bits
+        let low = |v: u64| {
+            let mut h = FxHasher::default();
+            h.write_u64(v);
+            h.finish() & 0xffff
+        };
+        let lows: std::collections::HashSet<u64> = (0..64u64).map(|k| low(k << 40)).collect();
+        assert!(lows.len() > 32, "{} distinct low halves", lows.len());
     }
 
     #[test]

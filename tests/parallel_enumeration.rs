@@ -4,15 +4,15 @@
 //! `Engine::par_for_each_answer` / `par_count` / `par_enumerate` split
 //! every clause's top-level candidate list into contiguous slices, run the
 //! per-level skip machinery independently per slice on the `lowdeg-par`
-//! pool, and drain the shards in slice order. The contract (DESIGN §14) is
+//! pool, and stream the slices' answers in slice order. The contract (DESIGN §14) is
 //! bit-identical *order*, not just the same set: at order-depth 0 the
 //! forbidden set is empty, so the top level walks its sorted list strictly
 //! sequentially and concatenating contiguous slices reproduces the serial
 //! walk exactly. This suite asserts that — across all conformance query
 //! shapes × the paper's degree classes × both skip modes — against a
 //! forced 4-thread pool (`min_items` dropped to 1 so even tiny instances
-//! exercise the sharded path), plus `first`, early `Break`, and
-//! restartability.
+//! exercise the sharded path), plus `first`, early `Break` (including at
+//! the seam between the first and second slice), and restartability.
 
 use lowdeg_bench::workloads::{colored, degree_classes};
 use lowdeg_conformance::{QueryGen, ALL_SHAPES};
@@ -42,6 +42,22 @@ fn par_prefix(engine: &Engine, par: &ParConfig, limit: usize) -> Vec<Vec<Node>> 
         }
     });
     out
+}
+
+/// Answers in the first slice the parallel path streams
+/// (`Engine::answer_slices`). 0 for sentences.
+fn first_slice_answers(engine: &Engine, par: &ParConfig) -> usize {
+    let (Some(enumerator), Some(&(ci, lo, hi))) =
+        (engine.enumerator(), engine.answer_slices(par).first())
+    else {
+        return 0;
+    };
+    let mut iter = enumerator.plans()[ci].iter_slice(enumerator.adjacency(), lo, hi);
+    let mut n = 0;
+    while iter.advance() {
+        n += 1;
+    }
+    n
 }
 
 /// One full cross-check of the parallel path against the serial visitor.
@@ -93,8 +109,16 @@ fn check_parallel(engine: &Engine, src: &str, mode: SkipMode) -> Result<(), Test
         mode
     );
 
-    // early Break yields the serial prefix
-    for k in [1usize, 2, serial.len().saturating_sub(1).max(1)] {
+    // early Break yields the serial prefix, also right at the seam where
+    // the stream passes from the first slice to the second
+    let first_slice = first_slice_answers(engine, &par).max(1);
+    for k in [
+        1usize,
+        2,
+        first_slice,
+        first_slice + 1,
+        serial.len().saturating_sub(1).max(1),
+    ] {
         let prefix = par_prefix(engine, &par, k);
         let want = &serial[..k.min(serial.len())];
         prop_assert_eq!(
