@@ -1,8 +1,8 @@
 //! # lowdeg-bench
 //!
 //! Shared harness utilities for the experiment tables (`tables` binary) and
-//! the Criterion microbenches: timing helpers, log–log scaling-exponent
-//! fits, and the standard workload builders every experiment draws from.
+//! `bench_gate`: timing helpers, log–log scaling-exponent fits, and the
+//! standard workload builders every experiment draws from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

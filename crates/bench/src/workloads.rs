@@ -1,6 +1,6 @@
-//! Standard workloads shared by the experiment tables and the Criterion
-//! benches: colored graphs across the paper's degree classes, colored
-//! padded cliques, and the standing query corpus.
+//! Standard workloads shared by the experiment tables, `bench_gate` and
+//! the integration tests: colored graphs across the paper's degree
+//! classes, colored padded cliques, and the standing query corpus.
 
 use lowdeg_gen::{padded_clique, ColoredGraphSpec, DegreeClass};
 use lowdeg_storage::{Node, Signature, Structure};

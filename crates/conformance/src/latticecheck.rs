@@ -1,35 +1,27 @@
-//! Lattice-walk equivalence row.
+//! Lemma 3.5 batched-pass row.
 //!
-//! Lemma 3.5 has three oracle evaluations of one reduced clause: the
-//! per-term reference (nested inclusion–exclusion differences), the single
-//! serial Gray-code walk, and the sliced walk. The walks are designed to
-//! reproduce the per-term signed `i128` sum bit for bit, for *every*
-//! slicing of the rank space — so all three must agree exactly. The
-//! engine counts with none of them: `count_graph_query` counts all clauses
-//! of the reduced query in one batched pass, and that count must equal
-//! the sum of the per-term clause counts. Reduced clauses start with every position pair negated
-//! (`m = k(k−1)/2` inclusion–exclusion atoms), which makes each case
-//! negative-heavy by construction: half the lattice terms enter the sum
-//! with a minus sign, exercising the signed accumulation the slices must
-//! merge exactly.
+//! The engine counts a reduced query with `count_graph_query`: all its
+//! clauses in one batched pass (one inclusion–exclusion lattice per query,
+//! jobs deduplicated across clauses, grouped anchored walks). Its
+//! reference is `count_clause_per_term`, which evaluates one clause by
+//! nested inclusion–exclusion differences, counting every term's positive
+//! part from scratch. Reduced clauses start with every position pair
+//! negated (`m = k(k−1)/2` inclusion–exclusion atoms), which makes each
+//! case negative-heavy by construction: half the lattice terms enter the
+//! sum with a minus sign, exercising the signed accumulation.
 //!
-//! This row builds the reduction for each case and compares the three
-//! paths per clause, sweeping the slice width over 1, ⌈m/2⌉ and `m` top
-//! rank bits (subtree sizes from half the lattice down to one mask per
-//! slice), each on a serial and a forced-parallel pool; then it counts the
-//! whole reduced query through `count_graph_query` on both pools, with the
-//! counting memo off and on.
+//! This row builds the reduction for each case, sums the per-term clause
+//! counts, and compares that sum with the batched pass over the whole
+//! reduced query on a serial and a forced-parallel pool, with the counting
+//! memo off and on.
 
 use crate::oracle::{forced_parallel, Oracle, Verdict};
-use lowdeg_core::counting::{
-    count_clause_lattice_serial, count_clause_lattice_sliced, count_clause_per_term,
-    count_graph_query, CountingMemo,
-};
+use lowdeg_core::counting::{count_clause_per_term, count_graph_query, CountingMemo};
 use lowdeg_core::{PositionMemo, Reduction};
 use lowdeg_index::Epsilon;
 use lowdeg_par::ParConfig;
 
-/// The lattice-walk row.
+/// The batched-pass row.
 pub const ORACLE: Oracle = Oracle {
     name: "latticecheck",
     check: |case, out| {
@@ -41,37 +33,12 @@ pub const ORACLE: Oracle = Oracle {
             return Verdict::Skipped; // rejection is the differential row's business
         };
         let (graph, gq, adjacency) = (reduction.graph(), reduction.query(), reduction.adjacency());
-        let m = gq.k * (gq.k.saturating_sub(1)) / 2;
         let (serial, parallel) = (ParConfig::serial(), forced_parallel());
-
-        // slice widths: coarsest, middling, finest — deduplicated for small m
-        let mut bit_sweep: Vec<usize> = vec![1, m.div_ceil(2), m];
-        bit_sweep.retain(|&b| b >= 1 && b <= m);
-        bit_sweep.dedup();
-
-        let mut per_term: u128 = 0;
-        for (ci, clause) in gq.clauses.iter().enumerate() {
-            let reference = count_clause_per_term(graph, gq, clause, adjacency);
-            per_term += u128::from(reference);
-            let single = count_clause_lattice_serial(graph, gq, clause, adjacency);
-            if single != reference {
-                let detail =
-                    format!("clause {ci}: serial Gray walk {single} vs per-term {reference}");
-                out.fail("serial-walk", detail);
-            }
-            for &bits in &bit_sweep {
-                for (tag, par) in [("serial", &serial), ("parallel", &parallel)] {
-                    let sliced =
-                        count_clause_lattice_sliced(graph, gq, clause, adjacency, bits, par);
-                    if sliced != reference {
-                        let walk = format!("sliced walk ({bits} bits, {tag} pool)");
-                        let detail =
-                            format!("clause {ci}: {walk} {sliced} vs per-term {reference}");
-                        out.fail("sliced-walk", detail);
-                    }
-                }
-            }
-        }
+        let per_term: u128 = gq
+            .clauses
+            .iter()
+            .map(|clause| u128::from(count_clause_per_term(graph, gq, clause, adjacency)))
+            .sum();
 
         // the engine's batched pass over the whole query
         let want = u64::try_from(per_term).map_err(|_| "count overflow".to_string());
@@ -101,16 +68,17 @@ mod tests {
     use lowdeg_gen::{ColoredGraphSpec, DegreeClass};
     use lowdeg_logic::parse_query;
 
+    /// Per-term sum, batched pass on the serial pool, batched pass on the
+    /// forced-parallel pool.
     #[test]
     fn all_three_paths_agree() {
         crate::oracle::assert_corpus_clean(&ORACLE);
     }
 
     #[test]
-    fn four_positions_slice_a_wider_lattice() {
-        // k = 4 → m = 6 negated pairs → 2^6 lattice masks, sliced at 1, 3
-        // and 6 bits. Small n: the Step-5 type-combination table grows
-        // steeply with arity.
+    fn four_positions_walk_a_wider_lattice() {
+        // k = 4 → m = 6 negated pairs → 2^6 lattice masks. Small n: the
+        // Step-5 type-combination table grows steeply with arity.
         let s = ColoredGraphSpec::balanced(12, DegreeClass::Bounded(2)).generate(9);
         let q = parse_query(
             s.signature(),
@@ -124,7 +92,7 @@ mod tests {
     }
 
     #[test]
-    fn unary_queries_have_nothing_to_slice_but_still_agree() {
+    fn unary_queries_have_an_empty_lattice_but_still_agree() {
         let s = ColoredGraphSpec::balanced(20, DegreeClass::Bounded(3)).generate(4);
         let q = parse_query(s.signature(), "B(x) & !R(x)").unwrap();
         let (_, bad) = run_row(&ORACLE, &s, &q);

@@ -28,9 +28,10 @@
 //!   order and per-clause plan statistics, and the repeats must hit both
 //!   the core tier and (whenever components were discovered) the
 //!   counting memo;
-//! * `latticecheck` ([`latticecheck`]) — per reduced clause, the per-term
-//!   inclusion–exclusion reference, the serial Gray-code lattice walk and
-//!   the sliced parallel walk (slice width swept) must agree exactly;
+//! * `latticecheck` ([`latticecheck`]) — the engine's batched Lemma 3.5
+//!   pass over the reduced query, on a serial and a forced-parallel pool
+//!   with the counting memo off and on, must equal the sum of the per-term
+//!   inclusion–exclusion clause counts;
 //! * `normcheck` ([`normcheck`]) — syntactic rewrite variants of the case
 //!   query must share its fingerprint, build observably identical engines
 //!   and group onto one engine in a workload batch;

@@ -188,30 +188,11 @@ impl NodeSet {
     }
 }
 
-/// Count the answers of one reduced clause `θ_j` over the colored graph:
-/// per-position colors plus the pairwise `¬E` of `ψ₁`.
-///
-/// This is [`count_graph_query`]'s batched Lemma 3.5 pass over a query of
-/// one clause: the same lattice, jobs, memo probes and grouped anchored
-/// walks, so the count is the one the engine computes for this clause. A
-/// count that does not fit `u64` is [`EngineError::CountOverflow`].
-pub fn count_clause(
-    graph: &Structure,
-    gq: &GraphQuery,
-    clause: &GraphClause,
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    par: &ParConfig,
-    memo: Option<&CountingMemo>,
-    positions: &PositionMemo,
-) -> Result<u64, EngineError> {
-    let table = CandidateTable::build(graph, positions, [clause], par);
-    let counts = count_clauses(&table, adjacency, gq.k, &[clause], par, memo)?;
-    Ok(counts[0])
-}
-
-/// The per-term reference evaluation of Lemma 3.5: nested differences, each
-/// term's positive part counted from scratch. Kept as the differential
-/// oracle for the batched pass (see `tests/lattice_ie.rs`); the production
+/// The per-term reference evaluation of Lemma 3.5 over one reduced clause
+/// `θ_j` (per-position colors plus the pairwise `¬E` of `ψ₁`): nested
+/// differences, each term's positive part counted from scratch. Kept as the
+/// differential oracle for the batched pass (see `tests/lattice_ie.rs` and
+/// the `latticecheck` row of the conformance oracle table); the production
 /// path is [`count_graph_query`].
 ///
 /// # Panics
@@ -222,72 +203,6 @@ pub fn count_clause_per_term(
     gq: &GraphQuery,
     clause: &GraphClause,
     adjacency: &crate::enumerate::EdgeAdjacency,
-) -> u64 {
-    oracle_walk(graph, gq, clause, |lists, sets, neg| {
-        let total = ie_count(adjacency, lists, sets, &mut Vec::new(), neg)?;
-        u64::try_from(total).map_err(|_| EngineError::CountOverflow)
-    })
-}
-
-/// The per-clause Gray-code walk over the full lattice, one clause at a
-/// time. Oracle entry: the `latticecheck` row of the conformance oracle
-/// table compares this, the sliced walk ([`count_clause_lattice_sliced`]),
-/// the per-term evaluation ([`count_clause_per_term`]) and the engine's
-/// batched pass ([`count_graph_query`]) — all must agree exactly.
-///
-/// # Panics
-///
-/// If the exact count does not fit `u64` (the oracle has no error path).
-pub fn count_clause_lattice_serial(
-    graph: &Structure,
-    gq: &GraphQuery,
-    clause: &GraphClause,
-    adjacency: &crate::enumerate::EdgeAdjacency,
-) -> u64 {
-    oracle_walk(graph, gq, clause, |lists, sets, neg| {
-        exact_count(lattice_sum_single(
-            adjacency,
-            lists,
-            sets,
-            neg,
-            &ParConfig::serial(),
-        )?)
-    })
-}
-
-/// The per-clause walk sliced by an explicit slice-bit count, forced even
-/// when the pool would run serially. `bits` is clamped to `[1, m]` (with
-/// `m = 0` falling back to the single walk). Oracle entry, like
-/// [`count_clause_lattice_serial`].
-///
-/// # Panics
-///
-/// If the exact count does not fit `u64` (the oracle has no error path).
-pub fn count_clause_lattice_sliced(
-    graph: &Structure,
-    gq: &GraphQuery,
-    clause: &GraphClause,
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    bits: usize,
-    par: &ParConfig,
-) -> u64 {
-    oracle_walk(graph, gq, clause, |lists, sets, neg| {
-        let total = match neg.len() {
-            0 => lattice_sum_single(adjacency, lists, sets, neg, &ParConfig::serial()),
-            m => lattice_sum_sliced(adjacency, lists, sets, neg, bits.clamp(1, m), par),
-        };
-        exact_count(total?)
-    })
-}
-
-/// Run one oracle's walk over `clause`'s lists (from a fresh memo), their
-/// bitsets and its negated pairs: the exact count, or a panic naming why
-/// there is none.
-fn oracle_walk(
-    graph: &Structure,
-    gq: &GraphQuery,
-    clause: &GraphClause,
-    walk: impl FnOnce(&[Arc<Vec<Node>>], &[&NodeSet], &[(usize, usize)]) -> Result<u64, EngineError>,
 ) -> u64 {
     let table = CandidateTable::build(graph, &PositionMemo::new(), [clause], &ParConfig::serial());
     let lists: Vec<Arc<Vec<Node>>> = table
@@ -300,7 +215,15 @@ fn oracle_walk(
         .map(|list| NodeSet::from_sorted(table.nodes, list))
         .collect();
     let sets: Vec<&NodeSet> = sets.iter().collect();
-    walk(&lists, &sets, &negated_pairs(gq.k)).unwrap_or_else(|e| panic!("oracle count failed: {e}"))
+    ie_count(
+        adjacency,
+        &lists,
+        &sets,
+        &mut Vec::new(),
+        &negated_pairs(gq.k),
+    )
+    .and_then(|total| u64::try_from(total).map_err(|_| EngineError::CountOverflow))
+    .unwrap_or_else(|e| panic!("oracle count failed: {e}"))
 }
 
 /// The exact `u64` count behind a signed inclusion–exclusion total: too
@@ -720,13 +643,75 @@ struct Lattice {
 }
 
 impl Lattice {
+    /// Walk the `2^m` masks in Gray-code order, splitting each term into
+    /// components and interning their signatures (member positions,
+    /// [`SIG_SEP`], edge indices into the negated pairs). Adjacent masks
+    /// differ by one flipped edge, so all components untouched by it
+    /// re-intern to ids already seen; only new components become patterns.
+    /// The union-find is rebuilt per mask (cheap: `k ≤ 8` positions).
     fn new(k: usize) -> Self {
         let neg = negated_pairs(k);
-        let masks = 1usize << neg.len();
+        let m = neg.len();
+        let masks = 1usize << m;
         let mut interner: SliceInterner<u32> = SliceInterner::new();
         let mut patterns: Vec<Component> = Vec::new();
         let mut terms: Vec<(bool, Vec<u32>)> = Vec::with_capacity(masks);
-        lattice_walk_range(k, &neg, 0..masks, &mut interner, &mut patterns, &mut terms);
+        let mut sig_buf: Vec<u32> = Vec::with_capacity(2 * k + 1 + m);
+        let mut comp = vec![0usize; k];
+        for rank in 0..masks {
+            let mask = rank ^ (rank >> 1); // Gray code: one edge flips per step
+            for (i, c) in comp.iter_mut().enumerate() {
+                *c = i;
+            }
+            fn find(comp: &mut [usize], i: usize) -> usize {
+                if comp[i] != i {
+                    let r = find(comp, comp[i]);
+                    comp[i] = r;
+                }
+                comp[i]
+            }
+            for (b, &(i, j)) in neg.iter().enumerate() {
+                if mask >> b & 1 == 1 {
+                    let (a, c) = (find(&mut comp, i), find(&mut comp, j));
+                    if a != c {
+                        comp[a] = c;
+                    }
+                }
+            }
+            let roots: Vec<usize> = (0..k).map(|i| find(&mut comp, i)).collect();
+            let mut ids: Vec<u32> = Vec::with_capacity(k);
+            // components in ascending-min-member order (the product order of
+            // the per-term path's root set)
+            for leader in 0..k {
+                if roots[..leader].contains(&roots[leader]) {
+                    continue;
+                }
+                sig_buf.clear();
+                sig_buf.extend(
+                    (0..k)
+                        .filter(|&i| roots[i] == roots[leader])
+                        .map(|i| i as u32),
+                );
+                let members_len = sig_buf.len();
+                sig_buf.push(SIG_SEP);
+                sig_buf.extend(neg.iter().enumerate().filter_map(|(b, &(i, _))| {
+                    (mask >> b & 1 == 1 && roots[i] == roots[leader]).then_some(b as u32)
+                }));
+                let id = interner.intern(&sig_buf);
+                if id as usize == patterns.len() {
+                    // first occurrence anywhere in the walk
+                    patterns.push(Component {
+                        members: sig_buf[..members_len].iter().map(|&i| i as usize).collect(),
+                        edges: sig_buf[members_len + 1..]
+                            .iter()
+                            .map(|&b| neg[b as usize])
+                            .collect(),
+                    });
+                }
+                ids.push(id);
+            }
+            terms.push((mask.count_ones() & 1 == 1, ids));
+        }
         Lattice { patterns, terms }
     }
 }
@@ -1133,178 +1118,6 @@ fn count_grouped(
     .collect()
 }
 
-// ---------------------------------------------------------------------
-// The per-clause oracle walks
-// ---------------------------------------------------------------------
-
-/// Single Gray-code walk over one clause's full lattice; distinct-component
-/// counts fan out over the worker pool.
-fn lattice_sum_single(
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Arc<Vec<Node>>],
-    sets: &[&NodeSet],
-    neg: &[(usize, usize)],
-    par: &ParConfig,
-) -> Result<i128, EngineError> {
-    let masks = 1usize << neg.len();
-    let mut interner: SliceInterner<u32> = SliceInterner::new();
-    let mut comps: Vec<Component> = Vec::new();
-    let mut terms: Vec<(bool, Vec<u32>)> = Vec::with_capacity(masks);
-    lattice_walk_range(
-        lists.len(),
-        neg,
-        0..masks,
-        &mut interner,
-        &mut comps,
-        &mut terms,
-    );
-    let counts = par_map(par, &comps, |comp| count_job(adjacency, lists, sets, comp));
-    lattice_partial_sum(&terms, |id| counts[id as usize])
-}
-
-/// Sliced walk: each of the `2^bits` contiguous rank subtrees is an
-/// independent job on the pool — own walk, own signature interner, own
-/// serially-counted components, own exact partial — and the partials are
-/// summed in slice order, so every slicing gives the single walk's total.
-fn lattice_sum_sliced(
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Arc<Vec<Node>>],
-    sets: &[&NodeSet],
-    neg: &[(usize, usize)],
-    bits: usize,
-    par: &ParConfig,
-) -> Result<i128, EngineError> {
-    let m = neg.len();
-    debug_assert!(bits >= 1 && bits <= m);
-    let per = (1usize << m) >> bits;
-    let slice_ids: Vec<u32> = (0..(1u32 << bits)).collect();
-    let partials = par_map(par, &slice_ids, |&s| {
-        let lo = s as usize * per;
-        lattice_slice_sum(adjacency, lists, sets, neg, lo..lo + per)
-    });
-    partials.into_iter().try_fold(0i128, |total, partial| {
-        total
-            .checked_add(partial?)
-            .ok_or(EngineError::CountOverflow)
-    })
-}
-
-/// One subtree of the sliced walk: walk ranks `lo..hi` in Gray order with a
-/// fresh signature interner and return the slice's exact signed sum.
-fn lattice_slice_sum(
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Arc<Vec<Node>>],
-    sets: &[&NodeSet],
-    neg: &[(usize, usize)],
-    ranks: std::ops::Range<usize>,
-) -> Result<i128, EngineError> {
-    let mut interner: SliceInterner<u32> = SliceInterner::new();
-    let mut comps: Vec<Component> = Vec::new();
-    let mut terms: Vec<(bool, Vec<u32>)> = Vec::with_capacity(ranks.len());
-    lattice_walk_range(
-        lists.len(),
-        neg,
-        ranks,
-        &mut interner,
-        &mut comps,
-        &mut terms,
-    );
-    // each slice runs on a worker thread already: count serially here
-    let counts: Vec<u64> = comps
-        .iter()
-        .map(|comp| count_job(adjacency, lists, sets, comp))
-        .collect();
-    lattice_partial_sum(&terms, |id| counts[id as usize])
-}
-
-/// Walk the ranks in Gray-code order, splitting each term into components
-/// and interning their signatures (member positions, [`SIG_SEP`], edge
-/// indices into `neg`). Adjacent masks differ by one flipped edge, so all
-/// components untouched by it re-intern to ids already seen; only new
-/// components are pushed to `comps`. The union-find is rebuilt per mask
-/// (cheap: `k ≤ 8` positions), so any contiguous rank range walks
-/// identically to its portion of the full walk.
-fn lattice_walk_range(
-    k: usize,
-    neg: &[(usize, usize)],
-    ranks: std::ops::Range<usize>,
-    interner: &mut SliceInterner<u32>,
-    comps: &mut Vec<Component>,
-    terms: &mut Vec<(bool, Vec<u32>)>,
-) {
-    let m = neg.len();
-    let mut sig_buf: Vec<u32> = Vec::with_capacity(2 * k + 1 + m);
-    let mut comp = vec![0usize; k];
-    for rank in ranks {
-        let mask = rank ^ (rank >> 1); // Gray code: one edge flips per step
-        for (i, c) in comp.iter_mut().enumerate() {
-            *c = i;
-        }
-        fn find(comp: &mut [usize], i: usize) -> usize {
-            if comp[i] != i {
-                let r = find(comp, comp[i]);
-                comp[i] = r;
-            }
-            comp[i]
-        }
-        for (b, &(i, j)) in neg.iter().enumerate() {
-            if mask >> b & 1 == 1 {
-                let (a, c) = (find(&mut comp, i), find(&mut comp, j));
-                if a != c {
-                    comp[a] = c;
-                }
-            }
-        }
-        let roots: Vec<usize> = (0..k).map(|i| find(&mut comp, i)).collect();
-        let mut ids: Vec<u32> = Vec::with_capacity(k);
-        // components in ascending-min-member order (the product order of
-        // the per-term path's root set)
-        for leader in 0..k {
-            if roots[..leader].contains(&roots[leader]) {
-                continue;
-            }
-            sig_buf.clear();
-            sig_buf.extend(
-                (0..k)
-                    .filter(|&i| roots[i] == roots[leader])
-                    .map(|i| i as u32),
-            );
-            let members_len = sig_buf.len();
-            sig_buf.push(SIG_SEP);
-            sig_buf.extend(neg.iter().enumerate().filter_map(|(b, &(i, _))| {
-                (mask >> b & 1 == 1 && roots[i] == roots[leader]).then_some(b as u32)
-            }));
-            let id = interner.intern(&sig_buf);
-            if id as usize == comps.len() {
-                // first occurrence anywhere in this walk
-                comps.push(Component {
-                    members: sig_buf[..members_len].iter().map(|&i| i as usize).collect(),
-                    edges: sig_buf[members_len + 1..]
-                        .iter()
-                        .map(|&b| neg[b as usize])
-                        .collect(),
-                });
-            }
-            ids.push(id);
-        }
-        terms.push((mask.count_ones() & 1 == 1, ids));
-    }
-}
-
-/// Count one distinct component of an oracle walk.
-fn count_job(
-    adjacency: &crate::enumerate::EdgeAdjacency,
-    lists: &[Arc<Vec<Node>>],
-    sets: &[&NodeSet],
-    comp: &Component,
-) -> u64 {
-    if comp.members.len() == 1 {
-        sets[comp.members[0]].len
-    } else {
-        count_component(adjacency, lists, sets, &comp.edges, &comp.members)
-    }
-}
-
 /// Signed products summed over `terms`, exact: `u128` products and an
 /// `i128` sum (either overflowing is [`EngineError::CountOverflow`]).
 /// `count(id)` is the count of component `id`.
@@ -1334,6 +1147,8 @@ fn lattice_partial_sum(
     Ok(total)
 }
 
+/// The per-term reference behind [`count_clause_per_term`]: flip the first
+/// negated pair to a positive edge and recurse, `|γ ∧ ¬E| = |γ| − |γ ∧ E|`.
 fn ie_count(
     adjacency: &crate::enumerate::EdgeAdjacency,
     lists: &[Arc<Vec<Node>>],
@@ -1777,11 +1592,12 @@ mod tests {
             hits >= distinct,
             "expected cross-run sharing, got {hits} hits over {distinct} components"
         );
-        // the sliced walk shares the same memo and stays exact
-        let sliced = count_clause_lattice_sliced(&s, &q1, &q1.clauses[0], &adj, 2, &par);
-        let memo_single =
-            count_clause(&s, &q1, &q1.clauses[0], &adj, &par, Some(&memo), &positions);
-        assert_eq!(Ok(sliced), memo_single);
+        // the warm memoized pass stays exact against the per-term reference
+        for gq in [&q1, &q2] {
+            let want = count_clause_per_term(&s, gq, &gq.clauses[0], &adj);
+            let memoized = count_graph_query(&s, gq, &adj, &par, Some(&memo), None, &positions);
+            assert_eq!(memoized, Ok(want));
+        }
     }
 
     #[test]

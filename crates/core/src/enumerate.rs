@@ -1300,36 +1300,9 @@ impl Enumerator {
         }
     }
 
-    /// Enumerate all vertex tuples of `ψ(G)`, clause by clause. A thin
-    /// cloning adapter over [`Enumerator::stream`]; the per-item `Vec` is
-    /// the API boundary's copy, not part of the emission loop.
-    pub fn vertex_tuples(&self) -> impl Iterator<Item = Vec<Node>> + '_ {
-        let mut s = self.stream();
-        std::iter::from_fn(move || s.advance().then(|| s.tuple().to_vec()))
-    }
-
-    /// As [`Enumerator::vertex_tuples`], also yielding the number of RAM
-    /// operations spent since the previous output — the quantity
-    /// Theorem 2.7 bounds by a constant. Clause-exhaustion costs are
-    /// charged to the next output.
-    pub fn vertex_tuples_with_ops(&self) -> OpsIter<'_> {
-        OpsIter {
-            stream: self.stream(),
-        }
-    }
-
     /// Per-clause plans (diagnostics).
     pub fn plans(&self) -> &[ClausePlan] {
         &self.plans
-    }
-
-    /// The worst observed per-output operation count of a full enumeration
-    /// (convenience for tests and the E4 experiment).
-    pub fn max_ops_per_output(&self) -> u64 {
-        self.vertex_tuples_with_ops()
-            .map(|(_, ops)| ops)
-            .max()
-            .unwrap_or(0)
     }
 
     /// The shared adjacency (diagnostics).
@@ -1428,23 +1401,6 @@ impl VertexStream<'_> {
     }
 }
 
-/// Iterator pairing each output with its RAM-operation delay (see
-/// [`Enumerator::vertex_tuples_with_ops`]). A cloning adapter over
-/// [`VertexStream`].
-pub struct OpsIter<'a> {
-    stream: VertexStream<'a>,
-}
-
-impl Iterator for OpsIter<'_> {
-    type Item = (Vec<Node>, u64);
-
-    fn next(&mut self) -> Option<(Vec<Node>, u64)> {
-        self.stream
-            .advance()
-            .then(|| (self.stream.tuple().to_vec(), self.stream.last_delay()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1473,6 +1429,18 @@ mod tests {
             &Profiler::new(),
             &PositionMemo::new(),
         )
+    }
+
+    /// Every answer of `en` in stream order, and the worst per-output
+    /// RAM-op delay of the drain.
+    fn drain(en: &Enumerator) -> (Vec<Vec<Node>>, u64) {
+        let mut stream = en.stream();
+        let (mut answers, mut max_ops) = (Vec::new(), 0);
+        while stream.advance() {
+            answers.push(stream.tuple().to_vec());
+            max_ops = max_ops.max(stream.last_delay());
+        }
+        (answers, max_ops)
     }
 
     /// The enumerator of `gq` over `g` under the default cost gates.
@@ -1547,7 +1515,7 @@ mod tests {
 
         for mode in [SkipMode::Eager, SkipMode::Lazy] {
             let en = build(&g, &gq, mode);
-            let got: Vec<Vec<Node>> = en.vertex_tuples().collect();
+            let (got, _) = drain(&en);
             let got_set: BTreeSet<Vec<Node>> = got.iter().cloned().collect();
             assert_eq!(got.len(), got_set.len(), "duplicates in {mode:?}");
             assert_eq!(got_set, expected, "answer set mismatch in {mode:?}");
@@ -1657,7 +1625,7 @@ mod tests {
         let color_b: Vec<u32> = (30..60).collect();
         let (g, gq) = colored_graph(60, &edges, &color_a, &color_b, 2);
         let en = build(&g, &gq, SkipMode::Lazy);
-        let max_ops = en.max_ops_per_output();
+        let (_, max_ops) = drain(&en);
         assert!(max_ops > 0, "query must have answers");
         // constant-delay bound: a small multiple of k and the max degree
         assert!(max_ops <= 64, "max ops per output too high: {max_ops}");
@@ -1677,7 +1645,7 @@ mod tests {
             let profile = profiler.snapshot();
             assert!(profile.nanos(Stage::WarmUp) > 0, "warm-up timed");
             // warm-up must not perturb the answers
-            let count = en.vertex_tuples().count();
+            let count = drain(&en).0.len();
             assert!(count > 0);
         }
     }
@@ -1702,9 +1670,7 @@ mod tests {
             }
         }
         // same answers either way
-        let a: Vec<_> = en.vertex_tuples().collect();
-        let b: Vec<_> = en_default.vertex_tuples().collect();
-        assert_eq!(a, b);
+        assert_eq!(drain(&en).0, drain(&en_default).0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! `count_graph_query` counts every clause of a reduced query in one
 //! batched pass (one lattice per query, jobs deduplicated across clauses,
-//! grouped anchored walks); `count_clause` is that pass over one clause.
+//! grouped anchored walks), here also over queries of one clause.
 //! `count_clause_per_term` is the reference nested-difference evaluation
 //! that counts every term from scratch. This suite asserts they are
 //! bit-identical: on single randomized clauses across arities `k ∈ 1..=4`
@@ -15,7 +15,7 @@
 //! whole engine agrees with itself, cache on vs off, in both `SkipMode`s.
 
 use lowdeg_bench::workloads::{colored, degree_classes};
-use lowdeg_core::counting::{count_clause, count_clause_per_term, count_graph_query, CountingMemo};
+use lowdeg_core::counting::{count_clause_per_term, count_graph_query, CountingMemo};
 use lowdeg_core::enumerate::EdgeAdjacency;
 use lowdeg_core::{
     ArtifactCache, Engine, EngineConfig, GraphClause, GraphQuery, PositionMemo, Reduction, SkipMode,
@@ -149,9 +149,10 @@ fn batched_matches_per_term(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Lattice and per-term evaluation agree on every randomized clause,
-    /// for every arity, degree class and worker configuration; the lattice
-    /// path reads one candidate-list table across all clauses of a graph.
+    /// The batched pass over a one-clause query and the per-term
+    /// evaluation agree on every randomized clause, for every arity, degree
+    /// class and worker configuration; the batched pass reads one
+    /// candidate-list table across all clauses of a graph.
     #[test]
     fn lattice_matches_per_term(seed in 0u64..10_000, n in 12usize..28) {
         for (ci, class) in degree_classes().into_iter().enumerate() {
@@ -165,7 +166,8 @@ proptest! {
                 let gq = GraphQuery { k, edge: e, clauses: vec![clause.clone()] };
                 let reference = count_clause_per_term(&s, &gq, &clause, &adjacency);
                 for par in [ParConfig::serial(), ParConfig::with_threads(2)] {
-                    let lattice = count_clause(&s, &gq, &clause, &adjacency, &par, None, &positions);
+                    let lattice =
+                        count_graph_query(&s, &gq, &adjacency, &par, None, None, &positions);
                     prop_assert_eq!(
                         lattice, Ok(reference),
                         "k={} class#{} threads={:?}", k, ci, par
@@ -249,7 +251,7 @@ proptest! {
     }
 }
 
-/// The `total ≥ 0` invariant on the lattice path under heavy cancellation:
+/// The `total ≥ 0` invariant on the batched pass under heavy cancellation:
 /// a clique of blues forces every inclusion–exclusion prefix to cancel to
 /// exactly zero (each blue is adjacent to every other blue), and the lattice
 /// sum must come out at 0, never wrap negative.
@@ -282,12 +284,12 @@ fn lattice_total_nonnegative_under_full_cancellation() {
         clauses: vec![clause.clone()],
     };
     let positions = PositionMemo::new();
-    let total = count_clause(
+    let total = count_graph_query(
         &s,
         &gq,
-        &clause,
         &adjacency,
         &ParConfig::serial(),
+        None,
         None,
         &positions,
     )
