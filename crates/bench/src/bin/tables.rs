@@ -213,7 +213,7 @@ fn e2_counting(cfg: &Cfg) {
     let s = colored(n, DegreeClass::Bounded(4), 777);
     let queries = [
         (1, "B(x) & R(y) & !E(x, y)"),
-        (2, "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z) & E(z, z)"),
+        (2, "B(x) & R(y) & G(z) & !E(x, y) & !E(y, z)"),
         (3, TERNARY_SCATTER),
     ];
     println!("{:>3} {:>12} {:>14}  (n = {n})", "m", "count time", "count");

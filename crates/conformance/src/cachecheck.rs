@@ -1,8 +1,8 @@
 //! Cold-build vs cached-build equivalence row.
 //!
-//! The [`ArtifactCache`] memoizes the reduction's *extract* products
-//! (Gaifman graph, near-pair store, cluster tuples and canonical
-//! encodings), each clause's Step 5 acceptance set, and, per
+//! The [`ArtifactCache`] memoizes the reduction's query-independent core
+//! (near-pair store, cluster tuples and canonical encodings, the colored
+//! graph and its adjacency), each clause's Step 5 acceptance set, and, per
 //! quantifier-free core, a [`lowdeg_core::CountingMemo`] of exact
 //! Lemma 3.5 counts — per lattice component and per reduced clause
 //! (combination) — that every later build against the same core probes.

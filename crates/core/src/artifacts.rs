@@ -1,26 +1,28 @@
 //! Cross-build artifact cache and build-phase profiler.
 //!
-//! Preprocessing rebuilds the same per-structure products — Gaifman CSR,
-//! the near-pair store, the whole query-independent Prop 3.3 core (cluster
-//! tuples, canonical type interning, the colored graph `G` with its edges)
-//! — for every engine built over the same database (conformance sweeps, a
-//! CLI serving several queries, benchmark reps). The [`ArtifactCache`] keys
-//! those products by [`Structure::fingerprint`] (plus the parameters they
-//! depend on) so repeated builds in one process reuse them; cold and warm
+//! Preprocessing rebuilds the same per-structure products — the near-pair
+//! store, the whole query-independent Prop 3.3 core (cluster tuples,
+//! canonical type interning, the colored graph `G` with its edges) — for
+//! every engine built over the same database (conformance sweeps, a CLI
+//! serving several queries, benchmark reps). The [`ArtifactCache`] keys
+//! those products by [`Structure::fingerprint`] plus the parameters they
+//! depend on, so repeated builds in one process reuse them; cold and warm
 //! builds are guaranteed observably identical and the `cachecheck` row of
 //! the conformance oracle table cross-checks that guarantee case by case.
 //!
-//! The cache has three tiers — Gaifman graphs, reduction cores (each slot
-//! also holding the core's counting memo and position memo), and
-//! per-clause Step 5 acceptance sets — each one keyed LRU map (`Lru`)
-//! bounded by [`ArtifactCache::capacity`]. Evicting a core drops every
-//! clause entry derived from it. Nothing is keyed by a whole query: a
-//! query's Step 5 acceptance is the union of its clauses' sets, and its
-//! count is the sum of its clauses' combination counts (the counting
-//! memo's combination tier), so a warm build of any query whose clauses
-//! are all cached is stitched from them. A clause entry stores its
-//! clause's canonical serialization and a probe compares it, so two
-//! clauses whose 64-bit fingerprints collide never read each other's set.
+//! The cache has two tiers — reduction cores (each slot also holding the
+//! core's counting memo and position memo) and per-clause Step 5
+//! acceptance sets — each one keyed LRU map (`Lru`) bounded by
+//! [`ArtifactCache::capacity`]. Evicting a core drops every clause entry
+//! derived from it. The Gaifman graph has no tier: a [`Structure`] caches
+//! its own, only a core miss reads it, and a core hit never builds it.
+//! Nothing is keyed by a whole query: a query's Step 5 acceptance is the
+//! union of its clauses' sets, and its count is the sum of its clauses'
+//! combination counts (the counting memo's combination tier), so a warm
+//! build of any query whose clauses are all cached is stitched from them.
+//! A clause entry stores its clause's canonical serialization and a probe
+//! compares it, so two clauses whose 64-bit fingerprints collide never
+//! read each other's set.
 //!
 //! Invalidation is explicit: the cache never watches structures. Callers
 //! that mutate a database (the `dynamic` module's update model) must either
@@ -39,7 +41,7 @@ use crate::counting::CountingMemo;
 use crate::graph_query::PositionMemo;
 use crate::reduction::{ClauseAcceptance, ReductionCore};
 use lowdeg_index::{Epsilon, FxHashMap};
-use lowdeg_storage::{GaifmanGraph, Structure};
+use lowdeg_storage::Structure;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -154,7 +156,6 @@ impl CoreSlot {
 
 #[derive(Default)]
 struct CacheInner {
-    gaifman: Lru<u64, GaifmanGraph>,
     cores: Lru<ClusterKey, CoreSlot>,
     clauses: Lru<ClauseKey, Arc<ClauseAcceptance>>,
 }
@@ -169,10 +170,6 @@ impl CacheInner {
     fn enforce(&mut self, capacity: usize) -> (u64, u64) {
         let mut evicted = 0u64;
         let mut clause_evicted = 0u64;
-        while self.gaifman.len() > capacity {
-            self.gaifman.pop_lru();
-            evicted += 1;
-        }
         while self
             .cores
             .values()
@@ -250,8 +247,8 @@ impl ArtifactCache {
         self.capacity
     }
 
-    /// LRU evictions so far in the Gaifman and core tiers (the clause
-    /// tier counts its own, see [`Self::clause_stats`]).
+    /// LRU evictions so far in the core tier (the clause tier counts its
+    /// own, see [`Self::clause_stats`]).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -268,32 +265,12 @@ impl ArtifactCache {
             .fetch_add(evicted.1, Ordering::Relaxed);
     }
 
-    /// Warm `structure`'s lazy Gaifman slot from the cache when its
-    /// fingerprint is known, and make sure the cache holds the graph
-    /// afterwards (building it on `par` on a miss). Either way,
-    /// `structure.gaifman()` is subsequently hit-free.
+    /// Build `structure`'s own Gaifman graph on `par` unless it already
+    /// holds one, so a later core miss on it reads the graph instead of
+    /// building it. The cache itself keeps no Gaifman graph and counts no
+    /// probe here.
     pub fn prime_gaifman(&self, structure: &Structure, par: &lowdeg_par::ParConfig) {
-        let fp = structure.fingerprint();
-        let stamp = self.touch();
-        let cached = {
-            let mut inner = self.inner.lock().expect("cache poisoned");
-            inner.gaifman.get(&fp, stamp).cloned()
-        };
-        match cached {
-            Some(g) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                structure.adopt_gaifman(g);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let g = structure.gaifman_with(par).clone();
-                let mut inner = self.inner.lock().expect("cache poisoned");
-                inner.gaifman.insert(fp, g, stamp);
-                let evicted = inner.enforce(self.capacity);
-                drop(inner);
-                self.record_evictions(evicted);
-            }
-        }
+        structure.gaifman_with(par);
     }
 
     /// The query-independent [`ReductionCore`] for
@@ -458,7 +435,6 @@ impl ArtifactCache {
     /// invalidation hook for callers that mutated a structure in place).
     pub fn invalidate(&self, fingerprint: u64) {
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.gaifman.retain(|&fp| fp != fingerprint);
         inner.cores.retain(|&(fp, ..)| fp != fingerprint);
         inner.clauses.retain(|&((fp, ..), _)| fp != fingerprint);
     }
@@ -482,13 +458,12 @@ impl ArtifactCache {
     /// Drop everything.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.gaifman.clear();
         inner.cores.clear();
         inner.clauses.clear();
     }
 
-    /// `(hits, misses)` across the Gaifman and core tiers (diagnostics; the
-    /// clause tier and the counting memos keep their own probe counters).
+    /// `(hits, misses)` of the core tier's probes (diagnostics; the clause
+    /// tier and the counting memos keep their own probe counters).
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -496,14 +471,11 @@ impl ArtifactCache {
         )
     }
 
-    /// Number of retained entries across all artifact kinds: Gaifman
-    /// graphs, reduction cores, counting memos, position memos and clause
-    /// acceptance sets.
+    /// Number of retained entries across all artifact kinds: reduction
+    /// cores, counting memos, position memos and clause acceptance sets.
     pub fn entries(&self) -> usize {
         let inner = self.inner.lock().expect("cache poisoned");
-        inner.gaifman.len()
-            + inner.cores.values().map(CoreSlot::len).sum::<usize>()
-            + inner.clauses.len()
+        inner.cores.values().map(CoreSlot::len).sum::<usize>() + inner.clauses.len()
     }
 
     /// The live counting memos (snapshotted so their counters are read
@@ -589,7 +561,7 @@ pub enum Stage {
     /// cluster tuples — every pass that only reads edges and distances.
     Extract,
     /// Assembly of the Prop 3.3 reduced instance: canonical neighborhood
-    /// types, the colored graph `G` with its `E`/`F`-edges, and the Step 5
+    /// types, the colored graph `G` with its `E`-edges, and the Step 5
     /// acceptance clauses. A warm [`ArtifactCache`] skips `extract` and
     /// the query-independent bulk of `reduce` together (the cached
     /// [`crate::reduction`] core spans both stages).
@@ -730,24 +702,42 @@ mod tests {
         ColoredGraphSpec::balanced(24, DegreeClass::Bounded(3)).generate(seed)
     }
 
+    /// A warm build over a second instance with equal content hits the
+    /// core by fingerprint and never builds that instance's Gaifman graph;
+    /// `prime_gaifman` builds an instance's own graph and probes nothing.
     #[test]
-    fn gaifman_priming_hits_on_equal_content() {
+    fn warm_core_hit_skips_the_gaifman_build() {
+        use crate::reduction::{Reduction, DEFAULT_COMBINATION_BUDGET};
         let cache = ArtifactCache::new();
         let par = lowdeg_par::ParConfig::serial();
+        let build = |s: &Structure| {
+            let q = lowdeg_logic::parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
+            Reduction::build_keyed(
+                s,
+                &q,
+                eps(),
+                DEFAULT_COMBINATION_BUDGET,
+                &par,
+                Some(&cache),
+                &Profiler::new(),
+                None,
+            )
+            .unwrap()
+            .core_digest()
+        };
         let a = sample(1);
-        cache.prime_gaifman(&a, &par);
+        let cold = build(&a);
+        assert!(a.gaifman_built(), "a core miss builds the graph");
         assert_eq!(cache.stats(), (0, 1));
-        // equal content, fresh instance: a hit, and the adopted graph is
-        // the one the instance serves afterwards
         let b = sample(1);
+        assert_eq!(build(&b), cold);
+        assert_eq!(cache.stats(), (1, 1), "equal content hits the core");
+        assert!(!b.gaifman_built(), "a core hit never builds the graph");
         cache.prime_gaifman(&b, &par);
-        assert_eq!(cache.stats(), (1, 1));
+        assert!(b.gaifman_built());
         assert_eq!(b.degree(), a.degree());
-        // different content: a miss under a different key
-        let c = sample(2);
-        cache.prime_gaifman(&c, &par);
-        assert_eq!(cache.stats(), (1, 2));
-        assert_eq!(cache.entries(), 2);
+        assert_eq!(cache.stats(), (1, 1), "priming probes nothing");
+        assert_eq!(cache.entries(), 1);
     }
 
     #[test]
@@ -831,14 +821,14 @@ mod tests {
         let cache = ArtifactCache::new();
         let par = lowdeg_par::ParConfig::serial();
         let a = sample(3);
-        cache.prime_gaifman(&a, &par);
         cache.reduction_core(a.fingerprint(), 0, 1, Epsilon::new(0.5), || {
             crate::reduction::build_core(&a, 0, 1, Epsilon::new(0.5), &par, &Profiler::new())
         });
+        cache.counting_memo(a.fingerprint(), 0, 1, Epsilon::new(0.5));
         assert_eq!(cache.entries(), 2);
         cache.invalidate(a.fingerprint());
         assert_eq!(cache.entries(), 0);
-        cache.prime_gaifman(&a, &par);
+        cache.position_memo(a.fingerprint(), 0, 1, Epsilon::new(0.5));
         cache.clear();
         assert_eq!(cache.entries(), 0);
     }
@@ -967,12 +957,10 @@ mod tests {
     #[test]
     fn invalidate_leaves_other_fingerprints_untouched() {
         let cache = ArtifactCache::new();
-        let par = lowdeg_par::ParConfig::serial();
         let (a, b) = (sample(5), sample(6));
         let mut memos = Vec::new();
         for s in [&a, &b] {
             let fp = s.fingerprint();
-            cache.prime_gaifman(s, &par);
             assert!(core_built(&cache, s, 1));
             memos.push((
                 cache.counting_memo(fp, 0, 1, eps()),
@@ -982,10 +970,7 @@ mod tests {
         }
         cache.invalidate(a.fingerprint());
         let fp = b.fingerprint();
-        let (hits, _) = cache.stats();
-        cache.prime_gaifman(&sample(6), &par);
-        assert_eq!(cache.stats().0, hits + 1, "b's Gaifman graph survives");
-        assert!(!core_built(&cache, &b, 1));
+        assert!(!core_built(&cache, &b, 1), "b's core survives");
         assert!(!clause_built(&cache, fp, 1, 100));
         assert!(Arc::ptr_eq(
             &memos[1].0,
@@ -1004,16 +989,16 @@ mod tests {
     #[test]
     fn entries_counts_every_tier() {
         let cache = ArtifactCache::new();
-        let par = lowdeg_par::ParConfig::serial();
         let s = sample(7);
         let fp = s.fingerprint();
         cache.position_memo(fp, 0, 1, eps());
         assert_eq!(cache.entries(), 1, "a position memo is a live entry");
-        cache.prime_gaifman(&s, &par);
+        cache.prime_gaifman(&s, &lowdeg_par::ParConfig::serial());
+        assert_eq!(cache.entries(), 1, "a primed Gaifman graph is no entry");
         core_built(&cache, &s, 1);
         cache.counting_memo(fp, 0, 1, eps());
         clause_built(&cache, fp, 1, 100);
-        assert_eq!(cache.entries(), 5, "one entry in each of the five tiers");
+        assert_eq!(cache.entries(), 4, "one entry of each of the four kinds");
     }
 
     #[test]

@@ -110,21 +110,23 @@ const VOID: u32 = u32::MAX;
 ///
 /// * **`Csr`** — one flat sorted neighbor array plus per-vertex offsets,
 ///   built from an explicit `E` relation. Used by hand-assembled test
-///   graphs and the brute-force oracles.
-/// * **`Blocks`** — the reduction's native form. `E` connects two cluster
-///   vertices iff their *underlying tuples* are near each other, so the
-///   edge set is fully determined by a tuple-level adjacency CSR plus the
-///   tuple → vertex-block map (vertices of one tuple occupy a contiguous
-///   id range, one per matching-size ι). The vertex-level neighbor list is
-///   never materialized: `neighbors` expands blocks on the fly (ascending
-///   by construction, skipping the vertex itself) and `adjacent` is a
-///   binary search in the tuple row. This keeps the extraction output at
-///   `O(#tuple pairs)` instead of `O(#vertex pairs)` — on dense instances
-///   the difference is the square of the mean ι-block size, gigabytes of
-///   neighbor array that are never written or faulted.
+///   graphs and the brute-force oracles (it alone can hold self-loops).
+/// * **`Blocks`** — the reduction's native form ([`BlockRows`]). `E`
+///   connects two cluster vertices iff their *underlying tuples* are near
+///   each other, a property of the tuples' element sets alone, so the edge
+///   set is fully determined by one sorted tuple row per element-set group
+///   plus the tuple → vertex-block map (vertices of one tuple occupy a
+///   contiguous id range, one per matching-size ι). The vertex-level
+///   neighbor list is never materialized: `neighbors` expands blocks on the
+///   fly (ascending by construction, skipping the vertex itself) and
+///   `adjacent` is a binary search in the tuple row. This keeps the
+///   extraction output at `O(#group rows)` instead of `O(#vertex pairs)` —
+///   on dense instances the difference is the square of the mean ι-block
+///   size, gigabytes of neighbor array that are never written or faulted.
 ///
 /// One instance is built per reduction core and shared between counting,
-/// enumeration, and the test index.
+/// enumeration, and the test index; the core reads its vertex layout from
+/// here rather than keeping a copy.
 #[derive(Debug, Clone)]
 pub struct EdgeAdjacency {
     repr: AdjRepr,
@@ -141,23 +143,57 @@ enum AdjRepr {
         offsets: Vec<usize>,
         neighbors: Vec<Node>,
     },
-    Blocks {
-        /// Node id of the first cluster vertex (`base_n + 1`).
-        first: u32,
-        /// Vertex index → owning tuple index.
-        vtuple: Vec<u32>,
-        /// Tuple index → first vertex index (length `#tuples + 1`).
-        block: Vec<u32>,
-        /// Tuple index → bounds of its adjacency row in `rows`. Tuples
-        /// over the same element *set* have identical rows, so the join
-        /// computes each distinct row once and every member tuple aliases
-        /// the same `rows` range — the bounds are *not* a monotone CSR.
-        row_start: Vec<u32>,
-        row_end: Vec<u32>,
-        /// Shared row storage: sorted tuple indices within Gaifman
-        /// distance `2r+1` (every row contains its owners).
-        rows: Vec<u32>,
-    },
+    Blocks(BlockRows),
+}
+
+/// The reduction's vertex layout and its `E`-rows: the one copy of the
+/// arithmetic `(tuple, ι) ↔ vertex` map, read by the reduction's `f` and
+/// `f⁻¹` as well as by [`EdgeAdjacency`]. Rows are kept once per group of
+/// tuples over the same element set, since tuples over one set have
+/// identical rows.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockRows {
+    /// Node id of the first cluster vertex (`base_n + 1`).
+    pub(crate) first: u32,
+    /// Tuple index → first vertex index (length `#tuples + 1`); the last
+    /// entry is the vertex count.
+    pub(crate) block: Vec<u32>,
+    /// Vertex index → owning tuple index.
+    pub(crate) v_tuple: Vec<u32>,
+    /// Tuple index → its element-set group.
+    pub(crate) tgroup: Vec<u32>,
+    /// Group → bounds of its row in `rows` (length `#groups + 1`).
+    pub(crate) row_off: Vec<u32>,
+    /// Row storage: per group, the sorted tuple indices within Gaifman
+    /// distance `2r+1` (every row contains the group's own tuples).
+    pub(crate) rows: Vec<u32>,
+}
+
+impl BlockRows {
+    /// The `E`-row of element-set group `gi`.
+    #[inline]
+    fn group_row(&self, gi: usize) -> &[u32] {
+        &self.rows[self.row_off[gi] as usize..self.row_off[gi + 1] as usize]
+    }
+
+    /// The `E`-row of tuple `j`: its group's row.
+    #[inline]
+    fn row(&self, j: u32) -> &[u32] {
+        self.group_row(self.tgroup[j as usize] as usize)
+    }
+
+    /// Tuple `j`'s vertex count (its ι-block size).
+    #[inline]
+    fn block_len(&self, j: u32) -> usize {
+        (self.block[j as usize + 1] - self.block[j as usize]) as usize
+    }
+
+    /// The vertex index of node `v`, when `v` is a cluster vertex.
+    #[inline]
+    fn vertex(&self, v: Node) -> Option<u32> {
+        v.0.checked_sub(self.first)
+            .filter(|&i| (i as usize) < self.v_tuple.len())
+    }
 }
 
 /// Iterator over the sorted `E`-neighbors of one vertex (see
@@ -242,61 +278,40 @@ impl EdgeAdjacency {
         }
     }
 
-    /// Adopt the reduction's tuple-level join output. `block` maps tuple
-    /// index → first vertex index, `row_start`/`row_end` bound each
-    /// tuple's adjacency row in the shared `rows` storage (rows sorted,
-    /// each containing the tuple itself; tuples over the same element set
-    /// alias one row), and `first` is the node id of vertex index 0.
-    /// Vertex-level degree and pair counts follow from the blocks: every
-    /// vertex of tuple `j` has degree `Σ_{j'∈row(j)} |block(j')| − 1` (the
-    /// `−1` skips the vertex itself); the fanout sum is memoized per
-    /// distinct row, so shared rows are scanned once.
-    pub fn from_block_rows(
-        first: u32,
-        block: Vec<u32>,
-        row_start: Vec<u32>,
-        row_end: Vec<u32>,
-        rows: Vec<u32>,
-    ) -> Self {
-        let tuples = block.len() - 1;
-        debug_assert_eq!(row_start.len(), tuples);
-        debug_assert_eq!(row_end.len(), tuples);
-        let n_vertices = *block.last().unwrap_or(&0) as usize;
-        let mut vtuple: Vec<u32> = vec![0u32; n_vertices];
-        let mut pairs: usize = 0;
+    /// Adopt the reduction's vertex layout and group rows. Every vertex of
+    /// a group has degree `Σ_{j'∈row} |block(j')| − 1` (the `−1` skips the
+    /// vertex itself), so one pass over the groups yields the pair count
+    /// and the maximum degree.
+    pub(crate) fn from_blocks(b: BlockRows) -> Self {
+        let mut group_vertices = vec![0usize; b.row_off.len() - 1];
+        for (j, &gi) in b.tgroup.iter().enumerate() {
+            group_vertices[gi as usize] += b.block_len(j as u32);
+        }
+        let mut pairs = 0usize;
         let mut max_degree = 0usize;
-        let mut fanout_memo: FxHashMap<u32, usize> = FxHashMap::default();
-        for j in 0..tuples {
-            let cnt = (block[j + 1] - block[j]) as usize;
-            if cnt == 0 {
+        for (gi, &count) in group_vertices.iter().enumerate() {
+            if count == 0 {
                 continue;
             }
-            for v in block[j]..block[j + 1] {
-                vtuple[v as usize] = j as u32;
-            }
-            // distinct rows have distinct starts, so the start is the key
-            let fanout: usize = *fanout_memo.entry(row_start[j]).or_insert_with(|| {
-                rows[row_start[j] as usize..row_end[j] as usize]
-                    .iter()
-                    .map(|&j2| (block[j2 as usize + 1] - block[j2 as usize]) as usize)
-                    .sum()
-            });
-            let degree = fanout - 1; // every row contains `j` itself
-            pairs += cnt * degree;
+            let fanout: usize = b.group_row(gi).iter().map(|&j| b.block_len(j)).sum();
+            let degree = fanout - 1;
+            pairs += count * degree;
             max_degree = max_degree.max(degree);
         }
         EdgeAdjacency {
-            len: first as usize + n_vertices,
+            len: b.first as usize + b.v_tuple.len(),
             pairs,
             max_degree,
-            repr: AdjRepr::Blocks {
-                first,
-                vtuple,
-                block,
-                row_start,
-                row_end,
-                rows,
-            },
+            repr: AdjRepr::Blocks(b),
+        }
+    }
+
+    /// The reduction's vertex layout (`None` for the CSR form).
+    #[inline]
+    pub(crate) fn blocks(&self) -> Option<&BlockRows> {
+        match &self.repr {
+            AdjRepr::Blocks(b) => Some(b),
+            AdjRepr::Csr { .. } => None,
         }
     }
 
@@ -308,25 +323,15 @@ impl EdgeAdjacency {
             AdjRepr::Csr { offsets, neighbors } => NeighborIter(NeighborInner::Slice(
                 neighbors[offsets[v.index()]..offsets[v.index() + 1]].iter(),
             )),
-            AdjRepr::Blocks {
-                first,
-                vtuple,
-                block,
-                row_start,
-                row_end,
-                rows,
-            } => {
-                let (adj, skip) = match v.0.checked_sub(*first) {
-                    Some(i) if (i as usize) < vtuple.len() => {
-                        let j = vtuple[i as usize] as usize;
-                        (rows[row_start[j] as usize..row_end[j] as usize].iter(), i)
-                    }
-                    _ => ([].iter(), 0),
+            AdjRepr::Blocks(b) => {
+                let (adj, skip) = match b.vertex(v) {
+                    Some(i) => (b.row(b.v_tuple[i as usize]).iter(), i),
+                    None => ([].iter(), 0),
                 };
                 NeighborIter(NeighborInner::Blocks {
                     adj,
-                    block,
-                    first: *first,
+                    block: &b.block,
+                    first: b.first,
                     cur: 0,
                     end: 0,
                     skip,
@@ -343,28 +348,15 @@ impl EdgeAdjacency {
                 [offsets[u.index()]..offsets[u.index() + 1]]
                 .binary_search(&v)
                 .is_ok(),
-            AdjRepr::Blocks {
-                first,
-                vtuple,
-                row_start,
-                row_end,
-                rows,
-                ..
-            } => {
+            AdjRepr::Blocks(b) => {
                 if u == v {
                     return false;
                 }
-                let (Some(iu), Some(iv)) = (u.0.checked_sub(*first), v.0.checked_sub(*first))
-                else {
+                let (Some(iu), Some(iv)) = (b.vertex(u), b.vertex(v)) else {
                     return false;
                 };
-                if iu as usize >= vtuple.len() || iv as usize >= vtuple.len() {
-                    return false;
-                }
-                let ju = vtuple[iu as usize] as usize;
-                let jv = vtuple[iv as usize];
-                rows[row_start[ju] as usize..row_end[ju] as usize]
-                    .binary_search(&jv)
+                b.row(b.v_tuple[iu as usize])
+                    .binary_search(&b.v_tuple[iv as usize])
                     .is_ok()
             }
         }
@@ -1519,6 +1511,67 @@ mod tests {
             let got_set: BTreeSet<Vec<Node>> = got.iter().cloned().collect();
             assert_eq!(got.len(), got_set.len(), "duplicates in {mode:?}");
             assert_eq!(got_set, expected, "answer set mismatch in {mode:?}");
+        }
+    }
+
+    /// The block form over shared element-set rows answers exactly as the
+    /// CSR of the same vertex-level graph: five tuples in four groups
+    /// (tuples 0 and 2 share a set, as `(a, b)` and `(b, a)` would), with
+    /// ι-blocks of 2, 1, 2, 1 and 3 vertices after three base nodes.
+    #[test]
+    fn block_rows_match_the_csr_of_the_same_graph() {
+        let first = 3u32;
+        let block = vec![0u32, 2, 3, 5, 6, 9];
+        let tgroup = vec![0u32, 1, 0, 2, 3];
+        // group 0 ~ group 1 ~ group 2; group 3 is near only itself
+        let group_rows: [&[u32]; 4] = [&[0, 1, 2], &[0, 1, 2, 3], &[1, 3], &[4]];
+        let mut row_off = vec![0u32];
+        let mut rows = Vec::new();
+        for row in group_rows {
+            rows.extend_from_slice(row);
+            row_off.push(rows.len() as u32);
+        }
+        let v_tuple: Vec<u32> = (0..5u32)
+            .flat_map(|j| (block[j as usize]..block[j as usize + 1]).map(move |_| j))
+            .collect();
+        let adj = EdgeAdjacency::from_blocks(BlockRows {
+            first,
+            block: block.clone(),
+            v_tuple: v_tuple.clone(),
+            tgroup: tgroup.clone(),
+            row_off,
+            rows,
+        });
+
+        // the same graph as an explicit E relation
+        let n = first as usize + v_tuple.len();
+        let sig = Arc::new(Signature::new(&[("E", 2)]));
+        let e = sig.rel("E").unwrap();
+        let mut b = Structure::builder(sig, n);
+        for (u, &ju) in v_tuple.iter().enumerate() {
+            for (v, &jv) in v_tuple.iter().enumerate() {
+                if u != v && group_rows[tgroup[ju as usize] as usize].contains(&jv) {
+                    b.fact(e, &[node(first + u as u32), node(first + v as u32)])
+                        .unwrap();
+                }
+            }
+        }
+        let csr = EdgeAdjacency::build(&b.finish().unwrap(), e);
+
+        assert_eq!(adj.len(), csr.len());
+        assert_eq!(adj.pair_count(), csr.pair_count());
+        assert_eq!(adj.max_degree(), csr.max_degree());
+        assert_eq!(adj.max_degree(), 5, "tuple 1's row reaches 6 vertices");
+        for u in 0..n as u32 {
+            let got: Vec<Node> = adj.neighbors(node(u)).collect();
+            let want: Vec<Node> = csr.neighbors(node(u)).collect();
+            assert_eq!(got, want, "neighbors of {u}");
+            for v in 0..n as u32 {
+                assert_eq!(
+                    adj.adjacent(node(u), node(v)),
+                    csr.adjacent(node(u), node(v))
+                );
+            }
         }
     }
 

@@ -43,11 +43,11 @@ pub struct CacheReport {
     pub capacity: usize,
     /// Live entries across artifact kinds.
     pub entries: usize,
-    /// Artifact-level (Gaifman graph / reduction core) probe hits.
+    /// Reduction-core probe hits.
     pub hits: u64,
-    /// Artifact-level probe misses (each populated an entry).
+    /// Reduction-core probe misses (each populated an entry).
     pub misses: u64,
-    /// LRU evictions so far in the Gaifman and core tiers.
+    /// LRU evictions so far in the core tier.
     pub evictions: u64,
     /// Counting-memo probe hits (lattice components served from the memo).
     pub memo_hits: u64,

@@ -22,7 +22,10 @@
 //!    canonical isomorphism type of `(𝒩_r(b̄), b̄)`** — the semantic
 //!    realization of the Feferman–Vaught predicates `C_{P,j,t}` (DESIGN.md
 //!    §3); put `E`-edges between cluster vertices whose elements come within
-//!    distance `2r+1`; add `F_i`-edges back to `dom(A)` for `f⁻¹`;
+//!    distance `2r+1`. The paper's `F_i`-edges back to `dom(A)` serve
+//!    `f⁻¹`; here `f⁻¹` reads the cluster tuple itself through the vertex
+//!    layout, so `F1..Fk` are declared in `τ` (keeping every relation id)
+//!    but hold no pairs;
 //! 5. decide, per partition and realized type combination, whether such
 //!    answers satisfy `φ'` on the disjoint union of type representatives
 //!    (sound because `φ'` is `r`-local and the clusters of an answer are
@@ -44,17 +47,18 @@
 //! expensive canonical encodings run in parallel, once per distinct key),
 //! and every vertex id is *arithmetic*: the vertices of tuple `j` occupy
 //! the contiguous block `block[j]..block[j+1]`, one per matching-size ι in
-//! ι-id order, so `v_(b̄,ι) = base_n + 1 + block[j] + rank(ι)`. The color
-//! and `F`-edge streams are emitted per tuple shard and adopted through
-//! the builder's pre-sorted bulk paths; no `(tuple, ι) → vertex` hash map
-//! exists anywhere. `build_core_reference` keeps the original per-vertex
-//! construction alive as a differential oracle: it materializes the vertex
-//! records and the lookup map, then *asserts* they coincide with the
-//! arithmetic layout before converting into the same [`ReductionCore`]
-//! shape.
+//! ι-id order, so `v_(b̄,ι) = base_n + 1 + block[j] + rank(ι)`. That
+//! layout (`block` and its inverse `v_tuple`) is stored once, in the
+//! adjacency's [`BlockRows`]. The color streams are emitted per tuple
+//! shard and adopted through the builder's pre-sorted bulk paths; no
+//! `(tuple, ι) → vertex` hash map exists anywhere. `build_core_reference`
+//! keeps the original per-vertex construction alive as a differential
+//! oracle: it materializes the vertex records and the lookup map, then
+//! *asserts* they coincide with the arithmetic layout before converting
+//! into the same [`ReductionCore`] shape.
 
 use crate::artifacts::{ArtifactCache, Profiler, Stage};
-use crate::enumerate::EdgeAdjacency;
+use crate::enumerate::{BlockRows, EdgeAdjacency};
 use crate::graph_query::{GraphClause, GraphQuery};
 use crate::EngineError;
 use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner};
@@ -109,7 +113,7 @@ struct VertexInfo {
 /// The query-independent core of the Proposition 3.3 preprocessing:
 /// Steps 3–4 for a given `(structure, r, k, ε)` — the near-pair relation
 /// `R`, the cluster tuples with their interned neighborhood types, and
-/// the colored graph `G` complete with `E`- and `F`-edges. Only Step 5
+/// the colored graph `G` with its `E`-edges. Only Step 5
 /// (the acceptance clauses) depends on the query's matrix, so an
 /// [`ArtifactCache`] shares one `ReductionCore` across every engine built
 /// over the same structure at the same `(r, k, ε)`.
@@ -118,7 +122,7 @@ struct VertexInfo {
 /// `base_n + 1 + block[j] .. base_n + 1 + block[j+1]`, one per injection of
 /// matching size in ι-id order, so a `(tuple, ι)` pair maps to its vertex
 /// by pure arithmetic and a vertex decodes back through its `v_tuple`
-/// entry.
+/// entry. Both maps live once, in the adjacency's [`BlockRows`].
 #[derive(Debug)]
 pub struct ReductionCore {
     /// The colored graph `G` (colors and edges only; acceptance is per
@@ -134,11 +138,6 @@ pub struct ReductionCore {
     pub(crate) tuple_off: Vec<u32>,
     /// Canonical neighborhood type per tuple.
     pub(crate) tuple_ty: Vec<TypeId>,
-    /// Tuple index → first vertex index (length `#tuples + 1`); the last
-    /// entry is the total vertex count.
-    pub(crate) block: Vec<u32>,
-    /// Vertex index → owning tuple index.
-    pub(crate) v_tuple: Vec<u32>,
     /// Every distinct cluster tuple `b̄`, interned once, ids equal to the
     /// CSR tuple indices; probes resolve a stack-assembled slice to its id
     /// without allocating.
@@ -166,11 +165,12 @@ pub struct ReductionCore {
     /// `G`'s edge relation (declared in the signature; the pairs
     /// themselves live only in [`ReductionCore::adjacency`]).
     pub(crate) edge: RelId,
-    /// The `E`-adjacency CSR — the *only* materialization of `G`'s edges.
-    /// Built once per core straight from the tuple-level join and shared
-    /// (via `Arc`) by counting, enumeration and the test paths; a warm
-    /// artifact cache therefore serves the adjacency along with the rest
-    /// of the extract product.
+    /// The `E`-adjacency — the *only* materialization of `G`'s edges, and
+    /// the holder of the vertex layout ([`Self::layout`]). Built once per
+    /// core straight from the tuple-level join and shared (via `Arc`) by
+    /// counting, enumeration and the test paths; a warm artifact cache
+    /// therefore serves the adjacency along with the rest of the extract
+    /// product.
     pub(crate) adjacency: Arc<EdgeAdjacency>,
 }
 
@@ -219,11 +219,27 @@ impl ReductionCore {
         sizes
     }
 
+    /// The arithmetic vertex layout (`block`, `v_tuple`), held by the
+    /// core's adjacency.
+    #[inline]
+    fn layout(&self) -> &BlockRows {
+        self.adjacency
+            .blocks()
+            .expect("a core's adjacency has the block form")
+    }
+
+    /// Number of cluster vertices.
+    #[inline]
+    fn vertex_count(&self) -> usize {
+        self.layout().v_tuple.len()
+    }
+
     /// Decode a vertex *index* (not node id) to `(tuple, ι id)`.
     #[inline]
     fn decode_vertex(&self, idx: usize) -> (usize, u16) {
-        let tid = self.v_tuple[idx] as usize;
-        let rank = idx - self.block[tid] as usize;
+        let layout = self.layout();
+        let tid = layout.v_tuple[idx] as usize;
+        let rank = idx - layout.block[tid] as usize;
         let len = (self.tuple_off[tid + 1] - self.tuple_off[tid]) as usize;
         (tid, self.iotas_by_size[len][rank])
     }
@@ -346,16 +362,13 @@ impl Reduction {
 
         // --- query-independent core: everything that depends only on the
         // structure content and (r, k, eps) — a warm cache skips it
-        // entirely. `build_core` charges its own phases: the Gaifman
-        // distance-structure extraction to `extract`, the reduced-instance
-        // assembly to `reduce`.
+        // entirely, the structure's Gaifman graph included. `build_core`
+        // charges its own phases: the Gaifman distance-structure extraction
+        // to `extract`, the reduced-instance assembly to `reduce`.
         let core: Arc<ReductionCore> = match cache {
-            Some(c) => {
-                profiler.time(Stage::Extract, || c.prime_gaifman(structure, par));
-                c.reduction_core(structure.fingerprint(), r, k, eps, || {
-                    build_core(structure, r, k, eps, par, profiler)
-                })
-            }
+            Some(c) => c.reduction_core(structure.fingerprint(), r, k, eps, || {
+                build_core(structure, r, k, eps, par, profiler)
+            }),
             None => Arc::new(build_core(structure, r, k, eps, par, profiler)),
         };
 
@@ -505,7 +518,7 @@ impl Reduction {
 
     /// Number of cluster vertices (the `|V|` of Step 3).
     pub fn cluster_count(&self) -> usize {
-        self.core.v_tuple.len()
+        self.core.vertex_count()
     }
 
     /// Structural fingerprint for differential tests (see [`CoreDigest`]).
@@ -609,7 +622,8 @@ impl Reduction {
                 .tuples
                 .lookup(&b_buf[..s])
                 .expect("every connected tuple has a cluster vertex");
-            let vidx = self.core.block[tid as usize] + self.core.iota_rank[io as usize] as u32;
+            let vidx =
+                self.core.layout().block[tid as usize] + self.core.iota_rank[io as usize] as u32;
             out[emitted] = Node((self.core.base_n + 1) as u32 + vidx);
             emitted += 1;
         }
@@ -664,7 +678,7 @@ impl Reduction {
             let Some(idx) = v.index().checked_sub(self.core.base_n + 1) else {
                 return false;
             };
-            if idx >= self.core.v_tuple.len() {
+            if idx >= self.core.vertex_count() {
                 return false;
             }
             let (tid, io_id) = self.core.decode_vertex(idx);
@@ -693,7 +707,7 @@ impl Reduction {
     /// and for base `A`-nodes).
     pub fn vertex_signature(&self, v: Node) -> Option<(u16, u32)> {
         let idx = v.index().checked_sub(self.core.base_n + 1)?;
-        if idx >= self.core.v_tuple.len() {
+        if idx >= self.core.vertex_count() {
             return None;
         }
         let (tid, io_id) = self.core.decode_vertex(idx);
@@ -1341,7 +1355,7 @@ fn iota_layout(k: usize, iotas: &[Vec<u8>]) -> (Vec<Vec<u16>>, Vec<u16>, Vec<u32
 /// [`ArtifactCache`] can memoize the result per `(structure, r, k, eps)`:
 /// the near-pair relation `R` (Step 5, via the Storing Theorem), the
 /// connected cluster tuples (Step 3), each tuple's canonical neighborhood
-/// type (Step 4), and the colored graph `G` with its `E`- and `F`-edges.
+/// type (Step 4), and the colored graph `G` with its `E`-edges.
 ///
 /// Batch assembly throughout: tuples stream into a flat CSR from sharded
 /// anchor ranges; exact neighborhood keys are computed per shard; a single
@@ -1352,14 +1366,13 @@ fn iota_layout(k: usize, iotas: &[Vec<u8>]) -> (Vec<Vec<u16>>, Vec<u16>, Vec<u32
 /// order — type-id assignment is bit-identical to the reference build's
 /// per-tuple hash-map pass); only a new type's representative is rebuilt
 /// from its key. Vertices are never materialized:
-/// colors and `F`-edges are emitted straight from tuple shards with
-/// arithmetic vertex ids and adopted through the builder's pre-sorted bulk
-/// paths.
+/// colors are emitted straight from tuple shards with arithmetic vertex
+/// ids and adopted through the builder's pre-sorted bulk paths.
 ///
 /// Charges the [`Profiler`] in two parts: the Gaifman distance-structure
 /// extraction (radix CSR, near pairs, cluster tuples) to
 /// [`Stage::Extract`], the reduced-instance assembly (canonical types,
-/// colors, `E`/`F`-edges) to [`Stage::Reduce`].
+/// colors, `E`-edges) to [`Stage::Reduce`].
 pub(crate) fn build_core(
     structure: &Structure,
     r: usize,
@@ -1637,12 +1650,6 @@ pub(crate) fn build_core(
         block.push(block.last().unwrap() + iota_cnt[tslice(j).len()]);
     }
     let nverts = *block.last().unwrap() as usize;
-    let mut v_tuple: Vec<u32> = vec![0u32; nverts];
-    for j in 0..ntup {
-        for v in block[j]..block[j + 1] {
-            v_tuple[v as usize] = j as u32;
-        }
-    }
 
     // Tuple interner for forward probes; ids coincide with CSR indices
     // because each ordered connected tuple is enumerated exactly once
@@ -1675,7 +1682,6 @@ pub(crate) fn build_core(
     }
     let tau = Arc::new(sigb.finish());
     let e = e_decl;
-    let f_rel = |i: usize| RelId((1 + i) as u32);
     let cbot = RelId((1 + k) as u32);
     let ci = |id: u16| RelId((2 + k + id as usize) as u32);
     let ct = |t: TypeId| RelId((2 + k + iotas.len() + t.index()) as u32);
@@ -1686,47 +1692,37 @@ pub(crate) fn build_core(
     let mut gb = Structure::builder(tau.clone(), total);
     gb.fact(cbot, &[dummy]).expect("in range");
 
-    // Color and F-edge streams, emitted per tuple shard with arithmetic
-    // vertex ids. Shards cover ascending tuple ranges and vertex ids ascend
-    // with (tuple, ι-rank), so the per-relation concatenations are strictly
+    // Color streams, emitted per tuple shard with arithmetic vertex ids.
+    // Shards cover ascending tuple ranges and vertex ids ascend with
+    // (tuple, ι-rank), so the per-relation concatenations are strictly
     // sorted by construction and go through the builder's pre-sorted bulk
-    // paths — `finish` re-sorts nothing.
-    type ColorShard = (Vec<Vec<Node>>, Vec<Vec<Node>>, Vec<Vec<Node>>);
+    // paths — `finish` re-sorts nothing. The `F_i` relations stay empty:
+    // `f⁻¹` reads the tuple CSR through the vertex layout.
+    type ColorShard = (Vec<Vec<Node>>, Vec<Vec<Node>>);
     let n_types = interner.len();
     let color_shards: Vec<ColorShard> =
         par_partition(par, &tuple_idx, partition_parts(par, nverts), |_, range| {
             let mut ci_s: Vec<Vec<Node>> = vec![Vec::new(); iotas.len()];
             let mut ct_s: Vec<Vec<Node>> = vec![Vec::new(); n_types];
-            let mut ff_s: Vec<Vec<Node>> = vec![Vec::new(); k];
             for &j in range {
                 let j = j as usize;
-                let t = tslice(j);
                 let ty = tuple_ty[j];
                 let vbase = (n + 1) as u32 + block[j];
-                for (rank, &io_id) in iotas_by_size[t.len()].iter().enumerate() {
+                for (rank, &io_id) in iotas_by_size[tslice(j).len()].iter().enumerate() {
                     let vn = Node(vbase + rank as u32);
                     ci_s[io_id as usize].push(vn);
                     ct_s[ty.index()].push(vn);
-                    let io = &iotas[io_id as usize];
-                    for (jj, &b) in t.iter().enumerate() {
-                        let f = &mut ff_s[io[jj] as usize];
-                        f.push(vn);
-                        f.push(b);
-                    }
                 }
             }
-            (ci_s, ct_s, ff_s)
+            (ci_s, ct_s)
         });
     let mut shard_it = color_shards.into_iter();
-    let (mut ci_nodes, mut ct_nodes, mut f_flat) = shard_it.next().expect("at least one shard");
-    for (ci2, ct2, ff2) in shard_it {
+    let (mut ci_nodes, mut ct_nodes) = shard_it.next().expect("at least one shard");
+    for (ci2, ct2) in shard_it {
         for (d, s) in ci_nodes.iter_mut().zip(ci2) {
             d.extend(s);
         }
         for (d, s) in ct_nodes.iter_mut().zip(ct2) {
-            d.extend(s);
-        }
-        for (d, s) in f_flat.iter_mut().zip(ff2) {
             d.extend(s);
         }
     }
@@ -1737,10 +1733,7 @@ pub(crate) fn build_core(
         gb.bulk_unary_sorted(ct(TypeId(tid as u32)), nodes)
             .expect("sorted");
     }
-    for (i, flat) in f_flat.into_iter().enumerate() {
-        gb.bulk_binary_sorted(f_rel(i), flat).expect("sorted");
-    }
-    let adjacency = Arc::new(tuple_e_join(g, &esg, block.clone(), n, two_r1, nverts, par));
+    let adjacency = Arc::new(tuple_e_join(g, esg, block, n, two_r1, par));
     let graph = gb.finish().expect("non-empty");
     profiler.add(Stage::Reduce, assemble_started.elapsed().as_nanos() as u64);
 
@@ -1750,8 +1743,6 @@ pub(crate) fn build_core(
         tuple_data,
         tuple_off,
         tuple_ty,
-        block,
-        v_tuple,
         tuples: tuple_arena,
         iotas,
         iotas_by_size,
@@ -1837,20 +1828,26 @@ fn element_set_groups(tuple_off: &[u32], tuple_data: &[Node]) -> EsetGroups {
 /// `E`-adjacent iff their underlying tuples come within `2r+1` — a property
 /// of the tuples' element sets alone. A dense element → tuple CSR replaces
 /// per-element hashing, and the join runs once per *distinct element set*:
-/// each [`EsetGroups`] group resolves its near tuples into one shared row,
-/// and every member tuple aliases that row —
-/// [`EdgeAdjacency::from_block_rows`] answers vertex-level queries straight
-/// off the shared rows and the ι-block map.
+/// each [`EsetGroups`] group resolves its near tuples into one row, and
+/// [`EdgeAdjacency::from_blocks`] answers vertex-level queries straight off
+/// the group rows, the tuple → group map and the ι-block layout `block`,
+/// whose vertex → tuple inverse is computed here, once per core.
 fn tuple_e_join(
     g: &GaifmanGraph,
-    esg: &EsetGroups,
+    esg: EsetGroups,
     block: Vec<u32>,
     n: usize,
     two_r1: usize,
-    nverts: usize,
     par: &ParConfig,
 ) -> EdgeAdjacency {
     let ntup = esg.tgroup.len();
+    let nverts = *block.last().unwrap() as usize;
+    let mut v_tuple: Vec<u32> = vec![0u32; nverts];
+    for j in 0..ntup {
+        for v in block[j]..block[j + 1] {
+            v_tuple[v as usize] = j as u32;
+        }
+    }
 
     // Dense element → tuple incidence (distinct elements only), by
     // counting sort: per-element tuple lists come out ascending.
@@ -1876,11 +1873,7 @@ fn tuple_e_join(
     // Each slice of groups resolves the near tuples of its element sets
     // into slice-local rows. Rows come out sorted and cover every member
     // tuple (`ball` always reaches the set's own elements).
-    let parts = if par.runs_serial(nverts) {
-        1
-    } else {
-        par.threads() * 4
-    };
+    let parts = partition_parts(par, nverts);
     let shards: Vec<(Vec<u32>, Vec<u32>)> = par_partition(par, &esg.heads, parts, |_, range| {
         let mut adj_flat: Vec<u32> = Vec::new();
         let mut row_len: Vec<u32> = Vec::with_capacity(range.len());
@@ -1915,16 +1908,16 @@ fn tuple_e_join(
         }
         (row_len, adj_flat)
     });
-    // Assemble the per-group row bounds; a single shard (serial pool) is
-    // adopted as-is instead of copied.
-    let mut grow_off: Vec<u32> = Vec::with_capacity(esg.heads.len() + 1);
-    grow_off.push(0);
+    // Assemble the group row CSR; a single shard (serial pool) is adopted
+    // as-is instead of copied.
+    let mut row_off: Vec<u32> = Vec::with_capacity(esg.heads.len() + 1);
+    row_off.push(0);
     for (row_len, _) in &shards {
         for &l in row_len {
-            grow_off.push(grow_off.last().unwrap() + l);
+            row_off.push(row_off.last().unwrap() + l);
         }
     }
-    debug_assert_eq!(grow_off.len(), esg.heads.len() + 1);
+    debug_assert_eq!(row_off.len(), esg.heads.len() + 1);
     let rows: Vec<u32> = if shards.len() == 1 {
         shards.into_iter().next().unwrap().1
     } else {
@@ -1935,20 +1928,20 @@ fn tuple_e_join(
         }
         out
     };
-    let mut row_start: Vec<u32> = vec![0u32; ntup];
-    let mut row_end: Vec<u32> = vec![0u32; ntup];
-    for j in 0..ntup {
-        let gi = esg.tgroup[j] as usize;
-        row_start[j] = grow_off[gi];
-        row_end[j] = grow_off[gi + 1];
-    }
-    EdgeAdjacency::from_block_rows((n + 1) as u32, block, row_start, row_end, rows)
+    EdgeAdjacency::from_blocks(BlockRows {
+        first: (n + 1) as u32,
+        block,
+        v_tuple,
+        tgroup: esg.tgroup,
+        row_off,
+        rows,
+    })
 }
 
 /// The original per-vertex core construction, preserved as a differential
 /// oracle for [`build_core`] (see `tests/reduction_equivalence.rs`):
 /// hash-map key interning in tuple order, materialized [`VertexInfo`]
-/// records, the per-vertex color/`F`-edge loop, and the explicit
+/// records, the per-vertex color loop, and the explicit
 /// `(tuple, ι) → vertex` lookup. Before converting into the shared
 /// [`ReductionCore`] shape it *asserts* that the materialized vertices
 /// coincide with the arithmetic block layout the production build uses.
@@ -2052,7 +2045,6 @@ fn build_core_reference(
     }
     let tau = Arc::new(sigb.finish());
     let e = e_decl;
-    let f_rel = |i: usize| RelId((1 + i) as u32);
     let cbot = RelId((1 + k) as u32);
     let ci = |id: u16| RelId((2 + k + id as usize) as u32);
     let ct = |t: TypeId| RelId((2 + k + iotas.len() + t.index()) as u32);
@@ -2066,19 +2058,12 @@ fn build_core_reference(
 
     let mut ci_nodes: Vec<Vec<Node>> = vec![Vec::new(); iotas.len()];
     let mut ct_nodes: Vec<Vec<Node>> = vec![Vec::new(); interner.len()];
-    let mut f_flat: Vec<Vec<Node>> = vec![Vec::new(); k];
     let mut tuple_arena: SliceInterner<Node> = SliceInterner::new();
     let mut lookup: FxHashMap<u64, Node> = FxHashMap::default();
     for (idx, v) in vertices.iter().enumerate() {
         let vn = vertex_node(idx);
         ci_nodes[v.iota as usize].push(vn);
         ct_nodes[v.ty.index()].push(vn);
-        let io = &iotas[v.iota as usize];
-        for (j, &b) in v.tuple.iter().enumerate() {
-            let f = &mut f_flat[io[j] as usize];
-            f.push(vn);
-            f.push(b);
-        }
         let tid = tuple_arena.intern(&v.tuple);
         lookup.insert(pack_lookup_key(tid, v.iota), vn);
     }
@@ -2088,9 +2073,6 @@ fn build_core_reference(
     for (tid, nodes) in ct_nodes.into_iter().enumerate() {
         gb.bulk_unary_sorted(ct(TypeId(tid as u32)), nodes)
             .expect("sorted");
-    }
-    for (i, flat) in f_flat.into_iter().enumerate() {
-        gb.bulk_binary_sorted(f_rel(i), flat).expect("sorted");
     }
 
     // --- convert to the arithmetic layout, asserting agreement
@@ -2110,12 +2092,9 @@ fn build_core_reference(
     }
     let nverts = *block.last().unwrap() as usize;
     assert_eq!(nverts, vertices.len(), "block layout covers all vertices");
-    let mut v_tuple: Vec<u32> = vec![0u32; nverts];
-    for j in 0..ntup {
-        for v in block[j]..block[j + 1] {
-            v_tuple[v as usize] = j as u32;
-        }
-    }
+    let esg = element_set_groups(&tuple_off, &tuple_data);
+    let adjacency = Arc::new(tuple_e_join(g, esg, block, n, two_r1, par));
+    let layout = adjacency.blocks().expect("block form");
     // This is the oracle's teeth: every materialized vertex must sit at
     // exactly the id the production build computes arithmetically.
     for (idx, v) in vertices.iter().enumerate() {
@@ -2124,7 +2103,7 @@ fn build_core_reference(
             .expect("vertex tuple was interned");
         assert_eq!(
             idx as u32,
-            block[tid as usize] + iota_rank[v.iota as usize] as u32,
+            layout.block[tid as usize] + iota_rank[v.iota as usize] as u32,
             "vertex {idx} disagrees with the arithmetic block layout"
         );
         assert_eq!(
@@ -2132,12 +2111,9 @@ fn build_core_reference(
             Some(&vertex_node(idx)),
             "lookup map disagrees with the vertex order"
         );
-        assert_eq!(v_tuple[idx], tid, "v_tuple disagrees");
+        assert_eq!(layout.v_tuple[idx], tid, "v_tuple disagrees");
         assert_eq!(tuple_ty[tid as usize], v.ty, "tuple_ty disagrees");
     }
-
-    let esg = element_set_groups(&tuple_off, &tuple_data);
-    let adjacency = Arc::new(tuple_e_join(g, &esg, block.clone(), n, two_r1, nverts, par));
     let graph = gb.finish().expect("non-empty");
 
     ReductionCore {
@@ -2146,8 +2122,6 @@ fn build_core_reference(
         tuple_data,
         tuple_off,
         tuple_ty,
-        block,
-        v_tuple,
         tuples: tuple_arena,
         iotas,
         iotas_by_size,
@@ -2349,25 +2323,32 @@ fn extend_rest(
     }
 }
 
+/// Whether `tuple` is connected under the near relation (equal components
+/// are near). A depth-first search over positions on the stack: a bitmask
+/// of reached positions and a position stack, since `tuple.len() ≤ k ≤`
+/// [`MAX_ARITY`].
 fn is_connected(tuple: &[Node], near: &RadixFuncStore<()>) -> bool {
     let s = tuple.len();
     if s <= 1 {
         return true;
     }
-    let mut seen = vec![false; s];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    let mut count = 1;
-    while let Some(i) = stack.pop() {
+    let mut seen = 1u64;
+    let mut stack = [0u8; MAX_ARITY];
+    let mut top = 1usize;
+    while top > 0 {
+        top -= 1;
+        let i = stack[top] as usize;
         for j in 0..s {
-            if !seen[j] && (tuple[i] == tuple[j] || near.contains_key(&[tuple[i], tuple[j]])) {
-                seen[j] = true;
-                count += 1;
-                stack.push(j);
+            if seen & (1 << j) == 0
+                && (tuple[i] == tuple[j] || near.contains_key(&[tuple[i], tuple[j]]))
+            {
+                seen |= 1 << j;
+                stack[top] = j as u8;
+                top += 1;
             }
         }
     }
-    count == s
+    seen.count_ones() as usize == s
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::{Node, Structure};
 use lowdeg_par::{par_chunks, par_partition, ParConfig};
+use std::cell::RefCell;
 
 /// Rows per extraction chunk when building the Gaifman graph in parallel.
 /// Fixed (not derived from the thread count) so chunk boundaries — and with
@@ -297,32 +298,19 @@ impl GaifmanGraph {
     /// The r-ball in BFS discovery order (useful when layer structure
     /// matters).
     pub fn ball_unsorted(&self, a: Node, r: usize) -> Vec<Node> {
-        let mut visited = VisitSet::new(self.len());
-        let mut out = vec![a];
-        visited.insert(a);
-        let mut frontier_start = 0;
-        for _ in 0..r {
-            let frontier_end = out.len();
-            if frontier_start == frontier_end {
-                break;
-            }
-            for i in frontier_start..frontier_end {
-                let u = out[i];
-                for &v in self.neighbors(u) {
-                    if visited.insert(v) {
-                        out.push(v);
-                    }
-                }
-            }
-            frontier_start = frontier_end;
-        }
+        let mut out = Vec::new();
+        self.bfs(a, r, |v, _| {
+            out.push(v);
+            false
+        });
         out
     }
 
     /// Bounded distance: `Some(dist(a,b))` when `dist(a,b) ≤ cap`, else
-    /// `None`. A cap of at most 1 reads `a`'s sorted neighbor list and
-    /// allocates nothing; larger caps run a simple BFS from `a`, stopping
-    /// at depth `cap`, in `O(|N_cap(a)| · d)`.
+    /// `None`. A cap of at most 1 reads `a`'s sorted neighbor list; larger
+    /// caps run a BFS from `a`, stopping at depth `cap`, in
+    /// `O(|N_cap(a)| · d)`. Allocates nothing once the calling thread has
+    /// searched a graph this large.
     pub fn distance_at_most(&self, a: Node, b: Node, cap: usize) -> Option<usize> {
         if a == b {
             return Some(0);
@@ -331,27 +319,14 @@ impl GaifmanGraph {
             let adjacent = cap == 1 && self.neighbors(a).binary_search(&b).is_ok();
             return adjacent.then_some(1);
         }
-        let mut visited = VisitSet::new(self.len());
-        visited.insert(a);
-        let mut frontier = vec![a];
-        for depth in 1..=cap {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &v in self.neighbors(u) {
-                    if v == b {
-                        return Some(depth);
-                    }
-                    if visited.insert(v) {
-                        next.push(v);
-                    }
-                }
+        let mut found = None;
+        self.bfs(a, cap, |v, depth| {
+            if v == b {
+                found = Some(depth);
             }
-            if next.is_empty() {
-                return None;
-            }
-            frontier = next;
-        }
-        None
+            found.is_some()
+        });
+        found
     }
 
     /// Histogram of node degrees: `histogram[d]` = number of nodes with
@@ -403,51 +378,77 @@ impl GaifmanGraph {
     /// Distances from `a` to every node of its `cap`-ball, as
     /// `(node, distance)` pairs in BFS order.
     pub fn distances_within(&self, a: Node, cap: usize) -> Vec<(Node, usize)> {
-        let mut visited = VisitSet::new(self.len());
-        visited.insert(a);
-        let mut out = vec![(a, 0usize)];
-        let mut frontier_start = 0;
-        for depth in 1..=cap {
-            let frontier_end = out.len();
-            if frontier_start == frontier_end {
-                break;
-            }
-            for i in frontier_start..frontier_end {
-                let u = out[i].0;
-                for &v in self.neighbors(u) {
-                    if visited.insert(v) {
-                        out.push((v, depth));
-                    }
-                }
-            }
-            frontier_start = frontier_end;
-        }
+        let mut out = Vec::new();
+        self.bfs(a, cap, |v, depth| {
+            out.push((v, depth));
+            false
+        });
         out
     }
+
+    /// Breadth-first search from `a` down to depth `cap`: `visit(v, depth)`
+    /// sees each node of the `cap`-ball once, in BFS order (`a` first, at
+    /// depth 0), until it returns `true`. Runs on the calling thread's
+    /// [`BfsScratch`], so a search costs `O(|N_cap(a)| · d)` whatever the
+    /// graph's size. `visit` must not search again.
+    fn bfs(&self, a: Node, cap: usize, mut visit: impl FnMut(Node, usize) -> bool) {
+        BFS_SCRATCH.with(|scratch| {
+            let BfsScratch { seen, queue } = &mut *scratch.borrow_mut();
+            // clear the previous search's marks (its queue lists them all)
+            for v in queue.drain(..) {
+                seen[v.index() / 64] &= !(1u64 << (v.index() % 64));
+            }
+            if seen.len() < self.len().div_ceil(64) {
+                seen.resize(self.len().div_ceil(64), 0);
+            }
+            let mut mark = |v: Node, queue: &mut Vec<Node>| {
+                let (w, bit) = (v.index() / 64, 1u64 << (v.index() % 64));
+                let fresh = seen[w] & bit == 0;
+                seen[w] |= bit;
+                if fresh {
+                    queue.push(v);
+                }
+                fresh
+            };
+            mark(a, queue);
+            if visit(a, 0) {
+                return;
+            }
+            let mut frontier_start = 0;
+            for depth in 1..=cap {
+                let frontier_end = queue.len();
+                if frontier_start == frontier_end {
+                    return;
+                }
+                for i in frontier_start..frontier_end {
+                    for &v in self.neighbors(queue[i]) {
+                        if mark(v, queue) && visit(v, depth) {
+                            return;
+                        }
+                    }
+                }
+                frontier_start = frontier_end;
+            }
+        })
+    }
 }
 
-/// A visited-set over `0..n` with `O(1)` insert/test and no per-BFS
-/// allocation cost beyond one bit per node.
-struct VisitSet {
-    words: Vec<u64>,
+/// Per-thread BFS state: one visited bit per node of the largest graph the
+/// thread has searched, and the last search's queue. A search clears only
+/// the bits its predecessor set (they are exactly that search's queue), so
+/// no call pays for the graph's size.
+struct BfsScratch {
+    seen: Vec<u64>,
+    queue: Vec<Node>,
 }
 
-impl VisitSet {
-    fn new(n: usize) -> Self {
-        VisitSet {
-            words: vec![0u64; n.div_ceil(64)],
-        }
-    }
-
-    /// Insert; returns `true` when newly inserted.
-    #[inline]
-    fn insert(&mut self, v: Node) -> bool {
-        let w = v.index() / 64;
-        let bit = 1u64 << (v.index() % 64);
-        let fresh = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        fresh
-    }
+thread_local! {
+    static BFS_SCRATCH: RefCell<BfsScratch> = const {
+        RefCell::new(BfsScratch {
+            seen: Vec::new(),
+            queue: Vec::new(),
+        })
+    };
 }
 
 #[cfg(test)]
