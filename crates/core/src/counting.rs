@@ -1413,30 +1413,6 @@ pub fn count_graph_query(
     u64::try_from(total).map_err(|_| EngineError::CountOverflow)
 }
 
-/// Proposition 3.6's general path: count an arbitrary **quantifier-free**
-/// formula by rewriting into the mutually exclusive DNF (the `O(2^{|ψ|})`
-/// step the paper budgets) and summing the per-clause counts of
-/// Lemma 3.5.
-pub fn count_quantifier_free(
-    structure: &Structure,
-    free: &[Var],
-    formula: &Formula,
-) -> Result<u64, ConnectedError> {
-    let clauses = lowdeg_logic::dnf::exclusive_dnf(formula);
-    let mut total = 0u64;
-    for clause in clauses {
-        let conjuncts: Vec<Formula> = clause
-            .literals
-            .iter()
-            .map(|l| l.atom.to_formula(l.positive))
-            .collect();
-        total = total
-            .checked_add(count_conjunction(structure, free, &conjuncts)?)
-            .ok_or(ConnectedError::CountOverflow)?;
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1512,35 +1488,6 @@ mod tests {
     fn negated_unary_is_no_inclusion_exclusion() {
         let s = ColoredGraphSpec::balanced(25, DegreeClass::Bounded(3)).generate(10);
         check(&s, "B(x) & !R(x)");
-    }
-
-    fn check_qf(structure: &Structure, src: &str) {
-        let q = parse_query(structure.signature(), src).unwrap();
-        let got = count_quantifier_free(structure, &q.free, &q.formula).unwrap();
-        assert_eq!(got, count_naive(structure, &q), "qf count mismatch `{src}`");
-    }
-
-    #[test]
-    fn quantifier_free_disjunctions() {
-        let s = ColoredGraphSpec::balanced(22, DegreeClass::Bounded(3)).generate(11);
-        check_qf(&s, "B(x) | R(x)");
-        check_qf(&s, "(B(x) & R(y)) | (G(x) & B(y))");
-        check_qf(&s, "B(x) & (R(y) | !E(x, y))");
-        check_qf(&s, "B(x) -> R(x)");
-    }
-
-    #[test]
-    fn quantifier_free_exclusive_dnf_vs_clause_path() {
-        // the DNF path and the direct conjunction path must agree
-        let s = ColoredGraphSpec::balanced(22, DegreeClass::Bounded(3)).generate(12);
-        let q = parse_query(s.signature(), "B(x) & R(y) & !E(x, y)").unwrap();
-        let via_dnf = count_quantifier_free(&s, &q.free, &q.formula).unwrap();
-        let parts = match &q.formula {
-            Formula::And(parts) => parts.clone(),
-            _ => unreachable!(),
-        };
-        let via_conj = count_conjunction(&s, &q.free, &parts).unwrap();
-        assert_eq!(via_dnf, via_conj);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`DelayRecorder`] — wall-clock inter-output delays (max / mean / p99)
 //!   for the E4/E5/E10 experiments.
 
-use lowdeg_logic::eval::{check_naive, Assignment};
+use lowdeg_logic::eval::Assignment;
 use lowdeg_logic::{eval, Query};
 use lowdeg_storage::{Node, Structure};
 use std::time::{Duration, Instant};
@@ -99,11 +99,6 @@ impl Iterator for GenerateAndTest<'_> {
         }
         None
     }
-}
-
-/// Oracle membership check re-exported for convenience.
-pub fn oracle_test(structure: &Structure, query: &Query, tuple: &[Node]) -> bool {
-    check_naive(structure, query, tuple)
 }
 
 /// Records inter-output delays of an enumeration run.

@@ -27,27 +27,33 @@
 //!    layout, so `F1..Fk` are declared in `τ` (keeping every relation id)
 //!    but hold no pairs;
 //! 5. decide, per partition and realized type combination, whether such
-//!    answers satisfy `φ'` on the disjoint union of type representatives
-//!    (sound because `φ'` is `r`-local and the clusters of an answer are
-//!    pairwise `> 2r+1` apart, so `𝒩_r(ā)` *is* that disjoint union up to
-//!    isomorphism). Per clause and partition the decision is a
-//!    Feferman–Vaught product (`clause_accept`, DESIGN.md §16): each
-//!    part's type list is filtered once by the conjuncts local to it, and
-//!    only conjuncts no part decides alone are evaluated, against a
-//!    borrowed [`UnionView`] of the representatives — the union is never
-//!    materialized. Accepted combinations become the exclusive clauses of
-//!    `ψ₂`; `ψ₁` is the pairwise `¬E` guard.
+//!    answers satisfy `φ'` on the disjoint union of the types'
+//!    neighborhoods (sound because `φ'` is `r`-local and the clusters of
+//!    an answer are pairwise `> 2r+1` apart, so `𝒩_r(ā)` *is* that
+//!    disjoint union up to isomorphism). A type is stored once, as the
+//!    exact neighborhood key of its first tuple, and evaluated on as a
+//!    [`KeyView`] — no structure is built per type. Per clause and
+//!    partition the decision is a Feferman–Vaught product
+//!    (`clause_accept`, DESIGN.md §16): each part's type list is filtered
+//!    once, on lone key views, by the conjuncts local to it, and only
+//!    conjuncts no part decides alone are evaluated, against a borrowed
+//!    [`UnionView`] of the key views — the union is never materialized.
+//!    Accepted combinations become the exclusive clauses of `ψ₂`; `ψ₁` is
+//!    the pairwise `¬E` guard.
 //!
 //! # Assembly layout
 //!
 //! The production build (`build_core`) never materializes per-vertex
-//! records. Cluster tuples live in one flat CSR (`tuple_data`/`tuple_off`,
-//! filled by sharded enumeration over anchor ranges), canonical types are
+//! records. Cluster tuples live once, in one flat CSR
+//! (`tuple_data`/`tuple_off`, filled by sharded enumeration over anchor
+//! ranges, strictly increasing in lexicographic order, so `f` finds a
+//! tuple by a binary search of its anchor's run); canonical types are
 //! interned through a sorted-run dedup of the exact neighborhood keys (the
-//! expensive canonical encodings run in parallel, once per distinct key),
-//! and every vertex id is *arithmetic*: the vertices of tuple `j` occupy
-//! the contiguous block `block[j]..block[j+1]`, one per matching-size ι in
-//! ι-id order, so `v_(b̄,ι) = base_n + 1 + block[j] + rank(ι)`. That
+//! expensive canonical encodings run in parallel, once per distinct key)
+//! and kept as one key CSR; and every vertex id is *arithmetic*: the
+//! vertices of tuple `j` occupy the contiguous block
+//! `block[j]..block[j+1]`, one per matching-size ι in ι-id order, so
+//! `v_(b̄,ι) = base_n + 1 + block[j] + rank(ι)`. That
 //! layout (`block` and its inverse `v_tuple`) is stored once, in the
 //! adjacency's [`BlockRows`]. The color streams are emitted per tuple
 //! shard and adopted through the builder's pre-sorted bulk paths; no
@@ -63,11 +69,12 @@ use crate::graph_query::{GraphClause, GraphQuery};
 use crate::EngineError;
 use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner};
 use lowdeg_locality::types::Canonicalizer;
-use lowdeg_locality::{localize, LocalQuery, TypeId, TypeInterner};
+use lowdeg_locality::{localize, KeyView, LocalQuery, TypeId};
 use lowdeg_logic::eval::{eval, Assignment, Model};
 use lowdeg_logic::{ClauseForm, DistCmp, Formula, Query, Var};
 use lowdeg_par::{par_flat_map, par_map, par_partition, ParConfig};
 use lowdeg_storage::{GaifmanGraph, Node, RelId, Signature, Structure, MAX_ARITY as MAX_REL_ARITY};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -136,12 +143,13 @@ pub struct ReductionCore {
     pub(crate) tuple_data: Vec<Node>,
     /// CSR offsets into [`Self::tuple_data`] (length `#tuples + 1`).
     pub(crate) tuple_off: Vec<u32>,
+    /// Per anchor `a` (length `|dom(A)| + 1`): tuples
+    /// `anchor_off[a]..anchor_off[a+1]` are those whose first component is
+    /// `a`. The CSR is strictly increasing in lexicographic order, so a
+    /// probe binary-searches its anchor's run ([`Self::tuple_id`]).
+    pub(crate) anchor_off: Vec<u32>,
     /// Canonical neighborhood type per tuple.
     pub(crate) tuple_ty: Vec<TypeId>,
-    /// Every distinct cluster tuple `b̄`, interned once, ids equal to the
-    /// CSR tuple indices; probes resolve a stack-assembled slice to its id
-    /// without allocating.
-    pub(crate) tuples: SliceInterner<Node>,
     /// All injections `{1..s} → {1..k}`, 0-based; `iotas[id]` lists target
     /// positions.
     pub(crate) iotas: Vec<Vec<u8>>,
@@ -151,9 +159,15 @@ pub struct ReductionCore {
     /// Injection id → rank within its size class (the inverse of
     /// [`Self::iotas_by_size`]).
     pub(crate) iota_rank: Vec<u16>,
-    /// Canonical neighborhood types with their representatives (Step 5
-    /// evaluates the matrix on [`UnionView`]s of these).
-    pub(crate) interner: TypeInterner,
+    /// The base structure's signature, which decodes the type keys.
+    pub(crate) signature: Arc<Signature>,
+    /// Each canonical type once, as the exact neighborhood key of its
+    /// first tuple (`Structure::neighborhood_key_of_tuple`): type `t` is
+    /// `type_keys[type_key_off[t]..type_key_off[t+1]]`. Step 5 evaluates
+    /// the matrix on [`KeyView`]s of these and [`UnionView`]s of those.
+    pub(crate) type_keys: Vec<u32>,
+    /// CSR offsets into [`Self::type_keys`] (length `#types + 1`).
+    pub(crate) type_key_off: Vec<u32>,
     /// Realized types per cluster size (`types_by_size[s]`).
     pub(crate) types_by_size: Vec<BTreeSet<TypeId>>,
     /// The dummy vertex `v_⊥`.
@@ -202,6 +216,31 @@ impl ReductionCore {
     #[inline]
     fn tuple_slice(&self, j: usize) -> &[Node] {
         &self.tuple_data[self.tuple_off[j] as usize..self.tuple_off[j + 1] as usize]
+    }
+
+    /// The CSR index of cluster tuple `t`: a binary search of the run of
+    /// `t`'s anchor, whose length depends on the degree only.
+    fn tuple_id(&self, t: &[Node]) -> Option<usize> {
+        let a = t.first()?.index();
+        let (mut lo, mut hi) = (self.anchor_off[a] as usize, self.anchor_off[a + 1] as usize);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.tuple_slice(mid).cmp(t) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+
+    /// Type `t`, read from its stored key.
+    fn type_view(&self, t: TypeId) -> KeyView<'_> {
+        let (lo, hi) = (
+            self.type_key_off[t.index()] as usize,
+            self.type_key_off[t.index() + 1] as usize,
+        );
+        KeyView::new(&self.signature, &self.type_keys[lo..hi])
     }
 
     /// Classification of the colored graph's unary relations for the
@@ -491,23 +530,23 @@ impl Reduction {
         &self.local
     }
 
-    /// The representatives Step 5 evaluates on: for each cluster size `s`
-    /// (index `s`, `0..=k`), the realized types' `(representative,
-    /// distinguished tuple)` pairs in mixed-radix digit order. Test-only.
+    /// The types Step 5 evaluates on: for each cluster size `s` (index
+    /// `s`, `0..=k`), the realized types' key views in mixed-radix digit
+    /// order. Test-only.
     #[doc(hidden)]
-    pub fn type_representatives(&self) -> Vec<Vec<(&Structure, &[Node])>> {
+    pub fn type_representatives(&self) -> Vec<Vec<KeyView<'_>>> {
         let c = &*self.core;
         c.types_by_size
             .iter()
-            .map(|ts| ts.iter().map(|&t| c.interner.representative(t)).collect())
+            .map(|ts| ts.iter().map(|&t| c.type_view(t)).collect())
             .collect()
     }
 
-    /// The stored `(representative, local tuple)` of type id `t` — the id
-    /// space of [`CoreDigest::tuple_types`]. Test-only.
+    /// The key view of type id `t` — the id space of
+    /// [`CoreDigest::tuple_types`]. Test-only.
     #[doc(hidden)]
-    pub fn type_representative(&self, t: u32) -> (&Structure, &[Node]) {
-        self.core.interner.representative(TypeId(t))
+    pub fn type_representative(&self, t: u32) -> KeyView<'_> {
+        self.core.type_view(TypeId(t))
     }
 
     /// Step 5 work counters of this build (zeros for what a cache
@@ -558,8 +597,9 @@ impl Reduction {
     /// near-pair lookups, writing into `out[..k]` without allocating. The
     /// core of every membership probe: position grouping runs on
     /// stack-resident component bitmasks, each part's tuple is assembled in
-    /// a stack buffer and resolved through the tuple interner, and the
-    /// vertex id follows arithmetically from the tuple's block.
+    /// a stack buffer and found in the tuple CSR by a binary search of its
+    /// anchor's run, and the vertex id follows arithmetically from the
+    /// tuple's block.
     fn forward_write(&self, tuple: &[Node], out: &mut [Node]) -> Result<(), EngineError> {
         let k = self.core.k;
         if tuple.len() != k {
@@ -619,11 +659,9 @@ impl Reduction {
             let io = self.core.iota_id(&pos_buf[..s]);
             let tid = self
                 .core
-                .tuples
-                .lookup(&b_buf[..s])
+                .tuple_id(&b_buf[..s])
                 .expect("every connected tuple has a cluster vertex");
-            let vidx =
-                self.core.layout().block[tid as usize] + self.core.iota_rank[io as usize] as u32;
+            let vidx = self.core.layout().block[tid] + self.core.iota_rank[io as usize] as u32;
             out[emitted] = Node((self.core.base_n + 1) as u32 + vidx);
             emitted += 1;
         }
@@ -633,20 +671,11 @@ impl Reduction {
         Ok(())
     }
 
-    /// `f(ā)` as a freshly allocated `Vec` (see [`Reduction::forward_into`]
-    /// for the buffer-reusing variant).
+    /// `f(ā)` as a freshly allocated `Vec`.
     pub fn forward(&self, tuple: &[Node]) -> Result<Vec<Node>, EngineError> {
         let mut out = vec![self.core.dummy; self.core.k];
         self.forward_write(tuple, &mut out)?;
         Ok(out)
-    }
-
-    /// `f(ā)` into a reused buffer: `out` is cleared and filled with the
-    /// `k` graph vertices. No allocation once `out` has capacity `k`.
-    pub fn forward_into(&self, tuple: &[Node], out: &mut Vec<Node>) -> Result<(), EngineError> {
-        out.clear();
-        out.resize(self.core.k, self.core.dummy);
-        self.forward_write(tuple, out)
     }
 
     /// `f⁻¹(v̄)`: recover the `A`-tuple from graph vertices. Returns `None`
@@ -768,7 +797,7 @@ pub struct Step5Stats {
     /// some conjunct joins answer positions in different parts, so the
     /// clause holds on none of the partition's combinations.
     pub partitions_skipped: u64,
-    /// Part-local evaluations on a lone type representative, one per type
+    /// Part-local evaluations on a lone type's key view, one per type
     /// of each part that has part-local conjuncts.
     pub types_filtered: u64,
     /// Combinations accepted as products of filtered type lists, without
@@ -949,7 +978,7 @@ pub(crate) fn step5_combo_total(core: &ReductionCore) -> u64 {
 /// each top-level conjunct of a disjunct is classified
 /// ([`classify_conjunct`]): one that no combination can satisfy skips the
 /// partition; constant-true ones drop out; part-local ones filter their
-/// part's type list once, on the lone representative; the accepted
+/// part's type list once, on the lone key view; the accepted
 /// combinations are the product of the filtered lists, evaluated on a
 /// [`UnionView`] only for the residual conjuncts that remain.
 fn clause_accept(
@@ -970,7 +999,6 @@ fn clause_accept(
             Formula::And(gs) => gs,
             g => std::slice::from_ref(g),
         };
-        let warm = conjuncts.iter().any(Formula::has_dist);
         for (pi, p) in layout.partitions.iter().enumerate() {
             if p.iter().any(|part| layout.types[part.len()].is_empty()) {
                 continue; // no combination of this partition is realized
@@ -1003,15 +1031,12 @@ fn clause_accept(
                 }
                 stats.types_filtered += types.len() as u64;
                 let keep = par_map(par, types, |&t| {
-                    let (rep, dist) = core.interner.representative(t);
-                    if warm {
-                        rep.gaifman_with(&ParConfig::serial());
-                    }
+                    let view = core.type_view(t);
                     let mut asg = Assignment::default();
-                    for (&pos, &d) in part.iter().zip(dist) {
-                        asg.bind(free[pos as usize], d);
+                    for (&pos, &d) in part.iter().zip(view.tuple()) {
+                        asg.bind(free[pos as usize], Node(d));
                     }
-                    tests.iter().all(|f| eval(rep, f, &mut asg))
+                    tests.iter().all(|f| eval(&view, f, &mut asg))
                 });
                 digits.push(
                     (0..types.len() as u32)
@@ -1040,7 +1065,7 @@ fn clause_accept(
 /// [`Step5Layout::types`]) in canonical order — mixed radix, last part
 /// fastest — and return the mixed-radix index, over the *full* type lists,
 /// of every combination that satisfies all of `test` on the union view of
-/// its representatives; with `test` empty, of every combination, none
+/// its types' key views; with `test` empty, of every combination, none
 /// evaluated. Chunk boundaries are fixed and chunks concatenate in order,
 /// so the result is identical for every thread count.
 fn scan_product(
@@ -1063,7 +1088,6 @@ fn scan_product(
         strides[j] = strides[j + 1] * layout.types[p[j + 1].len()].len() as u64;
     }
     let total: usize = digits.iter().map(Vec::len).product();
-    let warm = test.iter().any(|f| f.has_dist());
     let chunk_starts: Vec<usize> = (0..total).step_by(COMBO_CHUNK).collect();
     let hits: Vec<Vec<u64>> = par_map(par, &chunk_starts, |&start| {
         let end = (start + COMBO_CHUNK).min(total);
@@ -1071,7 +1095,6 @@ fn scan_product(
         let mut at: Vec<u32> = vec![0; ell];
         let mut view = UnionView::default();
         let mut asg = Assignment::default();
-        let serial = ParConfig::serial();
         for idx in start..end {
             let mut rem = idx;
             let mut rank = 0u64;
@@ -1083,14 +1106,10 @@ fn scan_product(
             if !test.is_empty() {
                 view.clear();
                 for (part, &d) in p.iter().zip(&at) {
-                    let t = layout.types[part.len()][d as usize];
-                    let (rep, dist) = core.interner.representative(t);
-                    if warm {
-                        rep.gaifman_with(&serial);
-                    }
-                    let offset = view.push(rep);
-                    for (&pos, &node) in part.iter().zip(dist) {
-                        asg.bind(free[pos as usize], Node(node.0 + offset));
+                    let part_view = core.type_view(layout.types[part.len()][d as usize]);
+                    let offset = view.push(part_view);
+                    for (&pos, &l) in part.iter().zip(part_view.tuple()) {
+                        asg.bind(free[pos as usize], Node(l + offset));
                     }
                 }
                 if !test.iter().all(|f| eval(&view, f, &mut asg)) {
@@ -1112,7 +1131,7 @@ enum Conjunct {
     Never,
     /// True on every combination.
     Always,
-    /// Decided by the representative of this part alone.
+    /// Decided by this part's type alone.
     Local(usize),
     /// Needs the union view.
     Residual,
@@ -1362,10 +1381,10 @@ fn iota_layout(k: usize, iotas: &[Vec<u8>]) -> (Vec<Vec<u16>>, Vec<u16>, Vec<u32
 /// sort over key-ordered tuple indices groups duplicates, so canonical
 /// encodings run in parallel once per *distinct* key — read straight from
 /// the key, with no neighborhood structure built — and the serial
-/// remainder is one `intern_encoded` call per group (in first-occurrence
+/// remainder is one encoding → id lookup per group (in first-occurrence
 /// order — type-id assignment is bit-identical to the reference build's
-/// per-tuple hash-map pass); only a new type's representative is rebuilt
-/// from its key. Vertices are never materialized:
+/// per-tuple hash-map pass); a new type keeps its group's key, and no
+/// structure is built per type. Vertices are never materialized:
 /// colors are emitted straight from tuple shards with arithmetic vertex
 /// ids and adopted through the builder's pre-sorted bulk paths.
 ///
@@ -1387,13 +1406,7 @@ pub(crate) fn build_core(
     let extract_started = std::time::Instant::now();
     let g = structure.gaifman_with(par);
 
-    // --- Step 5's relation R: pairs within 2r+1.
-    let mut near = RadixFuncStore::new(n, 2, eps);
-    for a in structure.domain() {
-        for b in g.ball(a, two_r1) {
-            near.insert(&[a, b], ());
-        }
-    }
+    let near = near_pairs(g, n, two_r1, eps);
 
     let anchors: Vec<Node> = structure.domain().collect();
 
@@ -1607,10 +1620,13 @@ pub(crate) fn build_core(
         },
     );
 
-    // Serial remainder: one intern per distinct key, scattered to members.
-    // A new type's representative is rebuilt from the same key — the
-    // structure `neighborhood_of_tuple(head)` would build.
-    let mut interner = TypeInterner::new();
+    // Serial remainder: one id per distinct encoding, scattered to the
+    // key group's tuples. A new type is stored as its group's key
+    // `pre(head) ++ suf(set group)` — the key of its first tuple. The
+    // encoding → id map borrows the encodings and goes with them.
+    let mut type_ids: FxHashMap<&[u32], TypeId> = FxHashMap::default();
+    let mut type_keys: Vec<u32> = Vec::new();
+    let mut type_key_off: Vec<u32> = vec![0];
     let mut tuple_ty: Vec<TypeId> = vec![TypeId(0); ntup];
     let mut types_by_size: Vec<BTreeSet<TypeId>> = vec![BTreeSet::new(); k + 1];
     let encodings = enc_shards.iter().flat_map(|(lens, data)| {
@@ -1621,8 +1637,12 @@ pub(crate) fn build_core(
     });
     for (&(head, start, end), enc) in groups.iter().zip(encodings) {
         let h = head as usize;
-        let ty = interner.intern_encoded(enc, || {
-            structure.neighborhood_from_key(pre(h), suf(esg.tgroup[h] as usize))
+        let next = TypeId(type_ids.len() as u32);
+        let ty = *type_ids.entry(enc).or_insert_with(|| {
+            type_keys.extend_from_slice(pre(h));
+            type_keys.extend_from_slice(suf(esg.tgroup[h] as usize));
+            type_key_off.push(type_keys.len() as u32);
+            next
         });
         for &j in &order[start as usize..end as usize] {
             tuple_ty[j as usize] = ty;
@@ -1630,6 +1650,7 @@ pub(crate) fn build_core(
         // equal keys imply equal tuple length, so one insert covers the run
         types_by_size[tslice(h).len()].insert(ty);
     }
+    drop(type_ids);
     drop(enc_shards);
     drop(order);
     drop(groups);
@@ -1651,90 +1672,41 @@ pub(crate) fn build_core(
     }
     let nverts = *block.last().unwrap() as usize;
 
-    // Tuple interner for forward probes; ids coincide with CSR indices
-    // because each ordered connected tuple is enumerated exactly once
-    // (its anchor is its first component).
-    let mut tuple_arena: SliceInterner<Node> = SliceInterner::new();
-    for j in 0..ntup {
-        let tid = tuple_arena.intern(tslice(j));
-        debug_assert_eq!(tid as usize, j, "cluster tuples are pairwise distinct");
-    }
+    let anchor_off = anchor_offsets(n, &tuple_off, &tuple_data);
 
-    // --- signature of G
-    let mut sigb = Signature::builder();
-    let e_decl = sigb.relation("E", 2).expect("fresh signature");
-    for i in 0..k {
-        sigb.relation(&format!("F{}", i + 1), 2).expect("fresh");
-    }
-    sigb.relation("Cbot", 1).expect("fresh");
-    for (id, io) in iotas.iter().enumerate() {
-        let name = format!(
-            "CI{id}_{}",
-            io.iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join("_")
-        );
-        sigb.relation(&name, 1).expect("fresh");
-    }
-    for t in 0..interner.len() {
-        sigb.relation(&format!("CT{t}"), 1).expect("fresh");
-    }
-    let tau = Arc::new(sigb.finish());
-    let e = e_decl;
-    let cbot = RelId((1 + k) as u32);
-    let ci = |id: u16| RelId((2 + k + id as usize) as u32);
-    let ct = |t: TypeId| RelId((2 + k + iotas.len() + t.index()) as u32);
-
-    // --- build G
+    // --- G: color streams, emitted per tuple shard with arithmetic
+    // vertex ids. Shards cover ascending tuple ranges and vertex ids
+    // ascend with (tuple, ι-rank), so the per-relation concatenations are
+    // strictly sorted by construction and go through the builder's
+    // pre-sorted bulk paths — `finish` re-sorts nothing. The `F_i`
+    // relations stay empty: `f⁻¹` reads the tuple CSR through the vertex
+    // layout.
+    let (tau, e) = graph_signature(k, &iotas, type_key_off.len() - 1);
     let dummy = Node(n as u32);
-    let total = n + 1 + nverts;
-    let mut gb = Structure::builder(tau.clone(), total);
-    gb.fact(cbot, &[dummy]).expect("in range");
-
-    // Color streams, emitted per tuple shard with arithmetic vertex ids.
-    // Shards cover ascending tuple ranges and vertex ids ascend with
-    // (tuple, ι-rank), so the per-relation concatenations are strictly
-    // sorted by construction and go through the builder's pre-sorted bulk
-    // paths — `finish` re-sorts nothing. The `F_i` relations stay empty:
-    // `f⁻¹` reads the tuple CSR through the vertex layout.
-    type ColorShard = (Vec<Vec<Node>>, Vec<Vec<Node>>);
-    let n_types = interner.len();
-    let color_shards: Vec<ColorShard> =
+    let ncolors = iotas.len() + type_key_off.len() - 1;
+    let color_shards: Vec<Vec<Vec<Node>>> =
         par_partition(par, &tuple_idx, partition_parts(par, nverts), |_, range| {
-            let mut ci_s: Vec<Vec<Node>> = vec![Vec::new(); iotas.len()];
-            let mut ct_s: Vec<Vec<Node>> = vec![Vec::new(); n_types];
+            let mut colors: Vec<Vec<Node>> = vec![Vec::new(); ncolors];
             for &j in range {
                 let j = j as usize;
-                let ty = tuple_ty[j];
                 let vbase = (n + 1) as u32 + block[j];
                 for (rank, &io_id) in iotas_by_size[tslice(j).len()].iter().enumerate() {
                     let vn = Node(vbase + rank as u32);
-                    ci_s[io_id as usize].push(vn);
-                    ct_s[ty.index()].push(vn);
+                    colors[io_id as usize].push(vn);
+                    colors[iotas.len() + tuple_ty[j].index()].push(vn);
                 }
             }
-            (ci_s, ct_s)
+            colors
         });
     let mut shard_it = color_shards.into_iter();
-    let (mut ci_nodes, mut ct_nodes) = shard_it.next().expect("at least one shard");
-    for (ci2, ct2) in shard_it {
-        for (d, s) in ci_nodes.iter_mut().zip(ci2) {
-            d.extend(s);
-        }
-        for (d, s) in ct_nodes.iter_mut().zip(ct2) {
+    let mut colors = shard_it.next().expect("at least one shard");
+    for shard in shard_it {
+        for (d, s) in colors.iter_mut().zip(shard) {
             d.extend(s);
         }
     }
-    for (id, nodes) in ci_nodes.into_iter().enumerate() {
-        gb.bulk_unary_sorted(ci(id as u16), nodes).expect("sorted");
-    }
-    for (tid, nodes) in ct_nodes.into_iter().enumerate() {
-        gb.bulk_unary_sorted(ct(TypeId(tid as u32)), nodes)
-            .expect("sorted");
-    }
+    let graph = colored_graph(tau, n + 1 + nverts, k, dummy, colors);
     let adjacency = Arc::new(tuple_e_join(g, esg, block, n, two_r1, par));
-    let graph = gb.finish().expect("non-empty");
     profiler.add(Stage::Reduce, assemble_started.elapsed().as_nanos() as u64);
 
     ReductionCore {
@@ -1742,12 +1714,14 @@ pub(crate) fn build_core(
         near: Arc::new(near),
         tuple_data,
         tuple_off,
+        anchor_off,
         tuple_ty,
-        tuples: tuple_arena,
         iotas,
         iotas_by_size,
         iota_rank,
-        interner,
+        signature: structure.signature().clone(),
+        type_keys,
+        type_key_off,
         types_by_size,
         dummy,
         base_n: n,
@@ -1822,6 +1796,80 @@ fn element_set_groups(tuple_off: &[u32], tuple_data: &[Node]) -> EsetGroups {
         heads,
         tgroup,
     }
+}
+
+/// Step 5's relation `R`: the pairs of `A`-nodes within distance `2r+1`,
+/// in a Storing Theorem store.
+fn near_pairs(g: &GaifmanGraph, n: usize, two_r1: usize, eps: Epsilon) -> RadixFuncStore<()> {
+    let mut near = RadixFuncStore::new(n, 2, eps);
+    for a in (0..n as u32).map(Node) {
+        for b in g.ball(a, two_r1) {
+            near.insert(&[a, b], ());
+        }
+    }
+    near
+}
+
+/// `G`'s signature `τ` and its `E`: `E`, `F1..Fk`, `C_⊥`, one `C_ι` per
+/// injection, one `C_t` per type — every id fixed by `k`, the injection
+/// count and the type count.
+fn graph_signature(k: usize, iotas: &[Vec<u8>], types: usize) -> (Arc<Signature>, RelId) {
+    let mut sigb = Signature::builder();
+    let e = sigb.relation("E", 2).expect("fresh signature");
+    for i in 0..k {
+        sigb.relation(&format!("F{}", i + 1), 2).expect("fresh");
+    }
+    sigb.relation("Cbot", 1).expect("fresh");
+    for (id, io) in iotas.iter().enumerate() {
+        let positions: Vec<String> = io.iter().map(|p| p.to_string()).collect();
+        sigb.relation(&format!("CI{id}_{}", positions.join("_")), 1)
+            .expect("fresh");
+    }
+    for t in 0..types {
+        sigb.relation(&format!("CT{t}"), 1).expect("fresh");
+    }
+    (Arc::new(sigb.finish()), e)
+}
+
+/// The colored graph `G` on `total` nodes: `C_⊥` on `dummy`, and
+/// relation `2 + k + i` on `colors[i]` — the `C_ι` colors, then the `C_t`
+/// ones — each list strictly increasing, adopted through the builder's
+/// pre-sorted bulk path.
+fn colored_graph(
+    tau: Arc<Signature>,
+    total: usize,
+    k: usize,
+    dummy: Node,
+    colors: Vec<Vec<Node>>,
+) -> Structure {
+    let mut gb = Structure::builder(tau, total);
+    gb.fact(RelId((1 + k) as u32), &[dummy]).expect("in range");
+    for (i, nodes) in colors.into_iter().enumerate() {
+        gb.bulk_unary_sorted(RelId((2 + k + i) as u32), nodes)
+            .expect("sorted");
+    }
+    gb.finish().expect("non-empty")
+}
+
+/// Per anchor `a`, the start of its run in the tuple CSR
+/// ([`ReductionCore::anchor_off`], length `n + 1`). Tuples come from an
+/// anchor-major pre-order DFS over sorted balls, so the CSR is strictly
+/// increasing in lexicographic order, each run included.
+fn anchor_offsets(n: usize, tuple_off: &[u32], tuple_data: &[Node]) -> Vec<u32> {
+    let ntup = tuple_off.len() - 1;
+    let tslice = |j: usize| &tuple_data[tuple_off[j] as usize..tuple_off[j + 1] as usize];
+    debug_assert!(
+        (1..ntup).all(|j| tslice(j - 1) < tslice(j)),
+        "the cluster-tuple CSR is strictly increasing"
+    );
+    let mut anchor_off = vec![0u32; n + 1];
+    for j in 0..ntup {
+        anchor_off[tslice(j)[0].index() + 1] += 1;
+    }
+    for a in 0..n {
+        anchor_off[a + 1] += anchor_off[a];
+    }
+    anchor_off
 }
 
 /// The `E`-join at tuple granularity, shared by both builds: vertices are
@@ -1944,7 +1992,8 @@ fn tuple_e_join(
 /// records, the per-vertex color loop, and the explicit
 /// `(tuple, ι) → vertex` lookup. Before converting into the shared
 /// [`ReductionCore`] shape it *asserts* that the materialized vertices
-/// coincide with the arithmetic block layout the production build uses.
+/// coincide with the arithmetic block layout the production build uses,
+/// and that the anchor-run search finds every tuple at its interned id.
 fn build_core_reference(
     structure: &Structure,
     r: usize,
@@ -1957,12 +2006,7 @@ fn build_core_reference(
     let n = structure.cardinality();
     let g = structure.gaifman_with(par);
 
-    let mut near = RadixFuncStore::new(n, 2, eps);
-    for a in structure.domain() {
-        for b in g.ball(a, two_r1) {
-            near.insert(&[a, b], ());
-        }
-    }
+    let near = near_pairs(g, n, two_r1, eps);
 
     let anchors: Vec<Node> = structure.domain().collect();
 
@@ -1987,10 +2031,12 @@ fn build_core_reference(
 
     let iotas = all_injections(k);
 
-    // Sequential interning in tuple order; the canonical encoding — and
-    // the type representative — is computed only on each key's first
-    // occurrence.
-    let mut interner = TypeInterner::new();
+    // Sequential interning in tuple order; the canonical encoding is
+    // computed only on each key's first occurrence, and a new type stores
+    // that key.
+    let mut type_ids: FxHashMap<Vec<u32>, TypeId> = FxHashMap::default();
+    let mut type_keys: Vec<u32> = Vec::new();
+    let mut type_key_off: Vec<u32> = vec![0];
     let mut vertices: Vec<VertexInfo> = Vec::new();
     let mut tuple_ty: Vec<TypeId> = Vec::with_capacity(tuples.len());
     let mut types_by_size: Vec<BTreeSet<TypeId>> = vec![BTreeSet::new(); k + 1];
@@ -2005,9 +2051,13 @@ fn build_core_reference(
                     .map(|&p| nb.to_local(p).expect("tuple in own neighborhood"))
                     .collect();
                 let enc = lowdeg_locality::types::canonical_encoding(nb.structure(), &local_tuple);
-                *e.insert(
-                    interner.intern_encoded(&enc, || (nb.structure().clone(), local_tuple.clone())),
-                )
+                let next = TypeId(type_ids.len() as u32);
+                let ty = *type_ids.entry(enc).or_insert_with(|| {
+                    type_keys.extend_from_slice(e.key());
+                    type_key_off.push(type_keys.len() as u32);
+                    next
+                });
+                *e.insert(ty)
             }
         };
         tuple_ty.push(ty);
@@ -2023,57 +2073,21 @@ fn build_core_reference(
         }
     }
 
-    // --- signature of G
-    let mut sigb = Signature::builder();
-    let e_decl = sigb.relation("E", 2).expect("fresh signature");
-    for i in 0..k {
-        sigb.relation(&format!("F{}", i + 1), 2).expect("fresh");
-    }
-    sigb.relation("Cbot", 1).expect("fresh");
-    for (id, io) in iotas.iter().enumerate() {
-        let name = format!(
-            "CI{id}_{}",
-            io.iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join("_")
-        );
-        sigb.relation(&name, 1).expect("fresh");
-    }
-    for t in 0..interner.len() {
-        sigb.relation(&format!("CT{t}"), 1).expect("fresh");
-    }
-    let tau = Arc::new(sigb.finish());
-    let e = e_decl;
-    let cbot = RelId((1 + k) as u32);
-    let ci = |id: u16| RelId((2 + k + id as usize) as u32);
-    let ct = |t: TypeId| RelId((2 + k + iotas.len() + t.index()) as u32);
-
     // --- build G, per-vertex (the original loop)
+    let (tau, e) = graph_signature(k, &iotas, type_key_off.len() - 1);
     let dummy = Node(n as u32);
     let vertex_node = |idx: usize| Node((n + 1 + idx) as u32);
-    let total = n + 1 + vertices.len();
-    let mut gb = Structure::builder(tau.clone(), total);
-    gb.fact(cbot, &[dummy]).expect("in range");
-
-    let mut ci_nodes: Vec<Vec<Node>> = vec![Vec::new(); iotas.len()];
-    let mut ct_nodes: Vec<Vec<Node>> = vec![Vec::new(); interner.len()];
+    let mut colors: Vec<Vec<Node>> = vec![Vec::new(); iotas.len() + type_key_off.len() - 1];
     let mut tuple_arena: SliceInterner<Node> = SliceInterner::new();
     let mut lookup: FxHashMap<u64, Node> = FxHashMap::default();
     for (idx, v) in vertices.iter().enumerate() {
         let vn = vertex_node(idx);
-        ci_nodes[v.iota as usize].push(vn);
-        ct_nodes[v.ty.index()].push(vn);
+        colors[v.iota as usize].push(vn);
+        colors[iotas.len() + v.ty.index()].push(vn);
         let tid = tuple_arena.intern(&v.tuple);
         lookup.insert(pack_lookup_key(tid, v.iota), vn);
     }
-    for (id, nodes) in ci_nodes.into_iter().enumerate() {
-        gb.bulk_unary_sorted(ci(id as u16), nodes).expect("sorted");
-    }
-    for (tid, nodes) in ct_nodes.into_iter().enumerate() {
-        gb.bulk_unary_sorted(ct(TypeId(tid as u32)), nodes)
-            .expect("sorted");
-    }
+    let graph = colored_graph(tau, n + 1 + vertices.len(), k, dummy, colors);
 
     // --- convert to the arithmetic layout, asserting agreement
     let ntup = tuples.len();
@@ -2094,16 +2108,38 @@ fn build_core_reference(
     assert_eq!(nverts, vertices.len(), "block layout covers all vertices");
     let esg = element_set_groups(&tuple_off, &tuple_data);
     let adjacency = Arc::new(tuple_e_join(g, esg, block, n, two_r1, par));
-    let layout = adjacency.blocks().expect("block form");
+    let anchor_off = anchor_offsets(n, &tuple_off, &tuple_data);
+    let core = ReductionCore {
+        graph,
+        near: Arc::new(near),
+        tuple_data,
+        tuple_off,
+        anchor_off,
+        tuple_ty,
+        iotas,
+        iotas_by_size,
+        iota_rank,
+        signature: structure.signature().clone(),
+        type_keys,
+        type_key_off,
+        types_by_size,
+        dummy,
+        base_n: n,
+        k,
+        edge: e,
+        adjacency,
+    };
     // This is the oracle's teeth: every materialized vertex must sit at
-    // exactly the id the production build computes arithmetically.
+    // exactly the id the production build computes arithmetically, and
+    // the anchor-run search must find its tuple at the interned id.
+    let layout = core.layout();
     for (idx, v) in vertices.iter().enumerate() {
         let tid = tuple_arena
             .lookup(&v.tuple)
             .expect("vertex tuple was interned");
         assert_eq!(
             idx as u32,
-            layout.block[tid as usize] + iota_rank[v.iota as usize] as u32,
+            layout.block[tid as usize] + core.iota_rank[v.iota as usize] as u32,
             "vertex {idx} disagrees with the arithmetic block layout"
         );
         assert_eq!(
@@ -2112,32 +2148,18 @@ fn build_core_reference(
             "lookup map disagrees with the vertex order"
         );
         assert_eq!(layout.v_tuple[idx], tid, "v_tuple disagrees");
-        assert_eq!(tuple_ty[tid as usize], v.ty, "tuple_ty disagrees");
+        assert_eq!(core.tuple_ty[tid as usize], v.ty, "tuple_ty disagrees");
+        assert_eq!(
+            core.tuple_id(&v.tuple),
+            Some(tid as usize),
+            "anchor-run search disagrees"
+        );
     }
-    let graph = gb.finish().expect("non-empty");
-
-    ReductionCore {
-        graph,
-        near: Arc::new(near),
-        tuple_data,
-        tuple_off,
-        tuple_ty,
-        tuples: tuple_arena,
-        iotas,
-        iotas_by_size,
-        iota_rank,
-        interner,
-        types_by_size,
-        dummy,
-        base_n: n,
-        k,
-        edge: e,
-        adjacency,
-    }
+    core
 }
 
-/// A Step 5 combination's structure — the disjoint union of its type
-/// representatives — as a borrowed view that [`eval`] runs on directly;
+/// A Step 5 combination's structure — the disjoint union of its types'
+/// [`KeyView`]s — as a borrowed view that [`eval`] runs on directly;
 /// no union is ever materialized. Part `i` occupies the node range
 /// starting at the sum of the preceding parts' cardinalities, the layout
 /// a materialized disjoint union uses, so quantifiers range over the
@@ -2149,14 +2171,14 @@ fn build_core_reference(
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct UnionView<'a> {
-    parts: Vec<&'a Structure>,
+    parts: Vec<KeyView<'a>>,
     /// `ends[i]`: one past part `i`'s last node id.
     ends: Vec<u32>,
 }
 
 impl<'a> UnionView<'a> {
     /// The view over `parts`, in order.
-    pub fn new(parts: &[&'a Structure]) -> Self {
+    pub fn new(parts: &[KeyView<'a>]) -> Self {
         let mut view = UnionView::default();
         for &part in parts {
             view.push(part);
@@ -2171,7 +2193,7 @@ impl<'a> UnionView<'a> {
     }
 
     /// Append `part`; returns the node offset its domain starts at.
-    fn push(&mut self, part: &'a Structure) -> u32 {
+    fn push(&mut self, part: KeyView<'a>) -> u32 {
         let offset = self.ends.last().copied().unwrap_or(0);
         self.parts.push(part);
         self.ends.push(offset + part.cardinality() as u32);
@@ -2180,7 +2202,7 @@ impl<'a> UnionView<'a> {
 
     /// The part owning node `a` and that part's node range.
     #[inline]
-    fn locate(&self, a: Node) -> (&'a Structure, u32, u32) {
+    fn locate(&self, a: Node) -> (KeyView<'a>, u32, u32) {
         let i = self
             .ends
             .iter()
@@ -2223,7 +2245,7 @@ impl Model for UnionView<'_> {
         if b.0 < start || b.0 >= end {
             return false; // different parts: infinitely far apart
         }
-        Model::within_distance(part, Node(a.0 - start), Node(b.0 - start), r)
+        part.within_distance(Node(a.0 - start), Node(b.0 - start), r)
     }
 }
 

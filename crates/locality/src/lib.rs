@@ -39,7 +39,7 @@ pub use error::LocalizeError;
 pub use localize::{localize, model_check, LocalQuery};
 pub use radius::{certified_radius, implied_links};
 pub use scattered::{check_scattered, Cluster, CrossConstraint, CrossKind, ScatteredSentence};
-pub use types::{TypeId, TypeInterner};
+pub use types::{KeyView, TypeId};
 
 use lowdeg_logic::eval::Assignment;
 use lowdeg_storage::{Node, Structure};

@@ -16,6 +16,14 @@
 //! neighborhood `Structure` is built to type a cluster tuple;
 //! [`canonical_encoding`] serializes a `Structure` into the same shape.
 //!
+//! # A type is its first key
+//!
+//! The exact key is all the data of the neighborhood, so a reduction
+//! stores each type once, as the key of its first tuple, and never a
+//! representative structure. [`KeyView`] reads that key as a
+//! `lowdeg_logic::eval::Model` — domain, facts and distances of the
+//! induced neighborhood — which is all Step 5 asks of a type.
+//!
 //! # Hashed refinement, exact leaves
 //!
 //! 1. Initial colors rank the nodes by their first position in the
@@ -53,10 +61,11 @@
 //! structures — a handful of nodes — and refinement from the distinguished
 //! tuple almost always discretizes at once, leaving a single leaf.
 
-use lowdeg_index::FxHashMap;
-use lowdeg_storage::{KeyFacts, Node, Signature, Structure};
+use lowdeg_logic::eval::Model;
+use lowdeg_storage::{split_key, KeyFacts, Node, RelId, Signature, Structure};
 
-/// Identifier of a canonical type within a [`TypeInterner`].
+/// Identifier of a canonical type: dense, in first-occurrence order of
+/// the cluster tuples a reduction types.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TypeId(pub u32);
 
@@ -67,61 +76,91 @@ impl TypeId {
     }
 }
 
-/// Interns canonical encodings to dense [`TypeId`]s and remembers a
-/// representative for each type (used to assemble representative structures
-/// when deciding type-combination acceptance).
-#[derive(Default, Debug)]
-pub struct TypeInterner {
-    map: FxHashMap<Vec<u32>, TypeId>,
-    /// A representative `(structure, distinguished)` per type.
-    representatives: Vec<(Structure, Vec<Node>)>,
+/// The neighborhood `(𝒩_r(b̄), b̄)` an exact key describes
+/// (`Structure::neighborhood_key_of_tuple`), read straight off the key's
+/// words as a [`Model`]: the domain is `0..|ball|`, a fact holds iff the
+/// key has its record, and distances are those of the Gaifman graph of
+/// the key's own records — the induced neighborhood's, not the base
+/// structure's (two members joined only by a fact that leaves the ball
+/// are not adjacent). A canonical type is stored as the key of its first
+/// tuple, and Step 5 evaluates on these views; no structure is built.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyView<'a> {
+    signature: &'a Signature,
+    /// `[|ball|, local tuple…]`.
+    head: &'a [u32],
+    /// The fact records ([`KeyFacts`]).
+    tail: &'a [u32],
 }
 
-impl TypeInterner {
-    /// Empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct types seen.
-    pub fn len(&self) -> usize {
-        self.representatives.len()
-    }
-
-    /// Whether no type has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.representatives.is_empty()
-    }
-
-    /// Intern the type of `(structure, distinguished)`.
-    pub fn intern(&mut self, structure: &Structure, distinguished: &[Node]) -> TypeId {
-        let enc = canonical_encoding(structure, distinguished);
-        self.intern_encoded(&enc, || (structure.clone(), distinguished.to_vec()))
-    }
-
-    /// Intern a precomputed canonical encoding; `make_rep` supplies the
-    /// representative only when the type is new. This is the hook for
-    /// parallel pipelines: encodings are computed concurrently (the
-    /// expensive part), interning stays sequential and therefore assigns
-    /// ids deterministically in call order.
-    pub fn intern_encoded(
-        &mut self,
-        enc: &[u32],
-        make_rep: impl FnOnce() -> (Structure, Vec<Node>),
-    ) -> TypeId {
-        if let Some(&id) = self.map.get(enc) {
-            return id;
+impl<'a> KeyView<'a> {
+    /// The view of a whole key, decoded under the base signature.
+    pub fn new(signature: &'a Signature, key: &'a [u32]) -> Self {
+        let (head, tail) = split_key(key);
+        KeyView {
+            signature,
+            head,
+            tail,
         }
-        let id = TypeId(self.representatives.len() as u32);
-        self.map.insert(enc.to_vec(), id);
-        self.representatives.push(make_rep());
-        id
     }
 
-    /// The stored representative of a type.
-    pub fn representative(&self, id: TypeId) -> (&Structure, &[Node]) {
-        let (s, d) = &self.representatives[id.index()];
-        (s, d)
+    /// The distinguished tuple's local ids.
+    pub fn tuple(&self) -> &'a [u32] {
+        &self.head[1..]
+    }
+
+    /// The fact records, as `(relation, local ids)`.
+    pub fn facts(&self) -> KeyFacts<'a> {
+        KeyFacts::new(self.signature, self.tail)
+    }
+}
+
+impl Model for KeyView<'_> {
+    fn cardinality(&self) -> usize {
+        self.head[0] as usize
+    }
+
+    fn holds(&self, rel: RelId, t: &[Node]) -> bool {
+        self.facts()
+            .any(|(r, ids)| r == rel && ids.iter().copied().eq(t.iter().map(|v| v.0)))
+    }
+
+    /// Breadth-first over the records, one layer per pass: `reached`
+    /// holds the ball of the current radius, `next` the ball one further.
+    fn within_distance(&self, a: Node, b: Node, r: usize) -> bool {
+        if a == b {
+            return true;
+        }
+        let words = self.cardinality().div_ceil(64);
+        let mut inline = [0u64; 8];
+        let mut heap = Vec::new();
+        let sets: &mut [u64] = if 2 * words <= inline.len() {
+            &mut inline[..2 * words]
+        } else {
+            heap.resize(2 * words, 0);
+            &mut heap
+        };
+        let (reached, next) = sets.split_at_mut(words);
+        let has = |set: &[u64], v: u32| set[v as usize / 64] >> (v % 64) & 1 == 1;
+        reached[a.index() / 64] |= 1 << (a.0 % 64);
+        for _ in 0..r {
+            next.copy_from_slice(reached);
+            for (_, ids) in self.facts() {
+                if ids.iter().any(|&v| has(reached, v)) {
+                    for &v in ids {
+                        next[v as usize / 64] |= 1 << (v % 64);
+                    }
+                }
+            }
+            if has(next, b.0) {
+                return true;
+            }
+            if next == reached {
+                return false; // the component is exhausted
+            }
+            reached.copy_from_slice(next);
+        }
+        false
     }
 }
 
@@ -633,20 +672,96 @@ mod tests {
         assert_exact(|_, _, _| 1);
     }
 
+    /// `E(0,1)`, `E(0,2)` and `T(1,2,3)`: the ball of `[0]` at radius 1 is
+    /// `{0,1,2}`, and the only fact joining 1 and 2 leaves it. Then a
+    /// path on to 7 with a ternary fact that repeats a component.
+    fn out_of_ball_ternary() -> Structure {
+        let sig = Arc::new(Signature::new(&[("E", 2), ("T", 3), ("B", 1)]));
+        let rel = |name| sig.rel(name).unwrap();
+        let mut b = Structure::builder(sig.clone(), 8);
+        for (u, v) in [(0, 1), (0, 2), (3, 4), (4, 5), (6, 7)] {
+            b.fact(rel("E"), &[node(u), node(v)]).unwrap();
+        }
+        for t in [[1, 2, 3], [5, 6, 6]] {
+            b.fact(rel("T"), &t.map(node)).unwrap();
+        }
+        for v in [1, 4, 7] {
+            b.fact(rel("B"), &[node(v)]).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// Every tuple of `arity` components over `0..n`.
+    fn all_tuples(n: u32, arity: usize) -> Vec<Vec<Node>> {
+        let mut out: Vec<Vec<Node>> = vec![Vec::new()];
+        for _ in 0..arity {
+            out = out
+                .into_iter()
+                .flat_map(|t| {
+                    (0..n).map(move |v| {
+                        let mut t = t.clone();
+                        t.push(node(v));
+                        t
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
     #[test]
-    fn interner_dedups_and_keeps_representatives() {
-        let mut interner = TypeInterner::new();
-        let a = build(3, &[(0, 1), (1, 2)], &[0]);
-        let b = build(3, &[(2, 1), (1, 0)], &[2]);
-        let t1 = interner.intern(&a, &[node(0)]);
-        let t2 = interner.intern(&b, &[node(2)]);
-        assert_eq!(t1, t2);
-        assert_eq!(interner.len(), 1);
-        let t3 = interner.intern(&a, &[node(1)]);
-        assert_ne!(t1, t3);
-        assert_eq!(interner.len(), 2);
-        let (rep, dist) = interner.representative(t1);
-        assert_eq!(rep.cardinality(), 3);
-        assert_eq!(dist.len(), 1);
+    fn key_view_answers_as_the_neighborhood() {
+        let s = out_of_ball_ternary();
+        let mut key = Vec::new();
+        for t in [
+            vec![node(0)],
+            vec![node(1)],
+            vec![node(0), node(4)],
+            vec![node(3), node(3)],
+            vec![node(2), node(7), node(5)],
+        ] {
+            for r in 0..4 {
+                s.neighborhood_key_of_tuple(&t, r, &mut key);
+                let view = KeyView::new(s.signature(), &key);
+                let nb = s.neighborhood_of_tuple(&t, r);
+                let rep = nb.structure();
+                let n = rep.cardinality() as u32;
+                assert_eq!(Model::cardinality(&view), rep.cardinality());
+                let local: Vec<Node> = view.tuple().iter().map(|&l| node(l)).collect();
+                assert_eq!(Some(local), nb.tuple_to_local(&t));
+                for rel in s.signature().rel_ids() {
+                    for f in rep.relation(rel).iter() {
+                        assert!(view.holds(rel, f), "{t:?} at {r}: {rel:?}{f:?}");
+                    }
+                    // every tuple of every arity up to 3, so non-facts and
+                    // wrong arities are covered too
+                    for arity in 1..=3 {
+                        for f in all_tuples(n, arity) {
+                            assert_eq!(
+                                view.holds(rel, &f),
+                                rep.holds(rel, &f),
+                                "{t:?} at {r}: {rel:?}{f:?}"
+                            );
+                        }
+                    }
+                }
+                for a in rep.domain() {
+                    for b in rep.domain() {
+                        for d in 0..=4 {
+                            assert_eq!(
+                                view.within_distance(a, b, d),
+                                Model::within_distance(rep, a, b, d),
+                                "{t:?} at {r}: dist({a}, {b}) <= {d}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // inside the ball {0,1,2} of [0], 1 and 2 meet only through 0
+        s.neighborhood_key_of_tuple(&[node(0)], 1, &mut key);
+        let view = KeyView::new(s.signature(), &key);
+        assert!(!view.within_distance(node(1), node(2), 1));
+        assert!(view.within_distance(node(1), node(2), 2));
     }
 }

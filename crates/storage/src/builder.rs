@@ -14,7 +14,7 @@ pub struct StructureBuilder {
     /// per-tuple allocation on multi-million-edge relations).
     pairs: Vec<Vec<(Node, Node)>>,
     /// Relations adopted whole through the pre-sorted bulk paths
-    /// ([`Self::bulk_binary_sorted`] / [`Self::bulk_unary_sorted`]);
+    /// ([`Self::bulk_sorted`] / [`Self::bulk_unary_sorted`]);
     /// [`Self::finish`] passes them through without re-sorting.
     prebuilt: Vec<Option<Relation>>,
 }
@@ -116,7 +116,7 @@ impl StructureBuilder {
     /// Validation is a single `O(len)` pass (node ranges + strictness);
     /// [`Self::finish`] then skips the sort/dedup entirely. The bulk
     /// endpoint for producers whose output is sorted by construction, e.g.
-    /// the E-edge radix join of the reduction.
+    /// the reduction's per-shard colour streams.
     pub fn bulk_sorted(&mut self, rel: RelId, flat: Vec<Node>) -> Result<&mut Self, StorageError> {
         let arity = self.signature.arity(rel);
         if !flat.len().is_multiple_of(arity) {
@@ -148,23 +148,6 @@ impl StructureBuilder {
         }
         self.prebuilt[rel.index()] = Some(Relation::from_sorted_flat(arity, flat));
         Ok(self)
-    }
-
-    /// [`Self::bulk_sorted`] for binary relations: adopt a strictly sorted,
-    /// duplicate-free flat pair array (`[u0, v0, u1, v1, …]`).
-    pub fn bulk_binary_sorted(
-        &mut self,
-        rel: RelId,
-        flat: Vec<Node>,
-    ) -> Result<&mut Self, StorageError> {
-        if self.signature.arity(rel) != 2 {
-            return Err(StorageError::ArityMismatch {
-                relation: self.signature.name(rel).to_owned(),
-                expected: self.signature.arity(rel),
-                got: 2,
-            });
-        }
-        self.bulk_sorted(rel, flat)
     }
 
     /// [`Self::bulk_sorted`] for unary relations: adopt a strictly
@@ -317,7 +300,7 @@ mod tests {
         let e = sg.rel("E").unwrap();
         let b_ = sg.rel("B").unwrap();
         let mut b = Structure::builder(sg, 6);
-        b.bulk_binary_sorted(
+        b.bulk_sorted(
             e,
             vec![node(0), node(2), node(1), node(0), node(1), node(5)],
         )
@@ -338,20 +321,15 @@ mod tests {
         let b_ = sg.rel("B").unwrap();
         let mut b = Structure::builder(sg, 4);
         // duplicate row → not strictly increasing
-        let err = b
-            .bulk_binary_sorted(e, vec![node(0), node(1), node(0), node(1)])
-            .unwrap_err();
+        let err = b.bulk_unary_sorted(b_, vec![node(1), node(1)]).unwrap_err();
         assert!(matches!(err, StorageError::NotSorted { row: 1, .. }));
         // descending rows
-        let err = b
-            .bulk_binary_sorted(e, vec![node(2), node(0), node(1), node(0)])
-            .unwrap_err();
+        let err = b.bulk_unary_sorted(b_, vec![node(2), node(0)]).unwrap_err();
         assert!(matches!(err, StorageError::NotSorted { row: 1, .. }));
         // out-of-range node
-        let err = b.bulk_binary_sorted(e, vec![node(0), node(9)]).unwrap_err();
+        let err = b.bulk_unary_sorted(b_, vec![node(0), node(9)]).unwrap_err();
         assert!(matches!(err, StorageError::NodeOutOfRange { node: 9, .. }));
-        // wrong-arity endpoints
-        assert!(b.bulk_binary_sorted(b_, vec![]).is_err());
+        // wrong-arity relation
         assert!(b.bulk_unary_sorted(e, vec![]).is_err());
         // dangling flat length
         let err = b.bulk_sorted(e, vec![node(0)]).unwrap_err();
@@ -361,16 +339,15 @@ mod tests {
     #[test]
     fn bulk_sorted_merges_with_incremental_facts() {
         let sg = sig();
-        let e = sg.rel("E").unwrap();
+        let b_ = sg.rel("B").unwrap();
         let mut b = Structure::builder(sg, 5);
-        b.edge(e, node(4), node(0)).unwrap();
-        b.bulk_binary_sorted(e, vec![node(0), node(1), node(2), node(3)])
-            .unwrap();
-        b.bulk_binary(e, vec![(node(0), node(1))]).unwrap(); // duplicate
+        b.fact(b_, &[node(4)]).unwrap();
+        b.bulk_unary_sorted(b_, vec![node(0), node(2)]).unwrap();
+        b.fact(b_, &[node(0)]).unwrap(); // duplicate
         let s = b.finish().unwrap();
-        assert_eq!(s.relation(e).len(), 3);
-        assert!(s.holds(e, &[node(4), node(0)]));
-        assert!(s.holds(e, &[node(2), node(3)]));
+        assert_eq!(s.relation(b_).len(), 3);
+        assert!(s.holds(b_, &[node(4)]));
+        assert!(s.holds(b_, &[node(2)]));
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Neighborhood {
         parents.iter().map(|&p| self.to_local(p)).collect()
     }
 
-    /// Map a whole tuple of local nodes back to the parent.
-    pub fn tuple_to_parent(&self, locals: &[Node]) -> Vec<Node> {
-        locals.iter().map(|&l| self.to_parent(l)).collect()
-    }
-
     /// The parent nodes covered by this neighborhood, sorted.
     #[inline]
     pub fn members(&self) -> &[Node] {
@@ -87,6 +82,7 @@ const KEY_SEP: u32 = u32::MAX;
 /// neighborhoods and local tuples** (hence identical canonical types), and
 /// [`structure_from_key`] rebuilds the structure from the tail alone — it
 /// is how [`Neighborhood::build`] constructs every induced substructure.
+/// [`split_key`] finds the head/tail seam of a whole key.
 ///
 /// `members` must be sorted and duplicate-free, and every tuple component
 /// must be a member.
@@ -142,6 +138,14 @@ pub(crate) fn local_key(parent: &Structure, members: &[Node], tuple: &[Node], ou
     }
 }
 
+/// Split a whole neighborhood key into its head `[|members|, local
+/// tuple…]` and its tail, which starts at the first separator (no head
+/// word is one: head words are below `|members|`).
+pub fn split_key(key: &[u32]) -> (&[u32], &[u32]) {
+    let seam = key.iter().position(|&w| w == KEY_SEP).unwrap_or(key.len());
+    key.split_at(seam)
+}
+
 /// The fact records of a neighborhood key's tail `[SEP, non-unary
 /// records…, SEP, unary records…]`, each record `[relation id, local
 /// components…]` delimited by the relation's arity, as `(relation, local
@@ -181,8 +185,7 @@ impl<'a> Iterator for KeyFacts<'a> {
 
 /// The structure on domain `0..n` whose facts are a key tail's records:
 /// one exactly sized flat buffer per relation, adopted pre-sorted. The one
-/// induced-substructure constructor — [`Neighborhood::build`] and
-/// [`Structure::neighborhood_from_key`] both end here.
+/// induced-substructure constructor, behind [`Neighborhood::build`].
 pub(crate) fn structure_from_key(signature: &Arc<Signature>, n: usize, tail: &[u32]) -> Structure {
     let mut sizes = vec![0usize; signature.len()];
     for (rel, ids) in KeyFacts::new(signature, tail) {
@@ -383,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn neighborhood_from_key_rebuilds_the_neighborhood() {
+    fn key_records_are_the_neighborhood_facts() {
         let s = mixed_arity();
         let mut key = Vec::new();
         for t in [
@@ -393,14 +396,26 @@ mod tests {
         ] {
             for r in 0..3 {
                 s.neighborhood_key_of_tuple(&t, r, &mut key);
-                let (head, tail) = key.split_at(1 + t.len());
-                let (rep, local) = s.neighborhood_from_key(head, tail);
+                let (head, tail) = split_key(&key);
                 let nb = s.neighborhood_of_tuple(&t, r);
-                assert_eq!(&rep, nb.structure());
+                assert_eq!(head[0] as usize, nb.structure().cardinality());
+                let local: Vec<Node> = head[1..].iter().map(|&l| node(l)).collect();
                 assert_eq!(Some(local), nb.tuple_to_local(&t));
-                let facts: usize = KeyFacts::new(s.signature(), tail).count();
-                let stored: usize = s.signature().rel_ids().map(|r| rep.relation(r).len()).sum();
-                assert_eq!(facts, stored, "one key record per fact");
+                let mut records: Vec<(RelId, Vec<Node>)> = KeyFacts::new(s.signature(), tail)
+                    .map(|(rel, ids)| (rel, ids.iter().map(|&l| node(l)).collect()))
+                    .collect();
+                records.sort();
+                let facts: Vec<(RelId, Vec<Node>)> = s
+                    .signature()
+                    .rel_ids()
+                    .flat_map(|r| {
+                        nb.structure()
+                            .relation(r)
+                            .iter()
+                            .map(move |f| (r, f.to_vec()))
+                    })
+                    .collect();
+                assert_eq!(records, facts, "one key record per fact, {t:?} at {r}");
             }
         }
     }

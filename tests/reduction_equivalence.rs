@@ -13,10 +13,11 @@
 //! of per-part filtered type lists (DESIGN.md §16), `build_reference`
 //! evaluates the whole matrix on every partition × type combination.
 //! Two builds that agree on a digest answer every engine query
-//! identically. Each type's representative — rebuilt from the exact
-//! neighborhood key, never from a neighborhood `Structure` — must also
-//! equal `neighborhood_of_tuple` of the type's first tuple, with the same
-//! local tuple: Step 5 evaluates on those representatives. The sweep covers the standing query corpus (binary,
+//! identically. Each type is stored once, as an exact neighborhood key,
+//! and Step 5 evaluates on views of those keys: each type's view must
+//! read back `neighborhood_key_of_tuple` of the type's first tuple — the
+//! same ball size, local tuple and fact records. The sweep covers the
+//! standing query corpus (binary,
 //! quantified, ternary) plus the product path's shapes (a two-clause
 //! disjunction, a guarded `∀`, a nested `∨` across parts) × the paper's
 //! degree classes × pool
@@ -30,10 +31,9 @@
 //! `available_parallelism` syscall — on every cached Gaifman lookup and
 //! re-extracted a Gaifman graph per type combination, which made the
 //! radius-1 suites super-linear in practice. Step 5 now evaluates each
-//! combination on a borrowed view of its representatives (`UnionView`,
-//! checked against an explicit union by `step5_union_view`), reading only
-//! their cached Gaifman graphs, so the pass is linear in the realized
-//! combination count.)
+//! combination on a borrowed view of its types' keys (`UnionView`,
+//! checked against an explicit union by `step5_union_view`), so the pass
+//! is linear in the realized combination count.)
 
 use lowdeg_bench::workloads::{
     colored, colored_padded_clique, degree_classes, RUNNING_EXAMPLE, TERNARY_SCATTER, TWO_HOP,
@@ -41,6 +41,8 @@ use lowdeg_bench::workloads::{
 use lowdeg_core::reduction::{CoreDigest, DEFAULT_COMBINATION_BUDGET};
 use lowdeg_core::Reduction;
 use lowdeg_index::Epsilon;
+use lowdeg_locality::KeyView;
+use lowdeg_logic::eval::Model;
 use lowdeg_logic::parse_query;
 use lowdeg_par::ParConfig;
 use lowdeg_storage::Structure;
@@ -103,13 +105,13 @@ fn assert_equivalent(s: &Structure, src: &str, par: &ParConfig, label: &str) {
     );
     let digest = radix.core_digest();
     assert_eq!(digest, reference.core_digest(), "{label}: `{src}`");
-    assert_representatives(s, &radix, &digest, &format!("{label}: `{src}`"));
+    assert_type_keys(s, &radix, &digest, &format!("{label}: `{src}`"));
 }
 
-/// Every type's representative, rebuilt from the exact neighborhood key of
-/// the type's first tuple, is that tuple's neighborhood — the structure
-/// and the local tuple `neighborhood_of_tuple` gives.
-fn assert_representatives(s: &Structure, red: &Reduction, digest: &CoreDigest, label: &str) {
+/// Every type's view reads the exact neighborhood key of the type's first
+/// tuple: its ball size, local tuple and fact records.
+fn assert_type_keys(s: &Structure, red: &Reduction, digest: &CoreDigest, label: &str) {
+    let mut key = Vec::new();
     let mut seen = vec![
         false;
         digest
@@ -122,14 +124,16 @@ fn assert_representatives(s: &Structure, red: &Reduction, digest: &CoreDigest, l
         if std::mem::replace(&mut seen[ty as usize], true) {
             continue;
         }
-        let (rep, local) = red.type_representative(ty);
-        let nb = s.neighborhood_of_tuple(t, red.radius());
-        assert!(rep == nb.structure(), "{label}: type {ty} representative");
+        let view = red.type_representative(ty);
+        s.neighborhood_key_of_tuple(t, red.radius(), &mut key);
+        let first = KeyView::new(s.signature(), &key);
         assert_eq!(
-            Some(local.to_vec()),
-            nb.tuple_to_local(t),
-            "{label}: type {ty} tuple"
+            view.cardinality(),
+            first.cardinality(),
+            "{label}: type {ty} ball"
         );
+        assert_eq!(view.tuple(), first.tuple(), "{label}: type {ty} tuple");
+        assert!(view.facts().eq(first.facts()), "{label}: type {ty} facts");
     }
     assert!(
         seen.iter().all(|&s| s),

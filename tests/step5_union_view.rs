@@ -1,30 +1,37 @@
 //! Step 5 decides acceptance of each partition × type combination by
 //! evaluating the localized matrix on the disjoint union of the
-//! combination's type representatives. The engine never builds that
-//! union: it evaluates against `UnionView`, a borrowed view that
-//! dispatches each question to the owning representative by node offset.
+//! combination's types. The engine never builds that union, nor a
+//! structure per type: a type is its stored neighborhood key, read as a
+//! `KeyView`, and Step 5 evaluates against `UnionView`, a borrowed view
+//! that dispatches each question to the owning key view by node offset.
 //!
 //! This suite checks the view against the union it stands for. For every
 //! corpus query shape × degree class it samples partition × type
 //! combinations of the core's realized types (k = 2 and k = 3), builds
-//! the union explicitly with a `StructureBuilder`, and asserts that every
-//! formula of a battery evaluates identically on both under the same
-//! assignment: the query's own localized matrix and clause matrices, plus
-//! hand-written formulas covering nullary (`true`/`false`), unary and
-//! binary atoms (including atoms spanning two parts), `=`, `dist` guards
-//! with both comparisons and both argument orders, and `∃`/`∀` blocks
-//! that range over the whole union domain.
+//! the union explicitly with a `StructureBuilder` from the keys' fact
+//! records, and asserts that every formula of a battery evaluates
+//! identically on both under the same assignment: the query's own
+//! localized matrix and clause matrices, plus hand-written formulas
+//! covering nullary (`true`/`false`), unary and binary atoms (including
+//! atoms spanning two parts), `=`, `dist` guards with both comparisons
+//! and both argument orders, and `∃`/`∀` blocks that range over the whole
+//! union domain. A random structure with a ternary relation has its own
+//! battery: wide facts make Gaifman cliques, so the keys' distances are
+//! checked beyond plain edges.
 
 use lowdeg_bench::workloads::{
     colored, colored_padded_clique, degree_classes, RUNNING_EXAMPLE, TERNARY_SCATTER, TWO_HOP,
 };
 use lowdeg_core::reduction::UnionView;
 use lowdeg_core::Reduction;
+use lowdeg_gen::{random_structure_spec, RandomStructureSpec};
 use lowdeg_index::Epsilon;
+use lowdeg_locality::KeyView;
 use lowdeg_logic::eval::{eval, Assignment, Model};
 use lowdeg_logic::{parse_query, Formula, Var};
 use lowdeg_par::ParConfig;
-use lowdeg_storage::{Node, Structure};
+use lowdeg_storage::{Node, Signature, Structure};
+use std::sync::Arc;
 
 /// Sampled combinations per partition.
 const SAMPLES: usize = 24;
@@ -64,6 +71,31 @@ const TERNARY_BATTERY: &[&str] = &[
     "exists u. forall v. dist(u, v) > 1 | v = z",
 ];
 
+/// Hand-written formulas over `{M/3, Lead, Guest}` with free variables
+/// `x, y`.
+const MEETING_BATTERY: &[&str] = &[
+    "M(x, y, y) | M(y, x, x)",
+    "Lead(x) & !Guest(y)",
+    "x = y | M(x, x, y)",
+    "dist(x, y) <= 1",
+    "dist(x, y) <= 2",
+    "dist(y, x) > 1",
+    "dist(x, y) > 3",
+    "exists z. M(x, z, y)",
+    "exists z w. M(z, x, w) & dist(w, y) <= 2",
+    "forall z. dist(x, z) > 1 | Lead(z) | Guest(z)",
+    "exists z. forall w. dist(z, w) > 1 | w = x",
+];
+
+/// The battery for the colored-graph corpus at arity `k`.
+fn colored_battery(k: usize) -> &'static [&'static str] {
+    if k == 2 {
+        BINARY_BATTERY
+    } else {
+        TERNARY_BATTERY
+    }
+}
+
 /// A fixed-seed splitmix64 stream: deterministic samples, no dependency.
 struct Rng(u64);
 
@@ -98,19 +130,16 @@ fn partitions(k: usize) -> Vec<Vec<Vec<usize>>> {
     out
 }
 
-/// The disjoint union of `parts`, materialized: part `i`'s domain is
-/// shifted by the sum of the preceding cardinalities.
-fn explicit_union(parts: &[&Structure]) -> Structure {
-    let sig = parts[0].signature().clone();
+/// The disjoint union of `parts`, materialized from their fact records:
+/// part `i`'s domain is shifted by the sum of the preceding cardinalities.
+fn explicit_union(sig: &Arc<Signature>, parts: &[KeyView]) -> Structure {
     let n: usize = parts.iter().map(|p| p.cardinality()).sum();
     let mut b = Structure::builder(sig.clone(), n);
     let mut offset = 0u32;
     for part in parts {
-        for rel in sig.rel_ids() {
-            for t in part.relation(rel).iter() {
-                let shifted: Vec<Node> = t.iter().map(|a| Node(a.0 + offset)).collect();
-                b.fact(rel, &shifted).expect("in range");
-            }
+        for (rel, ids) in part.facts() {
+            let shifted: Vec<Node> = ids.iter().map(|&l| Node(l + offset)).collect();
+            b.fact(rel, &shifted).expect("in range");
         }
         offset += part.cardinality() as u32;
     }
@@ -127,18 +156,13 @@ fn eval_at(model: &(impl Model + ?Sized), free: &[Var], at: &[Node], f: &Formula
 }
 
 /// Sample combinations of `red`'s realized types and assert the view and
-/// the explicit union agree on every formula. Returns the number of
-/// combinations checked.
-fn check_reduction(s: &Structure, src: &str, label: &str, seed: u64) -> usize {
+/// the explicit union agree on every formula of the query and `battery`.
+/// Returns the number of combinations checked.
+fn check_reduction(s: &Structure, src: &str, battery: &[&str], label: &str, seed: u64) -> usize {
     let q = parse_query(s.signature(), src).expect("query parses");
     let red = Reduction::build(s, &q, Epsilon::new(0.5), &ParConfig::from_env())
         .expect("reduction builds");
     let k = q.arity();
-    let battery = if k == 2 {
-        BINARY_BATTERY
-    } else {
-        TERNARY_BATTERY
-    };
     let local = red.local_query();
     let mut formulas: Vec<(Vec<Var>, Formula, String)> = Vec::new();
     formulas.push((local.free.clone(), local.matrix.clone(), "matrix".into()));
@@ -158,26 +182,25 @@ fn check_reduction(s: &Structure, src: &str, label: &str, seed: u64) -> usize {
             continue;
         }
         for _ in 0..SAMPLES {
-            let chosen: Vec<(&Structure, &[Node])> = p
+            let parts: Vec<KeyView> = p
                 .iter()
                 .map(|part| {
                     let of_size = &reps[part.len()];
                     of_size[rng.below(of_size.len())]
                 })
                 .collect();
-            let parts: Vec<&Structure> = chosen.iter().map(|&(r, _)| r).collect();
             // answer position → node of the union, as Step 5 places the
             // distinguished tuples
             let mut at = vec![Node(0); k];
             let mut offset = 0u32;
-            for (part, &(rep, dist)) in p.iter().zip(&chosen) {
-                for (&pos, &d) in part.iter().zip(dist) {
-                    at[pos] = Node(d.0 + offset);
+            for (part, rep) in p.iter().zip(&parts) {
+                for (&pos, &d) in part.iter().zip(rep.tuple()) {
+                    at[pos] = Node(d + offset);
                 }
                 offset += rep.cardinality() as u32;
             }
             let view = UnionView::new(&parts);
-            let union = explicit_union(&parts);
+            let union = explicit_union(s.signature(), &parts);
             assert_eq!(view.cardinality(), union.cardinality(), "{label}");
             for (free, f, name) in &formulas {
                 assert_eq!(
@@ -201,7 +224,8 @@ fn view_matches_explicit_union_across_corpus_and_degree_classes() {
             .enumerate()
         {
             let label = format!("{class:?}");
-            let checked = check_reduction(&s, src, &label, 17 + i as u64);
+            let battery = colored_battery(if src == TERNARY_SCATTER { 3 } else { 2 });
+            let checked = check_reduction(&s, src, battery, &label, 17 + i as u64);
             assert!(checked > 0, "{label}: `{src}` sampled no combination");
         }
     }
@@ -213,7 +237,35 @@ fn view_matches_explicit_union_on_padded_clique() {
     // the largest parts the view dispatches into
     let s = colored_padded_clique(48);
     for src in [RUNNING_EXAMPLE, TWO_HOP, TERNARY_SCATTER] {
-        assert!(check_reduction(&s, src, "clique", 3) > 0);
+        let battery = colored_battery(if src == TERNARY_SCATTER { 3 } else { 2 });
+        assert!(check_reduction(&s, src, battery, "clique", 3) > 0);
+    }
+}
+
+#[test]
+fn view_matches_explicit_union_over_a_ternary_relation() {
+    // the ternary-structure suite's shape: one ternary relation and two
+    // unary roles, so facts are Gaifman triangles and a key's records mix
+    // arities
+    let sig = Arc::new(Signature::new(&[("M", 3), ("Lead", 1), ("Guest", 1)]));
+    let spec = RandomStructureSpec {
+        signature: sig,
+        n: 40,
+        tuples_per_node: 0.6,
+        max_degree: 5,
+        unary_density: 0.35,
+    };
+    let s = random_structure_spec(&spec, 57);
+    for (i, src) in [
+        "Lead(x) & Guest(y) & !M(x, y, y)",
+        "exists z. M(x, z, y) & Lead(z)",
+        "Lead(x) & (exists z. M(x, y, z))",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let checked = check_reduction(&s, src, MEETING_BATTERY, "ternary", 29 + i as u64);
+        assert!(checked > 0, "`{src}` sampled no combination");
     }
 }
 
@@ -223,11 +275,10 @@ fn atoms_spanning_parts_are_false_and_parts_are_infinitely_far() {
     let q = parse_query(s.signature(), TWO_HOP).unwrap();
     let red = Reduction::build(&s, &q, Epsilon::new(0.5), &ParConfig::from_env()).unwrap();
     let reps = red.type_representatives();
-    let (a, da) = reps[1][0];
-    let (b, db) = reps[1][reps[1].len() - 1];
+    let (a, b) = (reps[1][0], reps[1][reps[1].len() - 1]);
     let view = UnionView::new(&[a, b]);
-    let x = da[0];
-    let y = Node(db[0].0 + a.cardinality() as u32);
+    let x = Node(a.tuple()[0]);
+    let y = Node(b.tuple()[0] + a.cardinality() as u32);
     let e = s.signature().rel("E").unwrap();
     assert!(!view.holds(e, &[x, y]));
     assert!(!view.holds(e, &[y, x]));
