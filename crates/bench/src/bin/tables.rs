@@ -619,7 +619,7 @@ fn e9_reduction(cfg: &Cfg) {
                 fmt_dur(dt),
                 red.graph().cardinality(),
                 red.cluster_count(),
-                red.query().clauses.len(),
+                red.query().clause_count(),
                 edges,
                 adj.max_degree(),
                 edges / red.graph().cardinality().max(1)
@@ -815,7 +815,7 @@ fn e13_query_size(cfg: &Cfg) {
             "{k:>3} {:>12} {:>10} {:>8} {:>12}",
             fmt_dur(dt),
             red.cluster_count(),
-            red.query().clauses.len(),
+            red.query().clause_count(),
             engine.count()
         );
     }

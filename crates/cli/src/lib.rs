@@ -595,46 +595,51 @@ mod tests {
     fn threads_do_not_change_enumeration_output() {
         // the sharded answer path streams slices in serial order, so every
         // thread count prints byte-identical rows — both formats, a full
-        // drain and pages that stop the workers early. The database is
-        // large enough that the query's answers clear the pool's item
-        // cutoff, so --threads 4 really runs the sharded path.
+        // drain and pages that stop the workers early — for a query of few
+        // clauses and for the `cli-build` disjunction, whose thousands of
+        // clauses stream in clause-major order. The database is large
+        // enough that each query's answers clear the pool's item cutoff,
+        // so --threads 4 really runs the sharded path.
         let db = temp_path("parallel.db");
         run_str(&["generate", "512", "2", "1", db.to_str().unwrap()]).unwrap();
-        let q = "B(x) & R(y) & !E(x, y)";
-        let count: usize = run_str(&["count", db.to_str().unwrap(), q])
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        assert!(count >= 4 * ParConfig::DEFAULT_MIN_ITEMS, "{count} answers");
-        // 1 ends inside the first slice, which the caller runs itself;
-        // count/2 + 1 ends inside a later slice at 2 and 4 threads
-        let half = (count / 2 + 1).to_string();
-        for format in ["tsv", "ndjson"] {
-            for limit in [None, Some("1"), Some(half.as_str())] {
-                let run_at = |threads: &str| {
-                    let mut args = vec![
-                        "--threads",
-                        threads,
-                        "--format",
-                        format,
-                        "enumerate",
-                        db.to_str().unwrap(),
-                        q,
-                    ];
-                    args.extend(limit);
-                    run_str(&args).unwrap()
-                };
-                let serial = run_at("1");
-                let rows = serial.lines().filter(|l| !l.starts_with('#')).count();
-                let want = limit.map_or(count, |l| l.parse().unwrap());
-                assert_eq!(rows, want, "{format} limit {limit:?}");
-                for threads in ["2", "4"] {
-                    assert_eq!(
-                        serial,
-                        run_at(threads),
-                        "{format} limit {limit:?}: output differs at --threads {threads}"
-                    );
+        let disjunction = "(B(x) & R(y) & !E(x, y) & (exists z. E(x, z) & R(z))) \
+             | (B(x) & G(y) & E(x, y) & (exists z. E(y, z) & R(z)))";
+        for q in ["B(x) & R(y) & !E(x, y)", disjunction] {
+            let count: usize = run_str(&["count", db.to_str().unwrap(), q])
+                .unwrap()
+                .trim()
+                .parse()
+                .unwrap();
+            assert!(count >= 4 * ParConfig::DEFAULT_MIN_ITEMS, "{count} answers");
+            // 1 ends inside the first slice, which the caller runs itself;
+            // count/2 + 1 ends inside a later slice at 2 and 4 threads
+            let half = (count / 2 + 1).to_string();
+            for format in ["tsv", "ndjson"] {
+                for limit in [None, Some("1"), Some(half.as_str())] {
+                    let run_at = |threads: &str| {
+                        let mut args = vec![
+                            "--threads",
+                            threads,
+                            "--format",
+                            format,
+                            "enumerate",
+                            db.to_str().unwrap(),
+                            q,
+                        ];
+                        args.extend(limit);
+                        run_str(&args).unwrap()
+                    };
+                    let serial = run_at("1");
+                    let rows = serial.lines().filter(|l| !l.starts_with('#')).count();
+                    let want = limit.map_or(count, |l| l.parse().unwrap());
+                    assert_eq!(rows, want, "{q}: {format} limit {limit:?}");
+                    for threads in ["2", "4"] {
+                        assert_eq!(
+                            serial,
+                            run_at(threads),
+                            "{q}: {format} limit {limit:?}: output differs at --threads {threads}"
+                        );
+                    }
                 }
             }
         }

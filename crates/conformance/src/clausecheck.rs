@@ -35,11 +35,11 @@
 
 use crate::oracle::{observe, with_formula, Findings, Oracle, Verdict};
 use lowdeg_core::reduction::DEFAULT_COMBINATION_BUDGET;
-use lowdeg_core::{ArtifactCache, Engine, EngineConfig, Reduction};
+use lowdeg_core::{ArtifactCache, Engine, EngineConfig, GraphQuery, Reduction};
 use lowdeg_index::Epsilon;
 use lowdeg_logic::{normalize, ClauseForm, Formula, Query};
 use lowdeg_par::ParConfig;
-use lowdeg_storage::Structure;
+use lowdeg_storage::{RelId, Structure};
 
 /// The product acceptance of `Reduction::build` against the full scan of
 /// `Reduction::build_reference`: same clause list, or the same error.
@@ -52,9 +52,9 @@ fn check_step5(s: &Structure, q: &Query, out: &mut Findings) {
     let scan = Reduction::build_reference(s, q, eps, DEFAULT_COMBINATION_BUDGET, &par);
     match (product, scan) {
         (Ok(a), Ok(b)) => {
-            let (got, want) = (&a.query().clauses, &b.query().clauses);
+            let (got, want) = (clause_colors(a.query()), clause_colors(b.query()));
             if got != want {
-                let at = got.iter().zip(want).position(|(x, y)| x != y);
+                let at = got.iter().zip(&want).position(|(x, y)| x != y);
                 let detail = format!(
                     "product acceptance {} clause(s) vs full scan {} (first difference at {at:?})",
                     got.len(),
@@ -69,6 +69,13 @@ fn check_step5(s: &Structure, q: &Query, out: &mut Findings) {
             out.fail("step5", format!("build outcome {a:?} vs full scan {b:?}"));
         }
     }
+}
+
+/// Each clause's decoded colors, position by position, in clause order.
+fn clause_colors(gq: &GraphQuery) -> Vec<Vec<&[RelId]>> {
+    (0..gq.clause_count())
+        .map(|c| gq.clause(c).iter().map(|&s| gq.set_colors(s)).collect())
+        .collect()
 }
 
 /// A family member: the disjunction of the given canonical clauses, over

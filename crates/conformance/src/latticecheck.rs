@@ -34,9 +34,7 @@ pub const ORACLE: Oracle = Oracle {
         };
         let (graph, gq, adjacency) = (reduction.graph(), reduction.query(), reduction.adjacency());
         let (serial, parallel) = (ParConfig::serial(), forced_parallel());
-        let per_term: u128 = gq
-            .clauses
-            .iter()
+        let per_term: u128 = (0..gq.clause_count())
             .map(|clause| u128::from(count_clause_per_term(graph, gq, clause, adjacency)))
             .sum();
 

@@ -9,7 +9,8 @@
 //! each counted by Lemma 3.1 ([`crate::connected_cq`]) and multiplied.
 
 use crate::connected_cq::{count_connected, ConnectedError};
-use crate::graph_query::{GraphClause, GraphQuery, PositionMemo};
+use crate::graph_query::{find_row, position_list, sort_rows, GraphQuery, PositionMemo};
+use crate::reduction::MAX_ARITY;
 use crate::EngineError;
 use lowdeg_index::{FxHashMap, SliceInterner};
 use lowdeg_logic::{DistCmp, Formula, Var};
@@ -201,18 +202,17 @@ impl NodeSet {
 pub fn count_clause_per_term(
     graph: &Structure,
     gq: &GraphQuery,
-    clause: &GraphClause,
+    clause: usize,
     adjacency: &crate::enumerate::EdgeAdjacency,
 ) -> u64 {
-    let table = CandidateTable::build(graph, &PositionMemo::new(), [clause], &ParConfig::serial());
-    let lists: Vec<Arc<Vec<Node>>> = table
-        .ids(clause)
-        .into_iter()
-        .map(|l| Arc::clone(&table.lists[l as usize]))
+    let lists: Vec<Arc<Vec<Node>>> = gq
+        .clause(clause)
+        .iter()
+        .map(|&s| Arc::new(position_list(graph, gq.set_colors(s))))
         .collect();
     let sets: Vec<NodeSet> = lists
         .iter()
-        .map(|list| NodeSet::from_sorted(table.nodes, list))
+        .map(|list| NodeSet::from_sorted(graph.cardinality(), list))
         .collect();
     let sets: Vec<&NodeSet> = sets.iter().collect();
     ie_count(
@@ -247,64 +247,18 @@ fn negated_pairs(k: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The candidate lists one counting call reads, one entry per distinct
-/// position color set of the clauses it counts.
+/// The candidate lists one counting call reads: list `l` is the list of
+/// color set `l` of the query (a list id *is* a set id).
 ///
 /// The lists are the build's [`PositionMemo`] entries (shared with the
 /// enumerator). Membership bitsets are not kept here: the batched pass
 /// builds one only for a list some grouped walk reaches through an inner
 /// member, and drops it with the call.
-struct CandidateTable<'c> {
-    index: FxHashMap<&'c [RelId], u32>,
-    /// The distinct color sets, in list-id order.
-    colors: Vec<&'c [RelId]>,
+struct CandidateTable<'q> {
+    query: &'q GraphQuery,
     lists: Vec<Arc<Vec<Node>>>,
     /// Vertex count of the colored graph.
     nodes: usize,
-}
-
-impl<'c> CandidateTable<'c> {
-    /// Dedup the color sets of `clauses`, then read each distinct set's
-    /// list from `positions`, fanned over `par`. The memo's lock is taken
-    /// once per distinct set here, so the counting that follows is
-    /// lock-free.
-    fn build(
-        graph: &Structure,
-        positions: &PositionMemo,
-        clauses: impl IntoIterator<Item = &'c GraphClause>,
-        par: &ParConfig,
-    ) -> Self {
-        let mut index: FxHashMap<&'c [RelId], u32> = FxHashMap::default();
-        let mut colors: Vec<&'c [RelId]> = Vec::new();
-        for clause in clauses {
-            for set in &clause.colors {
-                index.entry(set.as_slice()).or_insert_with(|| {
-                    colors.push(set);
-                    (colors.len() - 1) as u32
-                });
-            }
-        }
-        let lists = par_map(par, &colors, |set| positions.position_list(graph, set));
-        CandidateTable {
-            index,
-            colors,
-            lists,
-            nodes: graph.cardinality(),
-        }
-    }
-
-    /// `clause`'s per-position list ids.
-    fn ids(&self, clause: &GraphClause) -> Vec<u32> {
-        clause
-            .colors
-            .iter()
-            .map(|set| self.index[set.as_slice()])
-            .collect()
-    }
-
-    fn len_of(&self, list: u32) -> usize {
-        self.lists[list as usize].len()
-    }
 }
 
 /// Separator between the member run and the edge run of a component
@@ -345,16 +299,13 @@ pub struct CountingMemo {
     /// the engine from the reduction core; the core's cache key pins the
     /// colored graph, so every build sharing this memo agrees on it.
     iota_sizes: std::sync::OnceLock<Vec<u32>>,
-    /// Per-reduced-clause answer counts keyed by the clause's packed
-    /// acceptance signature (one `(injection, type)` word per partition
-    /// part, `0` padding — see `reduction::pack_signature`). The signature
-    /// determines the clause's colors against this memo's core, so the
-    /// count is a pure function of the key; any two queries whose Step 5
-    /// acceptance sets share a combo share that clause's count, and a
-    /// repeat build (or a rewrite variant) whose combos are all here skips
-    /// the inclusion–exclusion walk outright. The key is the full
-    /// signature, so a hit is exact.
-    combo_counts: Mutex<FxHashMap<Box<[u64]>, u64>>,
+    /// Per-reduced-clause answer counts keyed by the clause's signature,
+    /// its row read through the reduction's set words (`Reduction::
+    /// set_words`), which fixes the clause's colors on this memo's core:
+    /// any two queries whose Step 5 acceptance sets share a combo share
+    /// that clause's count, and a repeat build (or a rewrite variant) whose
+    /// combos are all here skips the inclusion–exclusion walk outright.
+    combo_counts: Mutex<ComboCounts>,
     combo_hits: AtomicU64,
     combo_misses: AtomicU64,
 }
@@ -409,14 +360,20 @@ impl CountingMemo {
         out
     }
 
-    /// Per-reduced-clause counts for a batch of packed acceptance
-    /// signatures, probed under one lock: `Some` where a prior build
-    /// against this core counted that combo. A hit takes the clause out of
-    /// the inclusion–exclusion pass.
-    pub(crate) fn probe_combos(&self, signatures: &[Box<[u64]>]) -> Vec<Option<u64>> {
-        let map = self.combo_counts.lock().expect("memo poisoned");
-        let out: Vec<Option<u64>> = signatures.iter().map(|s| map.get(s).copied()).collect();
-        drop(map);
+    /// Per-clause counts of `gq`, its color sets named by `words`, probed
+    /// under one lock: `Some` where a prior build against this core
+    /// counted that combo. A hit takes the clause out of the
+    /// inclusion–exclusion pass.
+    fn probe_combos(&self, gq: &GraphQuery, words: &[u64]) -> Vec<Option<u64>> {
+        let table = self.combo_counts.lock().expect("memo poisoned");
+        let out: Vec<Option<u64>> = (0..gq.clause_count())
+            .map(|c| {
+                let key = signature(gq, words, c);
+                let id = find_row(&table.keys, &table.sorted, &key[..gq.k])?;
+                Some(table.counts[id as usize])
+            })
+            .collect();
+        drop(table);
         let hits = out.iter().filter(|c| c.is_some()).count() as u64;
         self.combo_hits.fetch_add(hits, Ordering::Relaxed);
         self.combo_misses
@@ -424,12 +381,22 @@ impl CountingMemo {
         out
     }
 
-    /// Publish a per-clause count (racing writers agree by construction).
-    pub(crate) fn record_combo_count(&self, signature: Box<[u64]>, count: u64) {
-        self.combo_counts
-            .lock()
-            .expect("memo poisoned")
-            .insert(signature, count);
+    /// Publish the counts of `gq`'s clauses `clauses` under one lock
+    /// (racing writers agree by construction: the first one stays).
+    fn publish_combos(&self, gq: &GraphQuery, words: &[u64], clauses: &[usize], counts: &[u64]) {
+        let mut guard = self.combo_counts.lock().expect("memo poisoned");
+        let t = &mut *guard;
+        debug_assert_eq!(t.keys.len(), t.counts.len() * gq.k, "one core, one width");
+        for (&c, &count) in clauses.iter().zip(counts) {
+            let key = signature(gq, words, c);
+            if find_row(&t.keys, &t.sorted, &key[..gq.k]).is_none() {
+                t.keys.extend_from_slice(&key[..gq.k]);
+                t.counts.push(count);
+            }
+        }
+        t.sorted
+            .extend(t.sorted.len() as u32..t.counts.len() as u32);
+        sort_rows(&t.keys, gq.k, &mut t.sorted);
     }
 
     /// `(hits, misses)` of the per-clause combo-count tier (diagnostics;
@@ -454,6 +421,26 @@ impl CountingMemo {
             map.insert(k, v);
         }
     }
+}
+
+/// Clause `c`'s signature, assembled on the stack: its row read through
+/// the set names `words` (the first `gq.k` entries are meaningful).
+fn signature(gq: &GraphQuery, words: &[u64], c: usize) -> [u64; MAX_ARITY] {
+    let mut key = [0u64; MAX_ARITY];
+    for (slot, &s) in key.iter_mut().zip(gq.clause(c)) {
+        *slot = words[s as usize];
+    }
+    key
+}
+
+/// The combo tier's storage, with no allocation per entry: the counted
+/// clauses' signatures concatenated (`k` words each), their counts, and
+/// the entry ids sorted by signature ([`find_row`]).
+#[derive(Debug, Default)]
+struct ComboCounts {
+    keys: Vec<u64>,
+    counts: Vec<u64>,
+    sorted: Vec<u32>,
 }
 
 impl std::fmt::Debug for CountingMemo {
@@ -726,20 +713,19 @@ impl Lattice {
 fn count_clauses(
     table: &CandidateTable,
     adjacency: &crate::enumerate::EdgeAdjacency,
-    k: usize,
-    clauses: &[&GraphClause],
+    clauses: &[usize],
     par: &ParConfig,
     memo: Option<&CountingMemo>,
 ) -> Result<Vec<u64>, EngineError> {
-    let lattice = Lattice::new(k);
+    let lattice = Lattice::new(table.query.k);
     let width = lattice.patterns.len();
     // job key: the list id at each member of the pattern, then the pattern
     // id
     let mut jobs: SliceInterner<u32> = SliceInterner::new();
     let mut rows: Vec<u32> = Vec::with_capacity(clauses.len() * width);
-    let mut key: Vec<u32> = Vec::with_capacity(k + 1);
-    for clause in clauses {
-        let lists = table.ids(clause);
+    let mut key: Vec<u32> = Vec::with_capacity(table.query.k + 1);
+    for &clause in clauses {
+        let lists = table.query.clause(clause);
         for (p, pattern) in lattice.patterns.iter().enumerate() {
             key.clear();
             key.extend(pattern.members.iter().map(|&m| lists[m]));
@@ -776,7 +762,7 @@ fn job_counts(
     let mut multi: Vec<u32> = Vec::new();
     for id in 0..jobs.len() as u32 {
         match *jobs.get(id) {
-            [list, _] => counts[id as usize] = table.len_of(list) as u64,
+            [list, _] => counts[id as usize] = table.lists[list as usize].len() as u64,
             _ => multi.push(id),
         }
     }
@@ -786,10 +772,8 @@ fn job_counts(
         }
         return counts;
     };
-    let tokens: Vec<PosToken> = table
-        .colors
-        .iter()
-        .map(|set| color_token(set, memo.iota_sizes()))
+    let tokens: Vec<PosToken> = (0..table.lists.len() as u32)
+        .map(|l| color_token(table.query.set_colors(l), memo.iota_sizes()))
         .collect();
     let mut keys: SliceInterner<u32> = SliceInterner::new();
     let mut key_of: Vec<u32> = vec![0; jobs.len()];
@@ -1041,7 +1025,7 @@ fn count_grouped(
         by_pattern[p as usize].push(id);
     }
     let degree = (adjacency.pair_count() as f64 / adjacency.len().max(1) as f64).max(1.0);
-    let len = |l: u32| table.len_of(l) as f64;
+    let len = |l: u32| table.lists[l as usize].len() as f64;
     let mut walks: Vec<Option<Walk>> = (0..by_pattern.len()).map(|_| None).collect();
     // group key: the prefix's list ids in walk order, then the pattern id
     let mut groups: SliceInterner<u32> = SliceInterner::new();
@@ -1370,45 +1354,49 @@ fn rec_count(
 ///
 /// `memo` is the [`crate::ArtifactCache`]'s per-core counting memo: each
 /// distinct job signature probes it once, and only the misses are counted
-/// and published. With `signatures` as well — `signatures[i]` the packed
-/// acceptance signature of `gq.clauses[i]` (see
-/// `reduction::pack_signature`) — the per-clause combination-count tier is
-/// engaged: the clauses probe the memo by signature under one lock, only
-/// novel clauses enter the pass, and their counts are published for the
-/// next query touching the same combination. When every clause hits, no
-/// candidate table or lattice is built. Signatures that do not align with
-/// the clauses are ignored. The count is bit-identical on every path: a memo
-/// entry is the exact count of its key, and the total is the same
-/// commutative sum. A total that does not fit `u64` is
-/// [`EngineError::CountOverflow`].
+/// and published. With `words` as well — the name of each color set of
+/// `gq` (`Reduction::set_words`; it panics on a length mismatch) — the
+/// per-clause combination-count tier is engaged: the clauses probe the
+/// memo by signature under one lock, only novel clauses enter the pass,
+/// and their counts are published for the next query touching the same
+/// combination. When every clause hits, no candidate table or lattice is
+/// built. The count is bit-identical on every path: a memo entry is the
+/// exact count of its key, and the total is the same commutative sum. A
+/// total that does not fit `u64` is [`EngineError::CountOverflow`].
 pub fn count_graph_query(
     graph: &Structure,
     gq: &GraphQuery,
     adjacency: &crate::enumerate::EdgeAdjacency,
     par: &ParConfig,
     memo: Option<&CountingMemo>,
-    signatures: Option<&[Box<[u64]>]>,
+    words: Option<&[u64]>,
     positions: &PositionMemo,
 ) -> Result<u64, EngineError> {
-    let combos = memo.zip(signatures.filter(|s| s.len() == gq.clauses.len()));
+    let combos = memo.zip(words);
     let cached: Vec<Option<u64>> = match combos {
-        Some((memo, signatures)) => memo.probe_combos(signatures),
-        None => vec![None; gq.clauses.len()],
+        Some((memo, words)) => {
+            assert_eq!(words.len(), gq.set_count(), "one word per color set");
+            memo.probe_combos(gq, words)
+        }
+        None => vec![None; gq.clause_count()],
     };
     let mut total: u128 = cached.iter().flatten().map(|&c| u128::from(c)).sum();
-    let miss: Vec<usize> = (0..gq.clauses.len())
-        .filter(|&i| cached[i].is_none())
+    let miss: Vec<usize> = (0..gq.clause_count())
+        .filter(|&c| cached[c].is_none())
         .collect();
     if !miss.is_empty() {
-        let clauses: Vec<&GraphClause> = miss.iter().map(|&i| &gq.clauses[i]).collect();
-        let table = CandidateTable::build(graph, positions, clauses.iter().copied(), par);
-        let computed = count_clauses(&table, adjacency, gq.k, &clauses, par, memo)?;
-        for (&i, count) in miss.iter().zip(computed) {
-            if let Some((memo, signatures)) = combos {
-                memo.record_combo_count(signatures[i].clone(), count);
-            }
-            total += u128::from(count);
+        // the memo's lock is taken once per set here, so the counting that
+        // follows is lock-free
+        let table = CandidateTable {
+            query: gq,
+            lists: positions.lists(graph, gq, par),
+            nodes: graph.cardinality(),
+        };
+        let computed = count_clauses(&table, adjacency, &miss, par, memo)?;
+        if let Some((memo, words)) = combos {
+            memo.publish_combos(gq, words, &miss, &computed);
         }
+        total += computed.iter().map(|&c| u128::from(c)).sum::<u128>();
     }
     u64::try_from(total).map_err(|_| EngineError::CountOverflow)
 }
@@ -1492,7 +1480,7 @@ mod tests {
 
     #[test]
     fn memoized_counting_is_bit_identical() {
-        use crate::graph_query::{GraphClause, GraphQuery};
+        use crate::graph_query::GraphQuery;
         let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(3)).generate(21);
         let e = s.signature().rel("E").unwrap();
         let b = s.signature().rel("B").unwrap();
@@ -1501,20 +1489,8 @@ mod tests {
         let adj = crate::enumerate::EdgeAdjacency::build(&s, e);
         // two queries over the same graph whose clauses share color
         // combinations (the second permutes the first's positions)
-        let q1 = GraphQuery {
-            k: 3,
-            edge: e,
-            clauses: vec![GraphClause {
-                colors: vec![vec![b], vec![r], vec![g]],
-            }],
-        };
-        let q2 = GraphQuery {
-            k: 3,
-            edge: e,
-            clauses: vec![GraphClause {
-                colors: vec![vec![r], vec![g], vec![b]],
-            }],
-        };
+        let q1 = GraphQuery::from_clauses(3, e, &[vec![vec![b], vec![r], vec![g]]]);
+        let q2 = GraphQuery::from_clauses(3, e, &[vec![vec![r], vec![g], vec![b]]]);
         let par = ParConfig::serial();
         let memo = CountingMemo::new();
         let positions = PositionMemo::new();
@@ -1541,7 +1517,7 @@ mod tests {
         );
         // the warm memoized pass stays exact against the per-term reference
         for gq in [&q1, &q2] {
-            let want = count_clause_per_term(&s, gq, &gq.clauses[0], &adj);
+            let want = count_clause_per_term(&s, gq, 0, &adj);
             let memoized = count_graph_query(&s, gq, &adj, &par, Some(&memo), None, &positions);
             assert_eq!(memoized, Ok(want));
         }
@@ -1549,18 +1525,12 @@ mod tests {
 
     #[test]
     fn clause_counting_matches_brute_force() {
-        use crate::graph_query::{GraphClause, GraphQuery};
+        use crate::graph_query::GraphQuery;
         let s = ColoredGraphSpec::balanced(18, DegreeClass::Bounded(3)).generate(13);
         let e = s.signature().rel("E").unwrap();
         let b = s.signature().rel("B").unwrap();
         let r = s.signature().rel("R").unwrap();
-        let gq = GraphQuery {
-            k: 2,
-            edge: e,
-            clauses: vec![GraphClause {
-                colors: vec![vec![b], vec![r]],
-            }],
-        };
+        let gq = GraphQuery::from_clauses(2, e, &[vec![vec![b], vec![r]]]);
         let adj = crate::enumerate::EdgeAdjacency::build(&s, e);
         let positions = PositionMemo::new();
         let counted =
@@ -1581,25 +1551,17 @@ mod tests {
     /// counter drains every few prefix tuples ([`DRAIN_EVERY`]).
     #[test]
     fn batched_pass_matches_per_term_across_clauses() {
-        use crate::graph_query::{GraphClause, GraphQuery};
+        use crate::graph_query::GraphQuery;
         let s = ColoredGraphSpec::balanced(40, DegreeClass::Bounded(4)).generate(22);
         let rel = |name: &str| s.signature().rel(name).unwrap();
         let (b, r, g) = (rel("B"), rel("R"), rel("G"));
         let sets = [vec![b], vec![r], vec![g], vec![b, r]];
-        let clauses = (0..12)
-            .map(|i| GraphClause {
-                colors: (0..3).map(|j| sets[(i * 7 + j * 3) % 4].clone()).collect(),
-            })
+        let clauses: Vec<Vec<Vec<RelId>>> = (0..12)
+            .map(|i| (0..3).map(|j| sets[(i * 7 + j * 3) % 4].clone()).collect())
             .collect();
-        let gq = GraphQuery {
-            k: 3,
-            edge: rel("E"),
-            clauses,
-        };
+        let gq = GraphQuery::from_clauses(3, rel("E"), &clauses);
         let adj = crate::enumerate::EdgeAdjacency::build(&s, gq.edge);
-        let want: u64 = gq
-            .clauses
-            .iter()
+        let want: u64 = (0..gq.clause_count())
             .map(|c| count_clause_per_term(&s, &gq, c, &adj))
             .sum();
         assert!(want > 0);

@@ -324,13 +324,14 @@ impl Engine {
             ),
             None => Arc::new(PositionMemo::new()),
         };
-        // Clause-granular counting: each graph clause realizes one
-        // (partition, types) combination, so clause answer sets are
-        // disjoint and the query count is the sum of per-clause counts —
-        // memoized under the clause's packed signature so queries sharing
-        // a combination share its count, and a warm build whose
+        // Clause-granular counting: clause answer sets are disjoint, so the
+        // count is the sum of per-clause counts, memoized under each
+        // clause's signature (its row read through the set words): queries
+        // sharing a combination share its count, and a warm build whose
         // combinations are all memoized skips the lattice outright.
-        let signatures = config.clause_sharing.then(|| reduction.clause_signatures());
+        let words = config
+            .clause_sharing
+            .then_some(reduction.set_words.as_slice());
         let count = profiler.time(Stage::IeCount, || {
             count_graph_query(
                 reduction.graph(),
@@ -338,7 +339,7 @@ impl Engine {
                 &adjacency,
                 par,
                 memo.as_deref(),
-                signatures,
+                words,
                 &positions,
             )
         })?;
@@ -1305,11 +1306,8 @@ mod tests {
         assert_eq!(cacheless.count(), cached.count());
         for engine in [&cacheless, &cached] {
             let red = engine.reduction().expect("reduced engine");
-            assert!(red.query().clauses.len() > 1);
-            let per_term: u64 = red
-                .query()
-                .clauses
-                .iter()
+            assert!(red.query().clause_count() > 1);
+            let per_term: u64 = (0..red.query().clause_count())
                 .map(|c| {
                     crate::counting::count_clause_per_term(
                         red.graph(),
@@ -1332,13 +1330,12 @@ mod tests {
         let config = EngineConfig::default();
         let first = Engine::build_configured(&s, &q, &config, &par, Some(&cache)).unwrap();
         let red = first.reduction().expect("reduced engine");
-        let sets = red
-            .query()
-            .clauses
-            .iter()
-            .flat_map(|c| &c.colors)
+        let gq = red.query();
+        let sets = (0..gq.clause_count())
+            .flat_map(|c| gq.clause(c).iter().map(|&s| gq.set_colors(s)))
             .collect::<BTreeSet<_>>()
             .len();
+        assert_eq!(sets, gq.set_count(), "each color set is kept once");
         let (hits, misses, held) = cache.position_stats();
         assert_eq!(misses as usize, sets, "one scan per distinct color set");
         assert_eq!(held, sets);

@@ -35,7 +35,7 @@
 
 use crate::artifacts::{Profiler, Stage};
 use crate::csr::PairCsr;
-use crate::graph_query::{GraphClause, GraphQuery, PositionMemo};
+use crate::graph_query::{GraphQuery, PositionMemo};
 use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner};
 use lowdeg_par::{par_flat_map, par_map, ParConfig};
 use lowdeg_storage::{Node, Structure};
@@ -736,28 +736,27 @@ pub struct ClausePlan {
 }
 
 impl ClausePlan {
-    /// Preprocess one clause under the cost gates `limits`, drawing its
-    /// candidate lists from `positions` and recording `fixpoint` /
-    /// `skip-tables` stage timings in `profiler` (cumulative across levels;
-    /// on a multi-thread pool, concurrent levels sum their task times).
+    /// Preprocess the clause of color-set row `row` (`set_lists[s]` the
+    /// list of set `s`) over `n_graph` vertices under the cost gates
+    /// `limits`, recording `fixpoint` / `skip-tables` stage timings in
+    /// `profiler` (cumulative; concurrent levels sum their task times).
     #[allow(clippy::too_many_arguments)]
     pub fn build(
-        graph: &Structure,
-        gq: &GraphQuery,
-        clause: &GraphClause,
+        n_graph: usize,
+        row: &[u32],
+        set_lists: &[Arc<Vec<Node>>],
         adjacency: &EdgeAdjacency,
         mode: SkipMode,
         eps: Epsilon,
         limits: SkipLimits,
         par: &ParConfig,
         profiler: &Profiler,
-        positions: &PositionMemo,
     ) -> Self {
-        let k = gq.k;
-        let n_graph = graph.cardinality();
+        let k = row.len();
         let threshold = (k - 1) * adjacency.max_degree();
-        let lists: Vec<Arc<Vec<Node>>> = (0..k)
-            .map(|i| positions.position_list(graph, &clause.colors[i]))
+        let lists: Vec<Arc<Vec<Node>>> = row
+            .iter()
+            .map(|&s| Arc::clone(&set_lists[s as usize]))
             .collect();
         let strategies: Vec<Strategy> = lists
             .iter()
@@ -1270,10 +1269,11 @@ impl Enumerator {
         profiler: &Profiler,
         positions: &PositionMemo,
     ) -> Self {
-        let plans = par_map(par, &gq.clauses, |c| {
-            ClausePlan::build(
-                graph, gq, c, &adjacency, mode, eps, limits, par, profiler, positions,
-            )
+        let (n, lists) = (graph.cardinality(), positions.lists(graph, gq, par));
+        let clauses: Vec<usize> = (0..gq.clause_count()).collect();
+        let plans = par_map(par, &clauses, |&c| {
+            let row = gq.clause(c);
+            ClausePlan::build(n, row, &lists, &adjacency, mode, eps, limits, par, profiler)
         });
         Enumerator { adjacency, plans }
     }
@@ -1469,11 +1469,7 @@ mod tests {
         let colors: Vec<Vec<RelId>> = (0..k)
             .map(|i| vec![if i % 2 == 0 { a_ } else { b_ }])
             .collect();
-        let gq = GraphQuery {
-            k,
-            edge: e,
-            clauses: vec![GraphClause { colors }],
-        };
+        let gq = GraphQuery::from_clauses(k, e, &[colors]);
         (g, gq)
     }
 

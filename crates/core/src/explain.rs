@@ -206,7 +206,7 @@ impl Engine {
                 graph_nodes: red.graph().cardinality(),
                 graph_edges: edges,
                 clusters: red.cluster_count(),
-                clauses: red.query().clauses.len(),
+                clauses: red.query().clause_count(),
                 clause_plans,
             }
         });

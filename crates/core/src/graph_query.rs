@@ -8,51 +8,82 @@
 //! conjunction of required colors per position; distinct clauses have
 //! disjoint answer sets because every vertex carries exactly one `C_ι` color
 //! and exactly one type color.
+//!
+//! A reduced query has thousands of clauses over a few hundred distinct
+//! color sets, so [`GraphQuery`] keeps each set once and each clause as a
+//! flat row of `k` set ids.
 
 use crate::enumerate::EdgeAdjacency;
-use lowdeg_index::FxHashMap;
+use lowdeg_index::{FxHashMap, SliceInterner};
+use lowdeg_par::{par_map, ParConfig};
 use lowdeg_storage::{Node, RelId, Structure};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The reduced query `ψ` over the colored graph: `k` positions, an edge
 /// relation whose absence is required pairwise (`ψ₁`), and exclusive color
-/// clauses (`ψ₂`).
+/// clauses (`ψ₂`) as rows of color-set ids.
 #[derive(Clone, Debug)]
 pub struct GraphQuery {
     /// Arity.
     pub k: usize,
     /// The `E` relation of the colored graph.
     pub edge: RelId,
-    /// Mutually exclusive clauses.
-    pub clauses: Vec<GraphClause>,
-}
-
-/// One clause `θ_j`: per position, the conjunction of unary colors the
-/// vertex must carry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GraphClause {
-    /// `colors[i]` = unary relations required at position `i`.
-    pub colors: Vec<Vec<RelId>>,
-}
-
-impl GraphClause {
-    /// Does `v` satisfy the color requirements of position `i`?
-    pub fn position_accepts(&self, graph: &Structure, i: usize, v: Node) -> bool {
-        self.colors[i].iter().all(|&c| graph.holds(c, &[v]))
-    }
-
-    /// Does the whole tuple satisfy this clause (colors only — `ψ₁` is
-    /// checked separately)?
-    pub fn accepts_colors(&self, graph: &Structure, tuple: &[Node]) -> bool {
-        tuple
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| self.position_accepts(graph, i, v))
-    }
+    /// The distinct color sets, each once: set `s` is
+    /// `set_colors[set_off[s]..set_off[s + 1]]`.
+    pub(crate) set_colors: Vec<RelId>,
+    /// CSR offsets into `set_colors` (length `#sets + 1`).
+    pub(crate) set_off: Vec<u32>,
+    /// Clause `c` requires set `rows[c * k + i]` at position `i`.
+    pub(crate) rows: Vec<u32>,
 }
 
 impl GraphQuery {
+    /// A query from explicit clauses, `clauses[c][i]` the colors clause
+    /// `c` requires at position `i` (a clause of another length panics):
+    /// each distinct color set is interned once, in order of first use.
+    pub fn from_clauses(k: usize, edge: RelId, clauses: &[Vec<Vec<RelId>>]) -> Self {
+        assert!(
+            clauses.iter().all(|c| c.len() == k),
+            "one color set per position"
+        );
+        let mut sets = SliceInterner::new();
+        let rows = clauses
+            .iter()
+            .flatten()
+            .map(|set| sets.intern(set))
+            .collect();
+        let (set_colors, set_off) = sets.into_parts();
+        GraphQuery {
+            k,
+            edge,
+            set_colors,
+            set_off,
+            rows,
+        }
+    }
+
+    /// Number of clauses.
+    pub fn clause_count(&self) -> usize {
+        self.rows.len().checked_div(self.k).unwrap_or(0)
+    }
+
+    /// Clause `c`'s row: the color-set id of each position.
+    pub fn clause(&self, c: usize) -> &[u32] {
+        &self.rows[c * self.k..(c + 1) * self.k]
+    }
+
+    /// Number of distinct color sets.
+    pub fn set_count(&self) -> usize {
+        self.set_off.len() - 1
+    }
+
+    /// The colors of set `s`.
+    pub fn set_colors(&self, s: u32) -> &[RelId] {
+        let s = s as usize;
+        &self.set_colors[self.set_off[s] as usize..self.set_off[s + 1] as usize]
+    }
+
     /// Symmetric adjacency in the `E` relation (`E'` of the paper). `E`
     /// lives only in the [`EdgeAdjacency`] CSR (the reduction never
     /// materializes it as a stored relation), so the probe goes through
@@ -64,6 +95,18 @@ impl GraphQuery {
 
     /// Full semantic check of `ψ` on a tuple of graph vertices.
     pub fn accepts(&self, graph: &Structure, adjacency: &EdgeAdjacency, tuple: &[Node]) -> bool {
+        self.accepts_with(adjacency, tuple, |c, v| graph.holds(c, &[v]))
+    }
+
+    /// [`GraphQuery::accepts`] with the unary colors read through
+    /// `holds(color, vertex)`: `ψ₁` as pairwise `¬E` probes, `ψ₂` as a
+    /// scan of the clause rows.
+    pub fn accepts_with(
+        &self,
+        adjacency: &EdgeAdjacency,
+        tuple: &[Node],
+        holds: impl Fn(RelId, Node) -> bool,
+    ) -> bool {
         debug_assert_eq!(tuple.len(), self.k);
         for i in 0..tuple.len() {
             for j in (i + 1)..tuple.len() {
@@ -72,18 +115,36 @@ impl GraphQuery {
                 }
             }
         }
-        self.clauses.iter().any(|c| c.accepts_colors(graph, tuple))
+        let has = |s: u32, v: Node| self.set_colors(s).iter().all(|&c| holds(c, v));
+        (0..self.clause_count()).any(|c| self.clause(c).iter().zip(tuple).all(|(&s, &v)| has(s, v)))
     }
+}
+
+/// The ids of the `width`-wide rows of `flat`, sorted by row — the index
+/// [`find_row`] searches. Stable, so a table grown by appending sorts in
+/// near-linear time.
+pub(crate) fn sort_rows<T: Ord>(flat: &[T], width: usize, ids: &mut [u32]) {
+    let row = |id: u32| &flat[id as usize * width..(id as usize + 1) * width];
+    ids.sort_by(|&a, &b| row(a).cmp(row(b)));
+}
+
+/// The id of the row of `flat` equal to `key`, by binary search of the
+/// [`sort_rows`] index `sorted`: `O(width · log #rows)`, no allocation.
+pub(crate) fn find_row<T: Ord>(flat: &[T], sorted: &[u32], key: &[T]) -> Option<u32> {
+    let width = key.len();
+    sorted
+        .binary_search_by(|&id| flat[id as usize * width..(id as usize + 1) * width].cmp(key))
+        .ok()
+        .map(|at| sorted[at])
 }
 
 /// The candidate-list table of one reduced colored graph: memoized
 /// [`position_list`]s keyed by the exact color set.
 ///
-/// A reduced query has one [`GraphClause`] per accepted Step 5
-/// combination — easily tens of thousands — but its positions draw from
-/// only a few hundred distinct `(C_ι, C_τ)` color pairs, so a per-clause
-/// column intersection would rescan the same relation columns thousands of
-/// times. The memo collapses that to one scan per distinct color set.
+/// The lists are properties of the colored graph alone: a query probes
+/// one per color set of its table, and the memo lets every build on the
+/// same graph share the column intersections (a repeat build, or another
+/// query drawing the same `(C_ι, C_τ)` pairs, scans nothing).
 ///
 /// Every engine build resolves **one** table and hands it to both readers
 /// of the lists: Lemma 3.5 counting ([`crate::counting::count_graph_query`])
@@ -105,23 +166,28 @@ impl PositionMemo {
         Self::default()
     }
 
-    /// The memoized `P(G)` list for `colors`, built on first use. The
+    /// The memoized `P(G)` list of every color set of `gq`, by set id,
+    /// each built on first use: one probe per set, fanned over `par`. A
     /// scan runs outside the lock; a concurrent first probe keeps the
     /// earlier insertion (both scans produce the identical list).
-    pub fn position_list(&self, graph: &Structure, colors: &[RelId]) -> Arc<Vec<Node>> {
-        if let Some(hit) = self.map.lock().expect("memo poisoned").get(colors) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(position_list(graph, colors));
-        Arc::clone(
-            self.map
-                .lock()
-                .expect("memo poisoned")
-                .entry(colors.to_vec())
-                .or_insert(built),
-        )
+    pub fn lists(
+        &self,
+        graph: &Structure,
+        gq: &GraphQuery,
+        par: &ParConfig,
+    ) -> Vec<Arc<Vec<Node>>> {
+        let sets: Vec<u32> = (0..gq.set_count() as u32).collect();
+        par_map(par, &sets, |&s| {
+            let colors = gq.set_colors(s);
+            if let Some(hit) = self.map.lock().expect("memo poisoned").get(colors) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(hit);
+            }
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let built = Arc::new(position_list(graph, colors));
+            let mut map = self.map.lock().expect("memo poisoned");
+            Arc::clone(map.entry(colors.to_vec()).or_insert(built))
+        })
     }
 
     /// Number of distinct color sets held.
@@ -318,13 +384,7 @@ mod tests {
     #[test]
     fn clause_acceptance() {
         let (g, e, b_, r_) = graph();
-        let q = GraphQuery {
-            k: 2,
-            edge: e,
-            clauses: vec![GraphClause {
-                colors: vec![vec![b_], vec![r_]],
-            }],
-        };
+        let q = GraphQuery::from_clauses(2, e, &[vec![vec![b_], vec![r_]]]);
         let adj = EdgeAdjacency::build(&g, e);
         assert!(q.accepts(&g, &adj, &[node(1), node(3)]));
         assert!(!q.accepts(&g, &adj, &[node(0), node(3)])); // edge violates ψ₁
@@ -335,14 +395,39 @@ mod tests {
     #[test]
     fn adjacency_is_symmetrized() {
         let (g, e, _, _) = graph();
-        let q = GraphQuery {
-            k: 2,
-            edge: e,
-            clauses: vec![],
-        };
+        let q = GraphQuery::from_clauses(2, e, &[]);
         let adj = EdgeAdjacency::build(&g, e);
         assert!(q.adjacent(&adj, node(0), node(3)));
         assert!(q.adjacent(&adj, node(3), node(0)));
         assert!(!q.adjacent(&adj, node(1), node(2)));
+    }
+
+    #[test]
+    fn clauses_share_each_color_set_once() {
+        let (_, e, b_, r_) = graph();
+        let clauses = [
+            vec![vec![b_], vec![r_]],
+            vec![vec![r_], vec![b_, r_]],
+            vec![vec![b_, r_], vec![b_]],
+        ];
+        let q = GraphQuery::from_clauses(2, e, &clauses);
+        assert_eq!((q.clause_count(), q.set_count()), (3, 3));
+        assert_eq!(
+            [q.clause(0), q.clause(1), q.clause(2)],
+            [[0, 1], [1, 2], [2, 0]]
+        );
+        for (c, clause) in clauses.iter().enumerate() {
+            for (&s, colors) in q.clause(c).iter().zip(clause) {
+                assert_eq!(q.set_colors(s), colors.as_slice());
+            }
+        }
+        // the row index finds every row, and nothing else
+        let mut sorted: Vec<u32> = (0..3).collect();
+        sort_rows(&q.rows, 2, &mut sorted);
+        assert_eq!(sorted, [0, 1, 2]);
+        for c in 0..3u32 {
+            assert_eq!(find_row(&q.rows, &sorted, q.clause(c as usize)), Some(c));
+        }
+        assert_eq!(find_row(&q.rows, &sorted, &[0, 0]), None);
     }
 }

@@ -58,6 +58,6 @@ pub use counting::CountingMemo;
 pub use engine::{AnswerStream, Engine, EngineConfig, NormalizationInfo, WorkloadStats};
 pub use enumerate::{ClausePlan, Enumerator, SkipLimits, SkipMode, VertexStream};
 pub use error::EngineError;
-pub use graph_query::{position_list, GraphClause, GraphQuery, PositionMemo};
+pub use graph_query::{position_list, GraphQuery, PositionMemo};
 pub use reduction::{CoreDigest, Reduction, ReductionCore};
 pub use testing::TestIndex;

@@ -38,8 +38,9 @@
 //!    once, on lone key views, by the conjuncts local to it, and only
 //!    conjuncts no part decides alone are evaluated, against a borrowed
 //!    [`UnionView`] of the key views — the union is never materialized.
-//!    Accepted combinations become the exclusive clauses of `ψ₂`; `ψ₁` is
-//!    the pairwise `¬E` guard.
+//!    Accepted combinations become the exclusive clauses of `ψ₂`, kept
+//!    once, as [`GraphQuery`]'s colour-set table and clause rows, plus one
+//!    packed `(ι, type)` word per set here; `ψ₁` is the pairwise `¬E` guard.
 //!
 //! # Assembly layout
 //!
@@ -65,9 +66,9 @@
 
 use crate::artifacts::{ArtifactCache, Profiler, Stage};
 use crate::enumerate::{BlockRows, EdgeAdjacency};
-use crate::graph_query::{GraphClause, GraphQuery};
+use crate::graph_query::{find_row, sort_rows, GraphQuery};
 use crate::EngineError;
-use lowdeg_index::{Epsilon, FxHashMap, FxHashSet, RadixFuncStore, SliceInterner};
+use lowdeg_index::{Epsilon, FxHashMap, RadixFuncStore, SliceInterner};
 use lowdeg_locality::types::Canonicalizer;
 use lowdeg_locality::{localize, KeyView, LocalQuery, TypeId};
 use lowdeg_logic::eval::{eval, Assignment, Model};
@@ -86,7 +87,7 @@ pub const DEFAULT_COMBINATION_BUDGET: u64 = 1_000_000;
 /// Unreachable in practice: the preprocessing enumerates all `k!`-many
 /// injections and `Bell(k)` partitions, which is infeasible long before
 /// `k = 64`.
-const MAX_ARITY: usize = 64;
+pub(crate) const MAX_ARITY: usize = 64;
 
 /// Packed `(tuple_id, iota)` key of the reference build's cluster-vertex
 /// lookup (the production layout resolves vertices arithmetically).
@@ -95,14 +96,11 @@ fn pack_lookup_key(tuple_id: u32, iota: u16) -> u64 {
     ((tuple_id as u64) << 16) | iota as u64
 }
 
-/// One answer position's `(ι, type)` signature packed into a `u64`
-/// (`0` = the dummy / a base node).
+/// One answer position's `(ι, type)` signature packed into a `u64` (the
+/// dummy and base nodes have the word `0`).
 #[inline]
-fn pack_signature(sig: Option<(u16, u32)>) -> u64 {
-    match sig {
-        None => 0,
-        Some((iota, ty)) => ((iota as u64 + 1) << 32) | ty as u64,
-    }
+fn pack_signature(iota: u16, ty: u32) -> u64 {
+    ((iota as u64 + 1) << 32) | ty as u64
 }
 
 /// One cluster vertex `v_(b̄, ι)` of the *reference* build (the production
@@ -292,23 +290,16 @@ pub struct Reduction {
     core: Arc<ReductionCore>,
     /// The reduced quantifier-free query `ψ` over `G`.
     query: GraphQuery,
-    /// Locality radius `r` of the matrix.
-    radius: usize,
-    /// `2r + 1` — the cluster-separation distance.
-    two_r1: usize,
-    /// The localized matrix (kept for diagnostics and tests).
+    /// The localized matrix, with its locality radius `r`.
     local: LocalQuery,
-    /// Accepted clause signatures for O(k) testing: per answer position the
-    /// packed `(ι, type)` of the cluster vertex ([`pack_signature`]; `0`
-    /// for the dummy). Probed with a stack-assembled `&[u64]`, so
-    /// [`Reduction::test_signature`] allocates nothing. Exactly one clause
-    /// matches any signature (clauses are mutually exclusive).
-    accepted: FxHashSet<Box<[u64]>>,
-    /// The packed signature of each reduced clause, aligned with
-    /// `query.clauses` — the key the per-clause combo-count tier of the
-    /// [`crate::CountingMemo`] probes (a signature determines its clause's
-    /// colors against this core, so the count is a pure function of it).
-    clause_sigs: Vec<Box<[u64]>>,
+    /// The name of each color set of `query`, ascending: the packed
+    /// `(ι, type)` word of its `C_ι ∧ C_t` ([`pack_signature`]; `0` for
+    /// `C_⊥`), the same on every build on the core. A clause's row read
+    /// through these words is its *signature*, the key of the
+    /// [`crate::CountingMemo`]'s combination tier.
+    pub(crate) set_words: Vec<u64>,
+    /// The clause ids sorted by row, so by signature.
+    by_row: Vec<u32>,
     /// What this build's Step 5 decided and evaluated.
     step5_stats: Step5Stats,
 }
@@ -397,7 +388,6 @@ impl Reduction {
         }
         let local = localize(structure, query)?;
         let r = local.radius;
-        let two_r1 = 2 * r + 1;
 
         // --- query-independent core: everything that depends only on the
         // structure content and (r, k, eps) — a warm cache skips it
@@ -429,20 +419,29 @@ impl Reduction {
             }
             _ => None,
         };
-        let (query_out, accepted, clause_sigs) =
-            step5(&core, &local, budget, par, tier, &mut step5_stats)?;
+        let psi = step5(&core, &local, budget, par, tier, &mut step5_stats)?;
         profiler.add(Stage::Reduce, reduce_started.elapsed().as_nanos() as u64);
+        Ok(Reduction::new(core, psi, local, step5_stats))
+    }
 
-        Ok(Reduction {
+    /// A reduction from its core, Step 5's clause table and set words, and
+    /// the localized matrix; sorts the clause ids into the test index.
+    fn new(
+        core: Arc<ReductionCore>,
+        (query, set_words): (GraphQuery, Vec<u64>),
+        local: LocalQuery,
+        step5_stats: Step5Stats,
+    ) -> Self {
+        let mut by_row: Vec<u32> = (0..query.clause_count() as u32).collect();
+        sort_rows(&query.rows, query.k, &mut by_row);
+        Reduction {
             core,
-            query: query_out,
-            radius: r,
-            two_r1,
+            query,
             local,
-            accepted,
-            clause_sigs,
+            set_words,
+            by_row,
             step5_stats,
-        })
+        }
     }
 
     /// Differential oracle: the original per-vertex construction, kept
@@ -464,20 +463,9 @@ impl Reduction {
             return Err(EngineError::Sentence);
         }
         let local = localize(structure, query)?;
-        let r = local.radius;
-        let two_r1 = 2 * r + 1;
-        let core = Arc::new(build_core_reference(structure, r, k, eps, par));
-        let (query_out, accepted, clause_sigs) = step5_reference(&core, &local, budget, par)?;
-        Ok(Reduction {
-            core,
-            query: query_out,
-            radius: r,
-            two_r1,
-            local,
-            accepted,
-            clause_sigs,
-            step5_stats: Step5Stats::default(),
-        })
+        let core = Arc::new(build_core_reference(structure, local.radius, k, eps, par));
+        let psi = step5_reference(&core, &local, budget, par)?;
+        Ok(Reduction::new(core, psi, local, Step5Stats::default()))
     }
 
     /// The colored graph `G`.
@@ -493,12 +481,6 @@ impl Reduction {
         &self.core.adjacency
     }
 
-    /// Packed acceptance signature of each graph clause, aligned with
-    /// `self.query.clauses` — the key of the combo-count memo tier.
-    pub(crate) fn clause_signatures(&self) -> &[Box<[u64]>] {
-        &self.clause_sigs
-    }
-
     /// The reduced query `ψ`.
     pub fn query(&self) -> &GraphQuery {
         &self.query
@@ -506,12 +488,12 @@ impl Reduction {
 
     /// The locality radius `r` the reduction ran with.
     pub fn radius(&self) -> usize {
-        self.radius
+        self.local.radius
     }
 
     /// The cluster-separation distance `2r + 1`.
     pub fn separation(&self) -> usize {
-        self.two_r1
+        2 * self.local.radius + 1
     }
 
     /// The core's `C_ι` classification (see
@@ -581,15 +563,22 @@ impl Reduction {
             }
             mix(u64::MAX);
         }
-        let mut accepted: Vec<Vec<u64>> = self.accepted.iter().map(|s| s.to_vec()).collect();
-        accepted.sort_unstable();
+        // the row index is in signature order
+        let accepted: Vec<Vec<u64>> = self
+            .by_row
+            .iter()
+            .map(|&c| {
+                let row = self.query.clause(c as usize);
+                row.iter().map(|&s| self.set_words[s as usize]).collect()
+            })
+            .collect();
         CoreDigest {
             tuples,
             tuple_types,
             graph_fingerprint: c.graph.fingerprint(),
             adjacency_hash,
             accepted,
-            clauses: self.query.clauses.len(),
+            clauses: self.query.clause_count(),
         }
     }
 
@@ -732,40 +721,42 @@ impl Reduction {
             .accepts(&self.core.graph, &self.core.adjacency, &v))
     }
 
-    /// The `(ι, type)` signature of a graph vertex (`None` for the dummy
-    /// and for base `A`-nodes).
-    pub fn vertex_signature(&self, v: Node) -> Option<(u16, u32)> {
-        let idx = v.index().checked_sub(self.core.base_n + 1)?;
-        if idx >= self.core.vertex_count() {
-            return None;
+    /// The packed `(ι, type)` word of a graph vertex ([`pack_signature`];
+    /// `0` for the dummy and for base `A`-nodes).
+    fn vertex_word(&self, v: Node) -> u64 {
+        match v.index().checked_sub(self.core.base_n + 1) {
+            Some(idx) if idx < self.core.vertex_count() => {
+                let (tid, io_id) = self.core.decode_vertex(idx);
+                pack_signature(io_id, self.core.tuple_ty[tid].0)
+            }
+            _ => 0,
         }
-        let (tid, io_id) = self.core.decode_vertex(idx);
-        Some((io_id, self.core.tuple_ty[tid].0))
     }
 
-    /// O(k²) membership test through the accepted-signature set.
+    /// Allocation-free membership through the clause table.
     ///
     /// `f(ā)`'s cluster vertices are pairwise non-`E`-adjacent *by
     /// construction* (the partition is the transitive closure of the
     /// ≤ 2r+1 nearness relation, so distinct parts share no near pair),
-    /// hence `ψ₁` always holds on images of `f` and membership reduces to a
-    /// single hash probe of the `(ι, type)` signature.
+    /// hence `ψ₁` always holds on images of `f` and membership reduces to
+    /// finding the clause whose signature is `f(ā)`'s `(ι, type)` words,
+    /// by binary searches of the set words and the row index:
+    /// `O(k² + k log #clauses)`, `#clauses` fixed by the query and the
+    /// degree (Theorem 2.6).
     pub fn test_signature(&self, tuple: &[Node]) -> Result<bool, EngineError> {
         let k = self.core.k;
         let mut v_buf = [Node(0); MAX_ARITY];
         self.forward_write(tuple, &mut v_buf[..k])?;
-        let mut sig_buf = [0u64; MAX_ARITY];
-        for (s, &u) in sig_buf.iter_mut().zip(&v_buf[..k]) {
-            *s = pack_signature(self.vertex_signature(u));
+        let mut row = [0u32; MAX_ARITY];
+        for (s, &u) in row.iter_mut().zip(&v_buf[..k]) {
+            match self.set_words.binary_search(&self.vertex_word(u)) {
+                Ok(id) => *s = id as u32,
+                Err(_) => return Ok(false), // no clause names this color set
+            }
         }
-        Ok(self.accepted.contains(&sig_buf[..k]))
+        Ok(find_row(&self.query.rows, &self.by_row, &row[..k]).is_some())
     }
 }
-
-/// What [`step5`] produces: the exclusive clauses of `ψ₂`, the packed
-/// signature set backing [`Reduction::test_signature`], and the per-clause
-/// signatures aligned with the clause list.
-type Step5Output = (GraphQuery, FxHashSet<Box<[u64]>>, Vec<Box<[u64]>>);
 
 /// The cacheable per-clause acceptance set: the combinations *one*
 /// localized clause matrix accepts against a core, as ascending
@@ -850,18 +841,18 @@ impl Step5Layout {
         }
     }
 
-    /// The packed signature of the combination ranked `rank`: the
-    /// `(ι, type)` word of each part in part order, padded with the dummy.
-    fn signature(&self, k: usize, (pi, mut rem): ComboRank) -> Box<[u64]> {
+    /// Write the packed signature of the combination ranked `rank` into
+    /// `sig` (length `k`): the `(ι, type)` word of each part in part
+    /// order, padded with the dummy's `0`.
+    fn signature(&self, (pi, mut rem): ComboRank, sig: &mut [u64]) {
         let p = &self.partitions[pi as usize];
-        let mut sig = vec![pack_signature(None); k];
+        sig.fill(0);
         for j in (0..p.len()).rev() {
             let ts = &self.types[p[j].len()];
             let t = ts[(rem % ts.len() as u64) as usize];
             rem /= ts.len() as u64;
-            sig[j] = pack_signature(Some((self.iotas[pi as usize][j], t.0)));
+            sig[j] = pack_signature(self.iotas[pi as usize][j], t.0);
         }
-        sig.into()
     }
 }
 
@@ -890,7 +881,7 @@ fn step5(
     par: &ParConfig,
     tier: Option<ClauseTier>,
     stats: &mut Step5Stats,
-) -> Result<Step5Output, EngineError> {
+) -> Result<(GraphQuery, Vec<u64>), EngineError> {
     check_budget(core, budget)?;
     let layout = Step5Layout::new(core);
     let mut ranks: Vec<ComboRank> = Vec::new();
@@ -929,7 +920,7 @@ fn step5_reference(
     local: &LocalQuery,
     budget: u64,
     par: &ParConfig,
-) -> Result<Step5Output, EngineError> {
+) -> Result<(GraphQuery, Vec<u64>), EngineError> {
     check_budget(core, budget)?;
     let layout = Step5Layout::new(core);
     let mut ranks = Vec::new();
@@ -1305,46 +1296,51 @@ impl Chains {
 }
 
 /// The Step 5 output for accepted combinations in any order, duplicates
-/// allowed: sorted into canonical rank order and deduplicated, one clause
-/// per combination, its colors decoded from the packed `(ι+1, type)`
-/// words (`C_ι ∧ C_t` per part, `C_⊥` per padding word).
+/// allowed: the clause table of `ψ₂` and its set words. The ranks are
+/// sorted into canonical order and deduplicated, one clause per
+/// combination; each rank decodes straight into its row of packed
+/// `(ι+1, type)` words, the distinct words become the color sets in
+/// ascending order (`C_ι ∧ C_t` per part, `C_⊥` for the padding word `0`),
+/// and each word of a row is replaced by its set's id.
 fn step5_emit(
     core: &ReductionCore,
     layout: &Step5Layout,
     mut ranks: Vec<ComboRank>,
-) -> Step5Output {
+) -> (GraphQuery, Vec<u64>) {
     ranks.sort_unstable();
     ranks.dedup();
-    let clause_sigs: Vec<Box<[u64]>> = ranks
+    let k = core.k;
+    let mut words = vec![0u64; ranks.len() * k];
+    for (&rank, sig) in ranks.iter().zip(words.chunks_exact_mut(k)) {
+        layout.signature(rank, sig);
+    }
+    let mut set_words = words.clone();
+    set_words.sort_unstable();
+    set_words.dedup();
+    set_words.shrink_to_fit(); // kept by the reduction
+    let (mut set_colors, mut set_off) = (Vec::new(), vec![0u32]);
+    for &w in &set_words {
+        if w == 0 {
+            set_colors.push(core.cbot());
+        } else {
+            let io = ((w >> 32) - 1) as u16;
+            let ty = TypeId((w & 0xFFFF_FFFF) as u32);
+            set_colors.extend([core.ci(io), core.ct(ty)]);
+        }
+        set_off.push(set_colors.len() as u32);
+    }
+    let rows = words
         .iter()
-        .map(|&rank| layout.signature(core.k, rank))
+        .map(|w| set_words.binary_search(w).expect("every word is a set") as u32)
         .collect();
-    let clauses = clause_sigs
-        .iter()
-        .map(|sig| GraphClause {
-            colors: sig
-                .iter()
-                .map(|&w| {
-                    if w == 0 {
-                        vec![core.cbot()]
-                    } else {
-                        let io = ((w >> 32) - 1) as u16;
-                        let ty = TypeId((w & 0xFFFF_FFFF) as u32);
-                        vec![core.ci(io), core.ct(ty)]
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    (
-        GraphQuery {
-            k: core.k,
-            edge: core.edge,
-            clauses,
-        },
-        clause_sigs.iter().cloned().collect(),
-        clause_sigs,
-    )
+    let query = GraphQuery {
+        k,
+        edge: core.edge,
+        set_colors,
+        set_off,
+        rows,
+    };
+    (query, set_words)
 }
 
 /// Shard count for a partitioned pass over `len` items.
@@ -1433,21 +1429,8 @@ pub(crate) fn build_core(
             (lens, data)
         },
     );
-    let ntup: usize = tuple_shards.iter().map(|(l, _)| l.len()).sum();
-    let mut tuple_off: Vec<u32> = Vec::with_capacity(ntup + 1);
-    tuple_off.push(0);
-    let mut tuple_data: Vec<Node> =
-        Vec::with_capacity(tuple_shards.iter().map(|(_, d)| d.len()).sum());
-    for (lens, data) in tuple_shards {
-        for l in lens {
-            tuple_off.push(tuple_off.last().unwrap() + l);
-        }
-        if tuple_data.is_empty() {
-            tuple_data = data; // adopt the first (possibly only) shard
-        } else {
-            tuple_data.extend(data);
-        }
-    }
+    let (tuple_off, tuple_data) = stitch_csr(tuple_shards);
+    let ntup = tuple_off.len() - 1;
     let tslice =
         |j: usize| -> &[Node] { &tuple_data[tuple_off[j] as usize..tuple_off[j + 1] as usize] };
 
@@ -1487,53 +1470,26 @@ pub(crate) fn build_core(
             }
             (mlens, mdata, slens, sdata)
         });
-    let mut mem_off: Vec<u32> = Vec::with_capacity(ngroups + 1);
-    mem_off.push(0);
-    let mut mem_data: Vec<Node> = Vec::new();
-    let mut suf_off: Vec<u32> = Vec::with_capacity(ngroups + 1);
-    suf_off.push(0);
-    let mut suf_data: Vec<u32> = Vec::new();
-    for (mlens, mdata, slens, sdata) in b1_shards {
-        for l in mlens {
-            mem_off.push(mem_off.last().unwrap() + l);
-        }
-        if mem_data.is_empty() {
-            mem_data = mdata;
-        } else {
-            mem_data.extend(mdata);
-        }
-        for l in slens {
-            suf_off.push(suf_off.last().unwrap() + l);
-        }
-        if suf_data.is_empty() {
-            suf_data = sdata;
-        } else {
-            suf_data.extend(sdata);
-        }
-    }
+    let (mem_shards, suf_shards): (Vec<_>, Vec<_>) = b1_shards
+        .into_iter()
+        .map(|(mlens, mdata, slens, sdata)| ((mlens, mdata), (slens, sdata)))
+        .unzip();
+    let (mem_off, mem_data) = stitch_csr(mem_shards);
+    let (suf_off, suf_data) = stitch_csr(suf_shards);
     let mem = |gi: usize| -> &[Node] { &mem_data[mem_off[gi] as usize..mem_off[gi + 1] as usize] };
     let suf = |gi: usize| -> &[u32] { &suf_data[suf_off[gi] as usize..suf_off[gi + 1] as usize] };
 
     // Suffix classes: groups with byte-equal key tails share a class id.
     // Only equality matters downstream, and the numbering is deterministic
-    // (sort with group-id tie-break).
-    let mut sorder: Vec<u32> = (0..ngroups as u32).collect();
-    sorder.sort_unstable_by(|&a, &b| suf(a as usize).cmp(suf(b as usize)).then(a.cmp(&b)));
+    // (classes in order of their first group).
+    let (sorder, sruns) = sorted_runs(ngroups, |a, b| suf(a).cmp(suf(b)));
     let mut suf_class: Vec<u32> = vec![0u32; ngroups];
-    let mut nclasses = 0u32;
-    let mut i = 0usize;
-    while i < sorder.len() {
-        let mut e = i + 1;
-        while e < sorder.len() && suf(sorder[e] as usize) == suf(sorder[i] as usize) {
-            e += 1;
+    for (class, &(_, start, end)) in sruns.iter().enumerate() {
+        for &gi in &sorder[start as usize..end as usize] {
+            suf_class[gi as usize] = class as u32;
         }
-        for &gi in &sorder[i..e] {
-            suf_class[gi as usize] = nclasses;
-        }
-        nclasses += 1;
-        i = e;
     }
-    drop(sorder);
+    drop((sorder, sruns));
 
     // Phase B2 (per tuple): the short tuple-dependent key head
     // `[|members|, local ranks of the components]`. Head + the group's
@@ -1541,8 +1497,9 @@ pub(crate) fn build_core(
     // tuples have equal keys iff their heads match and their groups'
     // suffix classes match.
     let tuple_idx: Vec<u32> = (0..ntup as u32).collect();
-    let pre_shards: Vec<Vec<u32>> =
+    let pre_shards: Vec<(Vec<u32>, Vec<u32>)> =
         par_partition(par, &tuple_idx, partition_parts(par, ntup), |_, range| {
+            let mut lens: Vec<u32> = Vec::with_capacity(range.len());
             let mut data: Vec<u32> = Vec::with_capacity(range.len() * (k + 1));
             for &j in range {
                 let j = j as usize;
@@ -1551,22 +1508,11 @@ pub(crate) fn build_core(
                 for &b in tslice(j) {
                     data.push(members.binary_search(&b).expect("component in own ball") as u32);
                 }
+                lens.push(1 + tslice(j).len() as u32);
             }
-            data
+            (lens, data)
         });
-    let mut pre_off: Vec<u32> = Vec::with_capacity(ntup + 1);
-    pre_off.push(0);
-    for j in 0..ntup {
-        pre_off.push(pre_off.last().unwrap() + 1 + (tuple_off[j + 1] - tuple_off[j]));
-    }
-    let mut pre_data: Vec<u32> = Vec::with_capacity(*pre_off.last().unwrap() as usize);
-    for shard in pre_shards {
-        if pre_data.is_empty() {
-            pre_data = shard;
-        } else {
-            pre_data.extend(shard);
-        }
-    }
+    let (pre_off, pre_data) = stitch_csr(pre_shards);
     let pre = |j: usize| -> &[u32] { &pre_data[pre_off[j] as usize..pre_off[j + 1] as usize] };
 
     // Sorted-run dedup over `(suffix class, key head)` — short compares
@@ -1574,28 +1520,11 @@ pub(crate) fn build_core(
     // tie-break, so each run's head is its *minimal* tuple index; runs
     // become type groups, and groups re-sorted by head recover first-
     // occurrence order — the exact order the reference build interns in.
-    let same_key = |a: usize, b: usize| -> bool {
-        suf_class[esg.tgroup[a] as usize] == suf_class[esg.tgroup[b] as usize] && pre(a) == pre(b)
-    };
-    let mut order: Vec<u32> = (0..ntup as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (x, y) = (a as usize, b as usize);
+    let (order, groups) = sorted_runs(ntup, |x, y| {
         suf_class[esg.tgroup[x] as usize]
             .cmp(&suf_class[esg.tgroup[y] as usize])
             .then_with(|| pre(x).cmp(pre(y)))
-            .then(a.cmp(&b))
     });
-    let mut groups: Vec<(u32, u32, u32)> = Vec::new(); // (head tuple, start, end) in `order`
-    let mut i = 0usize;
-    while i < order.len() {
-        let mut e = i + 1;
-        while e < order.len() && same_key(order[e] as usize, order[i] as usize) {
-            e += 1;
-        }
-        groups.push((order[i], i as u32, e as u32));
-        i = e;
-    }
-    groups.sort_unstable_by_key(|&(head, _, _)| head);
 
     // Canonical encodings straight from each group's exact key
     // `pre(head) ++ suf(set group)`, fanned out over the distinct groups
@@ -1753,8 +1682,8 @@ impl EsetGroups {
     }
 }
 
-/// Bucket the cluster-tuple CSR by element set (sort with index tie-break,
-/// then runs → groups re-ordered by minimal member).
+/// Bucket the cluster-tuple CSR by element set ([`sorted_runs`]: groups
+/// ordered by minimal member).
 fn element_set_groups(tuple_off: &[u32], tuple_data: &[Node]) -> EsetGroups {
     let ntup = tuple_off.len() - 1;
     let mut eset_off: Vec<u32> = Vec::with_capacity(ntup + 1);
@@ -1770,19 +1699,7 @@ fn element_set_groups(tuple_off: &[u32], tuple_data: &[Node]) -> EsetGroups {
         eset_off.push(eset.len() as u32);
     }
     let eslice = |j: usize| -> &[Node] { &eset[eset_off[j] as usize..eset_off[j + 1] as usize] };
-    let mut order: Vec<u32> = (0..ntup as u32).collect();
-    order.sort_unstable_by(|&a, &b| eslice(a as usize).cmp(eslice(b as usize)).then(a.cmp(&b)));
-    let mut runs: Vec<(u32, u32, u32)> = Vec::new(); // (head, start, end) in `order`
-    let mut i = 0usize;
-    while i < order.len() {
-        let mut e = i + 1;
-        while e < order.len() && eslice(order[e] as usize) == eslice(order[i] as usize) {
-            e += 1;
-        }
-        runs.push((order[i], i as u32, e as u32));
-        i = e;
-    }
-    runs.sort_unstable_by_key(|&(head, _, _)| head);
+    let (order, runs) = sorted_runs(ntup, |a, b| eslice(a).cmp(eslice(b)));
     let mut tgroup: Vec<u32> = vec![0u32; ntup];
     for (gi, &(_, start, end)) in runs.iter().enumerate() {
         for &j in &order[start as usize..end as usize] {
@@ -1796,6 +1713,56 @@ fn element_set_groups(tuple_off: &[u32], tuple_data: &[Node]) -> EsetGroups {
         heads,
         tgroup,
     }
+}
+
+/// Stitch per-shard `(row lengths, row data)` runs, in shard order, into
+/// one CSR: the offsets (length `#rows + 1`) and the concatenated data.
+/// The first shard with data is adopted, not copied — with a single shard
+/// (a serial pool) nothing is copied at all — and grown once to the total.
+fn stitch_csr<T>(shards: Vec<(Vec<u32>, Vec<T>)>) -> (Vec<u32>, Vec<T>) {
+    let rows: usize = shards.iter().map(|(lens, _)| lens.len()).sum();
+    let total: usize = shards.iter().map(|(_, shard)| shard.len()).sum();
+    let mut off: Vec<u32> = Vec::with_capacity(rows + 1);
+    off.push(0);
+    let mut data: Vec<T> = Vec::new();
+    for (lens, shard) in shards {
+        for l in lens {
+            off.push(off.last().unwrap() + l);
+        }
+        if data.is_empty() {
+            data = shard;
+            data.reserve_exact(total - data.len());
+        } else {
+            data.extend(shard);
+        }
+    }
+    (off, data)
+}
+
+/// Group the indices `0..len` into runs of equal keys: the indices sorted
+/// by `cmp` with the index as tie-break, and the runs `(head, start, end)`
+/// — `head` the run's minimal index, `start..end` its span of the sorted
+/// indices — ordered by head, so every numbering derived from the runs is
+/// first-occurrence order.
+fn sorted_runs(
+    len: usize,
+    cmp: impl Fn(usize, usize) -> Ordering,
+) -> (Vec<u32>, Vec<(u32, u32, u32)>) {
+    let mut order: Vec<u32> = (0..len as u32).collect();
+    order.sort_unstable_by(|&a, &b| cmp(a as usize, b as usize).then(a.cmp(&b)));
+    let mut runs: Vec<(u32, u32, u32)> = Vec::new();
+    let mut i = 0usize;
+    while i < order.len() {
+        let head = order[i] as usize;
+        let mut e = i + 1;
+        while e < order.len() && cmp(order[e] as usize, head) == Ordering::Equal {
+            e += 1;
+        }
+        runs.push((order[i], i as u32, e as u32));
+        i = e;
+    }
+    runs.sort_unstable_by_key(|&(head, _, _)| head);
+    (order, runs)
 }
 
 /// Step 5's relation `R`: the pairs of `A`-nodes within distance `2r+1`,
@@ -1956,26 +1923,8 @@ fn tuple_e_join(
         }
         (row_len, adj_flat)
     });
-    // Assemble the group row CSR; a single shard (serial pool) is adopted
-    // as-is instead of copied.
-    let mut row_off: Vec<u32> = Vec::with_capacity(esg.heads.len() + 1);
-    row_off.push(0);
-    for (row_len, _) in &shards {
-        for &l in row_len {
-            row_off.push(row_off.last().unwrap() + l);
-        }
-    }
+    let (row_off, rows) = stitch_csr(shards);
     debug_assert_eq!(row_off.len(), esg.heads.len() + 1);
-    let rows: Vec<u32> = if shards.len() == 1 {
-        shards.into_iter().next().unwrap().1
-    } else {
-        let entries: usize = shards.iter().map(|(_, f)| f.len()).sum();
-        let mut out: Vec<u32> = Vec::with_capacity(entries);
-        for (_, f) in shards {
-            out.extend(f);
-        }
-        out
-    };
     EdgeAdjacency::from_blocks(BlockRows {
         first: (n + 1) as u32,
         block,

@@ -16,7 +16,7 @@ use lowdeg_storage::{Node, Structure};
 /// The constant-time membership tester.
 ///
 /// The default [`TestIndex::test`] path needs only the reduction's
-/// accepted-signature set. The Corollary 2.2 [`FactIndex`] over `G` — used
+/// clause table. The Corollary 2.2 [`FactIndex`] over `G` — used
 /// by the literal Proposition 3.7 route — is built lazily on first use: its
 /// preprocessing is dominated by `G`'s edge relation (`n·d^{h(q)}` tuples),
 /// by far the most expensive single structure of the pipeline.
@@ -50,7 +50,7 @@ impl TestIndex {
     }
 
     /// Constant-time test `ā ∈ φ(A)`: `O(k²)` near-pair lookups for `f(ā)`
-    /// plus one probe of the accepted-signature set.
+    /// plus a binary search of the clause table.
     pub fn test(&self, tuple: &[Node]) -> Result<bool, EngineError> {
         let fast = self.reduction.test_signature(tuple)?;
         debug_assert_eq!(
@@ -69,26 +69,14 @@ impl TestIndex {
     /// function of the query and degree only).
     pub fn test_via_fact_index(&self, tuple: &[Node]) -> Result<bool, EngineError> {
         let v = self.reduction.forward(tuple)?;
-        let gq = self.reduction.query();
         let facts = self.facts();
-        // ψ₁: pairwise non-adjacency. `E` is never stored as a relation
-        // (the CSR in the reduction core is its only materialization), so
-        // the probes go through the shared adjacency; the color probes
-        // below still exercise the independent fact-index route.
+        // `E` is never stored as a relation (the CSR in the reduction core
+        // is its only materialization), so the `ψ₁` probes go through the
+        // shared adjacency; the color probes of `ψ₂` exercise the
+        // independent fact-index route.
         let adjacency = self.reduction.adjacency();
-        for i in 0..v.len() {
-            for j in (i + 1)..v.len() {
-                if adjacency.adjacent(v[i], v[j]) || adjacency.adjacent(v[j], v[i]) {
-                    return Ok(false);
-                }
-            }
-        }
-        // ψ₂: some exclusive clause's colors all hold
-        Ok(gq.clauses.iter().any(|clause| {
-            v.iter()
-                .enumerate()
-                .all(|(i, &u)| clause.colors[i].iter().all(|&c| facts.holds(c, &[u])))
-        }))
+        let gq = self.reduction.query();
+        Ok(gq.accepts_with(adjacency, &v, |c, u| facts.holds(c, &[u])))
     }
 
     /// Access the underlying reduction.

@@ -101,6 +101,13 @@ impl<T: Copy + Eq + Hash> SliceInterner<T> {
         self.len() == 0
     }
 
+    /// The arena, dropping the id map: all interned slices concatenated
+    /// in id order, and the offsets of each (`len() + 1` of them, slice
+    /// `id` spanning `offsets[id]..offsets[id + 1]`).
+    pub fn into_parts(self) -> (Vec<T>, Vec<u32>) {
+        (self.flat, self.spans)
+    }
+
     /// Entries the id map can hold before its next rehash (memory-growth
     /// diagnostics: the enumerator reports the peak per traversal).
     #[inline]
@@ -125,6 +132,7 @@ mod tests {
         assert_eq!(it.get(0), &[1, 2, 3]);
         assert_eq!(it.get(1), &[] as &[u32]);
         assert_eq!(it.get(2), &[2, 3]);
+        assert_eq!(it.into_parts(), (vec![1, 2, 3, 2, 3], vec![0, 3, 3, 5]));
     }
 
     #[test]

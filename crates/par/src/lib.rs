@@ -269,7 +269,10 @@ enum Msg<U> {
 /// Scheduling, with `cfg.threads()` counting the caller itself:
 ///
 /// - tasks are claimed in index order through one atomic cursor; the caller
-///   claims task 0 before any worker starts;
+///   claims task 0 and runs it straight into `consume`, and the workers are
+///   spawned only once `consume` has taken task 0's first record (or once
+///   task 0 has ended, when it has none), so the first record pays for no
+///   thread spawn;
 /// - whenever no worker has claimed the next task in order, the caller
 ///   claims and runs it itself, with `sink` feeding `consume` directly, so
 ///   the first record arrives at serial delay;
@@ -325,14 +328,15 @@ pub fn par_stream<T: Sync, U: Clone + Send>(
         }
         // dropped before the scope joins: a worker blocked on a full
         // channel then wakes with a send error and returns
-        let inboxes: Vec<_> = (0..workers)
-            .map(|w| {
+        let mut inboxes = Vec::with_capacity(workers);
+        let spawn = |inboxes: &mut Vec<_>| {
+            for w in 0..workers {
                 let (tx, rx) = sync_channel(STREAM_DEPTH);
                 let (cursor, stop, owner, run) = (&cursor, &stop, &owner, &run);
                 scope.spawn(move || stream_worker(w, tx, tasks, run, cursor, stop, owner));
-                rx
-            })
-            .collect();
+                inboxes.push(rx);
+            }
+        };
 
         // tasks the caller ran into a buffer of its own while a worker
         // kept it waiting, in index order, and their total length
@@ -340,8 +344,23 @@ pub fn par_stream<T: Sync, U: Clone + Send>(
         let mut ahead_len = 0;
         // declared after the buffers, so dropped before them
         let _stop_on_exit = StopOnExit(&stop);
-        let mut next = 0;
-        let mut mine = true;
+        let mut first = |records: &[U]| {
+            let flow = consume(records);
+            if flow.is_continue() && inboxes.is_empty() {
+                spawn(&mut inboxes);
+            }
+            flow
+        };
+        if run_inline(&run, &tasks[0], &mut first).is_break() {
+            return;
+        }
+        if inboxes.is_empty() {
+            spawn(&mut inboxes);
+        }
+        let mut next = 1;
+        let mut mine = cursor
+            .compare_exchange(1, 2, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok();
         loop {
             if mine {
                 if run_inline(&run, &tasks[next], &mut consume).is_break() {
@@ -783,7 +802,17 @@ mod tests {
         spin: u64,
         sink: &mut dyn FnMut(&[usize]) -> ControlFlow<()>,
     ) {
-        for j in 0..records {
+        emit_range(i, 0..records, spin, sink)
+    }
+
+    /// As [`emit`], for the records `[i, j]` with `j` in `js` only.
+    fn emit_range(
+        i: usize,
+        js: std::ops::Range<usize>,
+        spin: u64,
+        sink: &mut dyn FnMut(&[usize]) -> ControlFlow<()>,
+    ) {
+        for j in js {
             for s in 0..spin {
                 std::hint::black_box(s);
             }
@@ -854,11 +883,63 @@ mod tests {
     }
 
     #[test]
+    fn par_stream_spawns_no_worker_before_the_first_record() {
+        let tasks: Vec<usize> = (0..16).collect();
+        for threads in [2, 4] {
+            // task 0 takes a while to its first record: a worker spawned
+            // before it would have started other tasks by then
+            let consumed = AtomicBool::new(false);
+            let early = AtomicUsize::new(0);
+            drain_pairs(
+                &cfg(threads),
+                &tasks,
+                |&i, sink| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                    } else if !consumed.load(Ordering::SeqCst) {
+                        early.fetch_add(1, Ordering::SeqCst);
+                    }
+                    emit(i, 3, 0, sink)
+                },
+                |_, _| {
+                    consumed.store(true, Ordering::SeqCst);
+                    false
+                },
+            );
+            assert_eq!(
+                early.load(Ordering::SeqCst),
+                0,
+                "threads={threads}: tasks started before the first record was consumed"
+            );
+            // a task 0 without records: no other task starts before it ends
+            let (zero_done, early) = (AtomicBool::new(false), AtomicUsize::new(0));
+            let got = drain_pairs(
+                &cfg(threads),
+                &tasks,
+                |&i, sink| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        zero_done.store(true, Ordering::SeqCst);
+                        return;
+                    }
+                    if !zero_done.load(Ordering::SeqCst) {
+                        early.fetch_add(1, Ordering::SeqCst);
+                    }
+                    emit(i, 3, 0, sink)
+                },
+                |_, _| false,
+            );
+            assert_eq!(early.load(Ordering::SeqCst), 0, "threads={threads}");
+            assert_eq!(got.len(), 15 * 3);
+        }
+    }
+
+    #[test]
     fn par_stream_caller_runs_ahead_while_a_worker_is_busy() {
-        // task 1 (a worker's: the caller is inside task 0 when the worker
-        // claims it) emits nothing until task 2 has run; a caller that
-        // waited on task 1 instead of running task 2 ahead would stall it
-        // until the deadline
+        // task 1 (a worker's: the caller is inside task 0, past its first
+        // record, when the worker claims it) emits nothing until task 2
+        // has run; a caller that waited on task 1 instead of running task
+        // 2 ahead would stall it until the deadline
         let caller = std::thread::current().id();
         let tasks: Vec<usize> = (0..8).collect();
         let task2_on = Mutex::new(None);
@@ -868,10 +949,15 @@ mod tests {
             &cfg(2),
             &tasks,
             |&i, sink| {
-                if i <= 1 {
+                if i == 0 {
+                    // the first record spawns the worker; task 0 then
+                    // holds until task 1 has started on it
+                    emit_range(0, 0..1, 0, sink);
                     task1_started.wait();
+                    return emit_range(0, 1..3, 0, sink);
                 }
                 if i == 1 {
+                    task1_started.wait();
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
                     while !task2_ran.load(Ordering::SeqCst) {
                         if std::time::Instant::now() > deadline {
@@ -1004,12 +1090,16 @@ mod tests {
                     &cfg(threads),
                     &tasks,
                     |&i, sink| {
-                        // the caller holds task 0 until task 1 has started,
-                        // so task 1 runs on a worker
-                        if i <= 1 {
+                        // the caller holds task 0, past the first record
+                        // that spawns the workers, until task 1 has
+                        // started, so task 1 runs on a worker
+                        if i == 0 {
+                            emit_range(0, 0..1, 0, sink);
                             started.wait();
+                            return emit_range(0, 1..10, 0, sink);
                         }
                         if i == 1 {
+                            started.wait();
                             *panicked_on.lock().unwrap() = Some(std::thread::current().id());
                             emit(i, 5_000, 0, sink);
                             panic!("task {i} exploded");

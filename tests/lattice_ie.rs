@@ -18,7 +18,7 @@ use lowdeg_bench::workloads::{colored, degree_classes};
 use lowdeg_core::counting::{count_clause_per_term, count_graph_query, CountingMemo};
 use lowdeg_core::enumerate::EdgeAdjacency;
 use lowdeg_core::{
-    ArtifactCache, Engine, EngineConfig, GraphClause, GraphQuery, PositionMemo, Reduction, SkipMode,
+    ArtifactCache, Engine, EngineConfig, GraphQuery, PositionMemo, Reduction, SkipMode,
 };
 use lowdeg_gen::DegreeClass;
 use lowdeg_index::Epsilon;
@@ -38,12 +38,12 @@ fn next(seed: &mut u64) -> u64 {
 
 /// One randomized clause over the colored-graph signature: each position
 /// gets a nonempty color conjunction drawn from `{B, R, G}`.
-fn random_clause(s: &Structure, k: usize, seed: &mut u64) -> GraphClause {
+fn random_clause(s: &Structure, k: usize, seed: &mut u64) -> Vec<Vec<RelId>> {
     let unary: Vec<RelId> = ["B", "R", "G"]
         .iter()
         .filter_map(|name| s.signature().rel(name))
         .collect();
-    let colors = (0..k)
+    (0..k)
         .map(|_| {
             let first = unary[next(seed) as usize % unary.len()];
             let mut cs = vec![first];
@@ -55,8 +55,7 @@ fn random_clause(s: &Structure, k: usize, seed: &mut u64) -> GraphClause {
             }
             cs
         })
-        .collect();
-    GraphClause { colors }
+        .collect()
 }
 
 /// `s` plus `extra` isolated vertices carrying a fresh color `D`, the
@@ -96,14 +95,14 @@ fn random_query(
     clauses: usize,
     seed: &mut u64,
 ) -> GraphQuery {
-    let clauses = (0..clauses)
-        .map(|_| GraphClause {
-            colors: (0..k)
+    let clauses: Vec<Vec<Vec<RelId>>> = (0..clauses)
+        .map(|_| {
+            (0..k)
                 .map(|_| pool[next(seed) as usize % pool.len()].clone())
-                .collect(),
+                .collect()
         })
         .collect();
-    GraphQuery { k, edge, clauses }
+    GraphQuery::from_clauses(k, edge, &clauses)
 }
 
 /// `count_graph_query` against the sum of per-term clause counts, on a
@@ -114,9 +113,7 @@ fn batched_matches_per_term(
     gq: &GraphQuery,
     what: &str,
 ) -> Result<(), TestCaseError> {
-    let want: u64 = gq
-        .clauses
-        .iter()
+    let want: u64 = (0..gq.clause_count())
         .map(|c| count_clause_per_term(s, gq, c, adjacency))
         .sum();
     let forced = ParConfig::with_threads(4).min_items(1);
@@ -163,8 +160,8 @@ proptest! {
             let mut clause_seed = seed ^ 0x5bd1_e995;
             for k in 1..=4usize {
                 let clause = random_clause(&s, k, &mut clause_seed);
-                let gq = GraphQuery { k, edge: e, clauses: vec![clause.clone()] };
-                let reference = count_clause_per_term(&s, &gq, &clause, &adjacency);
+                let gq = GraphQuery::from_clauses(k, e, &[clause]);
+                let reference = count_clause_per_term(&s, &gq, 0, &adjacency);
                 for par in [ParConfig::serial(), ParConfig::with_threads(2)] {
                     let lattice =
                         count_graph_query(&s, &gq, &adjacency, &par, None, None, &positions);
@@ -275,14 +272,7 @@ fn lattice_total_nonnegative_under_full_cancellation() {
     let s = builder.finish().unwrap();
     let adjacency = EdgeAdjacency::build(&s, e);
     // three mutually non-adjacent blues in a blue clique: none exist
-    let clause = GraphClause {
-        colors: vec![vec![b], vec![b], vec![b]],
-    };
-    let gq = GraphQuery {
-        k: 3,
-        edge: e,
-        clauses: vec![clause.clone()],
-    };
+    let gq = GraphQuery::from_clauses(3, e, &[vec![vec![b], vec![b], vec![b]]]);
     let positions = PositionMemo::new();
     let total = count_graph_query(
         &s,
@@ -297,7 +287,7 @@ fn lattice_total_nonnegative_under_full_cancellation() {
     assert_eq!(total, 0, "full cancellation must land exactly on zero");
     assert_eq!(
         total,
-        count_clause_per_term(&s, &gq, &clause, &adjacency),
+        count_clause_per_term(&s, &gq, 0, &adjacency),
         "per-term path agrees at the cancellation boundary"
     );
 }
