@@ -49,9 +49,10 @@
 //! (`tuple_data`/`tuple_off`, filled by sharded enumeration over anchor
 //! ranges, strictly increasing in lexicographic order, so `f` finds a
 //! tuple by a binary search of its anchor's run); canonical types are
-//! interned through a sorted-run dedup of the exact neighborhood keys (the
-//! expensive canonical encodings run in parallel, once per distinct key)
-//! and kept as one key CSR; and every vertex id is *arithmetic*: the
+//! interned by first occurrence over short keys borrowed from the CSRs
+//! that hold them (element sets, key tails, then `(tail class, key head)`;
+//! the expensive canonical encodings run in parallel, once per distinct
+//! key) and kept as one key CSR; and every vertex id is *arithmetic*: the
 //! vertices of tuple `j` occupy the contiguous block
 //! `block[j]..block[j+1]`, one per matching-size ι in ι-id order, so
 //! `v_(b̄,ι) = base_n + 1 + block[j] + rank(ι)`. That
@@ -68,7 +69,7 @@ use crate::artifacts::{ArtifactCache, Profiler, Stage};
 use crate::enumerate::{BlockRows, EdgeAdjacency};
 use crate::graph_query::{find_row, sort_rows, GraphQuery};
 use crate::EngineError;
-use lowdeg_index::{Epsilon, FxHashMap, RadixFuncStore, SliceInterner};
+use lowdeg_index::{Epsilon, FxBuildHasher, FxHashMap, RadixFuncStore, SliceInterner};
 use lowdeg_locality::types::Canonicalizer;
 use lowdeg_locality::{localize, KeyView, LocalQuery, TypeId};
 use lowdeg_logic::eval::{eval, Assignment, Model};
@@ -77,6 +78,7 @@ use lowdeg_par::{par_flat_map, par_map, par_partition, ParConfig};
 use lowdeg_storage::{GaifmanGraph, Node, RelId, Signature, Structure, MAX_ARITY as MAX_REL_ARITY};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// Default budget for the type-combination table (`Σ_P Π_j |types|`).
@@ -1373,10 +1375,11 @@ fn iota_layout(k: usize, iotas: &[Vec<u8>]) -> (Vec<Vec<u16>>, Vec<u16>, Vec<u32
 /// type (Step 4), and the colored graph `G` with its `E`-edges.
 ///
 /// Batch assembly throughout: tuples stream into a flat CSR from sharded
-/// anchor ranges; exact neighborhood keys are computed per shard; a single
-/// sort over key-ordered tuple indices groups duplicates, so canonical
-/// encodings run in parallel once per *distinct* key — read straight from
-/// the key, with no neighborhood structure built — and the serial
+/// anchor ranges; exact neighborhood keys are computed per shard; one
+/// first-occurrence interning pass over the tuples' short keys groups
+/// duplicates, so canonical encodings run in parallel once per *distinct*
+/// key — read straight from the key, with no neighborhood structure
+/// built — and the serial
 /// remainder is one encoding → id lookup per group (in first-occurrence
 /// order — type-id assignment is bit-identical to the reference build's
 /// per-tuple hash-map pass); a new type keeps its group's key, and no
@@ -1482,14 +1485,7 @@ pub(crate) fn build_core(
     // Suffix classes: groups with byte-equal key tails share a class id.
     // Only equality matters downstream, and the numbering is deterministic
     // (classes in order of their first group).
-    let (sorder, sruns) = sorted_runs(ngroups, |a, b| suf(a).cmp(suf(b)));
-    let mut suf_class: Vec<u32> = vec![0u32; ngroups];
-    for (class, &(_, start, end)) in sruns.iter().enumerate() {
-        for &gi in &sorder[start as usize..end as usize] {
-            suf_class[gi as usize] = class as u32;
-        }
-    }
-    drop((sorder, sruns));
+    let (suf_class, _) = intern_first(ngroups, suf);
 
     // Phase B2 (per tuple): the short tuple-dependent key head
     // `[|members|, local ranks of the components]`. Head + the group's
@@ -1515,16 +1511,13 @@ pub(crate) fn build_core(
     let (pre_off, pre_data) = stitch_csr(pre_shards);
     let pre = |j: usize| -> &[u32] { &pre_data[pre_off[j] as usize..pre_off[j + 1] as usize] };
 
-    // Sorted-run dedup over `(suffix class, key head)` — short compares
-    // instead of full-key compares. Tuple indices ordered with index as
-    // tie-break, so each run's head is its *minimal* tuple index; runs
-    // become type groups, and groups re-sorted by head recover first-
-    // occurrence order — the exact order the reference build interns in.
-    let (order, groups) = sorted_runs(ntup, |x, y| {
-        suf_class[esg.tgroup[x] as usize]
-            .cmp(&suf_class[esg.tgroup[y] as usize])
-            .then_with(|| pre(x).cmp(pre(y)))
-    });
+    // Key groups: tuples interned by `(suffix class, key head)` — short
+    // keys instead of whole keys — in first-occurrence order, each group's
+    // head its minimal tuple index: the exact order the reference build
+    // interns in.
+    let (tuple_key, key_heads) =
+        intern_first(ntup, |j| (suf_class[esg.tgroup[j] as usize], pre(j)));
+    drop(suf_class);
 
     // Canonical encodings straight from each group's exact key
     // `pre(head) ++ suf(set group)`, fanned out over the distinct groups
@@ -1533,13 +1526,13 @@ pub(crate) fn build_core(
     let sig = structure.signature();
     let enc_shards: Vec<(Vec<u32>, Vec<u32>)> = par_partition(
         par,
-        &groups,
-        partition_parts(par, groups.len()),
+        &key_heads,
+        partition_parts(par, key_heads.len()),
         |_, range| {
             let mut canon = Canonicalizer::new();
             let mut lens: Vec<u32> = Vec::with_capacity(range.len());
             let mut data: Vec<u32> = Vec::new();
-            for &(head, _, _) in range {
+            for &head in range {
                 let head = head as usize;
                 let before = data.len();
                 canon.encode_key(sig, pre(head), suf(esg.tgroup[head] as usize), &mut data);
@@ -1549,14 +1542,14 @@ pub(crate) fn build_core(
         },
     );
 
-    // Serial remainder: one id per distinct encoding, scattered to the
-    // key group's tuples. A new type is stored as its group's key
+    // Serial remainder: one id per distinct encoding, read by each tuple
+    // through its key group. A new type is stored as its group's key
     // `pre(head) ++ suf(set group)` — the key of its first tuple. The
     // encoding → id map borrows the encodings and goes with them.
     let mut type_ids: FxHashMap<&[u32], TypeId> = FxHashMap::default();
     let mut type_keys: Vec<u32> = Vec::new();
     let mut type_key_off: Vec<u32> = vec![0];
-    let mut tuple_ty: Vec<TypeId> = vec![TypeId(0); ntup];
+    let mut key_ty: Vec<TypeId> = Vec::with_capacity(key_heads.len());
     let mut types_by_size: Vec<BTreeSet<TypeId>> = vec![BTreeSet::new(); k + 1];
     let encodings = enc_shards.iter().flat_map(|(lens, data)| {
         lens.iter().scan(0usize, move |at, &len| {
@@ -1564,7 +1557,7 @@ pub(crate) fn build_core(
             Some(&data[*at - len as usize..*at])
         })
     });
-    for (&(head, start, end), enc) in groups.iter().zip(encodings) {
+    for (&head, enc) in key_heads.iter().zip(encodings) {
         let h = head as usize;
         let next = TypeId(type_ids.len() as u32);
         let ty = *type_ids.entry(enc).or_insert_with(|| {
@@ -1573,23 +1566,20 @@ pub(crate) fn build_core(
             type_key_off.push(type_keys.len() as u32);
             next
         });
-        for &j in &order[start as usize..end as usize] {
-            tuple_ty[j as usize] = ty;
-        }
-        // equal keys imply equal tuple length, so one insert covers the run
+        key_ty.push(ty);
+        // equal keys imply equal tuple length, so one insert covers the group
         types_by_size[tslice(h).len()].insert(ty);
     }
     drop(type_ids);
     drop(enc_shards);
-    drop(order);
-    drop(groups);
+    let tuple_ty: Vec<TypeId> = tuple_key.iter().map(|&g| key_ty[g as usize]).collect();
+    drop((tuple_key, key_heads, key_ty));
     drop(pre_data);
     drop(pre_off);
     drop(suf_data);
     drop(suf_off);
     drop(mem_data);
     drop(mem_off);
-    drop(suf_class);
 
     // --- injections ι : {1..s} → {1..k} and the arithmetic vertex layout
     let iotas = all_injections(k);
@@ -1682,8 +1672,8 @@ impl EsetGroups {
     }
 }
 
-/// Bucket the cluster-tuple CSR by element set ([`sorted_runs`]: groups
-/// ordered by minimal member).
+/// Bucket the cluster-tuple CSR by element set ([`intern_first`]: groups
+/// numbered by first occurrence, so ordered by minimal member).
 fn element_set_groups(tuple_off: &[u32], tuple_data: &[Node]) -> EsetGroups {
     let ntup = tuple_off.len() - 1;
     let mut eset_off: Vec<u32> = Vec::with_capacity(ntup + 1);
@@ -1698,15 +1688,9 @@ fn element_set_groups(tuple_off: &[u32], tuple_data: &[Node]) -> EsetGroups {
         eset.extend_from_slice(&buf);
         eset_off.push(eset.len() as u32);
     }
-    let eslice = |j: usize| -> &[Node] { &eset[eset_off[j] as usize..eset_off[j + 1] as usize] };
-    let (order, runs) = sorted_runs(ntup, |a, b| eslice(a).cmp(eslice(b)));
-    let mut tgroup: Vec<u32> = vec![0u32; ntup];
-    for (gi, &(_, start, end)) in runs.iter().enumerate() {
-        for &j in &order[start as usize..end as usize] {
-            tgroup[j as usize] = gi as u32;
-        }
-    }
-    let heads: Vec<u32> = runs.iter().map(|&(h, _, _)| h).collect();
+    let (tgroup, heads) = intern_first(ntup, |j| {
+        &eset[eset_off[j] as usize..eset_off[j + 1] as usize]
+    });
     EsetGroups {
         eset_off,
         eset,
@@ -1739,30 +1723,36 @@ fn stitch_csr<T>(shards: Vec<(Vec<u32>, Vec<T>)>) -> (Vec<u32>, Vec<T>) {
     (off, data)
 }
 
-/// Group the indices `0..len` into runs of equal keys: the indices sorted
-/// by `cmp` with the index as tie-break, and the runs `(head, start, end)`
-/// — `head` the run's minimal index, `start..end` its span of the sorted
-/// indices — ordered by head, so every numbering derived from the runs is
-/// first-occurrence order.
-fn sorted_runs(
-    len: usize,
-    cmp: impl Fn(usize, usize) -> Ordering,
-) -> (Vec<u32>, Vec<(u32, u32, u32)>) {
-    let mut order: Vec<u32> = (0..len as u32).collect();
-    order.sort_unstable_by(|&a, &b| cmp(a as usize, b as usize).then(a.cmp(&b)));
-    let mut runs: Vec<(u32, u32, u32)> = Vec::new();
-    let mut i = 0usize;
-    while i < order.len() {
-        let head = order[i] as usize;
-        let mut e = i + 1;
-        while e < order.len() && cmp(order[e] as usize, head) == Ordering::Equal {
-            e += 1;
-        }
-        runs.push((order[i], i as u32, e as u32));
-        i = e;
-    }
-    runs.sort_unstable_by_key(|&(head, _, _)| head);
-    (order, runs)
+/// Number the keys `key(0)..key(len - 1)` densely in order of first
+/// occurrence: `ids[i]` is index `i`'s id, and `heads[id]` the minimal
+/// index holding that key, so `heads` ascends and every numbering derived
+/// from it is first-occurrence order. No key is stored: the table holds
+/// ids only (4 bytes a slot, at most half full, where a map of borrowed
+/// slices takes 24–32 bytes an entry), and a probe compares its key with
+/// its id's head key, read again through `key`.
+fn intern_first<K: Hash + Eq>(len: usize, key: impl Fn(usize) -> K) -> (Vec<u32>, Vec<u32>) {
+    const EMPTY: u32 = u32::MAX;
+    let mask = (2 * len).next_power_of_two() - 1;
+    let mut slots: Vec<u32> = vec![EMPTY; mask + 1];
+    let mut heads: Vec<u32> = Vec::new();
+    let ids = (0..len)
+        .map(|i| {
+            let k = key(i);
+            let mut at = FxBuildHasher::default().hash_one(&k) as usize & mask;
+            loop {
+                match slots[at] {
+                    EMPTY => {
+                        slots[at] = heads.len() as u32;
+                        heads.push(i as u32);
+                        return slots[at];
+                    }
+                    id if key(heads[id as usize] as usize) == k => return id,
+                    _ => at = (at + 1) & mask,
+                }
+            }
+        })
+        .collect();
+    (ids, heads)
 }
 
 /// Step 5's relation `R`: the pairs of `A`-nodes within distance `2r+1`,
@@ -2544,6 +2534,27 @@ mod tests {
                 assert!(part.windows(2).all(|w| w[0] < w[1]));
             }
         }
+    }
+
+    #[test]
+    fn interning_numbers_keys_by_first_occurrence() {
+        let keys: [&[u32]; 7] = [&[3, 1], &[2], &[3, 1], &[], &[2], &[3, 1], &[1, 3]];
+        let (ids, heads) = intern_first(keys.len(), |i| keys[i]);
+        assert_eq!(ids, [0, 1, 0, 2, 1, 0, 3]);
+        assert_eq!(heads, [0, 1, 3, 6]);
+        for (i, &id) in ids.iter().enumerate() {
+            // dense ids, each head the minimal index holding its key
+            assert_eq!(keys[heads[id as usize] as usize], keys[i]);
+            assert!(heads[id as usize] as usize <= i);
+        }
+
+        assert_eq!(intern_first(0, |i| keys[i]), (vec![], vec![]));
+        assert_eq!(
+            intern_first(5, |_| (7u32, &[1u32][..])),
+            (vec![0; 5], vec![0])
+        );
+        let all: Vec<u32> = (0..5).collect();
+        assert_eq!(intern_first(5, |i| (i as u32, keys[1])), (all.clone(), all));
     }
 
     #[test]

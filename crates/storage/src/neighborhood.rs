@@ -3,6 +3,7 @@
 use crate::gaifman::GaifmanGraph;
 use crate::signature::{RelId, Signature};
 use crate::{Node, Relation, Structure};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// An induced substructure `A|S` together with the embedding of its domain
@@ -100,42 +101,49 @@ pub(crate) fn local_key(parent: &Structure, members: &[Node], tuple: &[Node], ou
 
     // Internal non-unary facts in (relation, fact-index) order: within a
     // relation the parent's tuples are sorted, and relabeling is monotone.
+    // Then the unary facts on member nodes, relation-major then member
+    // order. Both lists are sorted in one per-thread scratch buffer.
     let incidence = parent.incidence();
-    let mut fact_ids: Vec<(u32, u32)> = Vec::new();
-    for &m in members {
-        fact_ids.extend_from_slice(incidence.facts_of(m));
-    }
-    fact_ids.sort_unstable();
-    fact_ids.dedup();
-    'facts: for (rel_raw, idx) in fact_ids {
-        let t = parent.relation(RelId(rel_raw)).tuple(idx as usize);
-        let start = out.len();
-        out.push(rel_raw);
-        for &c in t {
-            match members.binary_search(&c) {
-                Ok(l) => out.push(l as u32),
-                Err(_) => {
-                    out.truncate(start);
-                    continue 'facts;
+    KEY_SCRATCH.with(|scratch| {
+        let pairs = &mut *scratch.borrow_mut();
+        pairs.clear();
+        for &m in members {
+            pairs.extend_from_slice(incidence.facts_of(m));
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        'facts: for &(rel_raw, idx) in pairs.iter() {
+            let t = parent.relation(RelId(rel_raw)).tuple(idx as usize);
+            let start = out.len();
+            out.push(rel_raw);
+            for &c in t {
+                match members.binary_search(&c) {
+                    Ok(l) => out.push(l as u32),
+                    Err(_) => {
+                        out.truncate(start);
+                        continue 'facts;
+                    }
                 }
             }
         }
-    }
-    out.push(KEY_SEP);
+        out.push(KEY_SEP);
 
-    // Unary facts on member nodes, relation-major then member order.
-    for rel in parent.signature().rel_ids() {
-        if parent.signature().arity(rel) != 1 {
-            continue;
-        }
-        let r = parent.relation(rel);
+        pairs.clear();
         for (li, &m) in members.iter().enumerate() {
-            if r.contains(&[m]) {
-                out.push(rel.0);
-                out.push(li as u32);
-            }
+            pairs.extend(incidence.unary_of(m).iter().map(|&rel| (rel, li as u32)));
         }
-    }
+        pairs.sort_unstable();
+        for &(rel, li) in pairs.iter() {
+            out.push(rel);
+            out.push(li);
+        }
+    });
+}
+
+thread_local! {
+    /// [`local_key`]'s `(relation, fact index)` and `(relation, local
+    /// rank)` pairs, kept per thread so a warm key allocates nothing.
+    static KEY_SCRATCH: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Split a whole neighborhood key into its head `[|members|, local
@@ -214,50 +222,84 @@ pub fn ball_of_tuple(graph: &GaifmanGraph, tuple: &[Node], r: usize) -> Vec<Node
     out
 }
 
-/// Per-node incidence lists: which facts mention a node. Used to build
-/// induced substructures in time proportional to the neighborhood, not the
-/// whole database.
+/// Per-node incidence lists: which facts of arity ≥ 2 mention a node, and
+/// which unary relations hold it. Used to build induced substructures in
+/// time proportional to the neighborhood, not the whole database.
 #[derive(Clone, Debug)]
 pub(crate) struct Incidence {
     offsets: Vec<u32>,
-    /// `(relation id, tuple index)` pairs, grouped by node.
+    /// `(relation id, tuple index)` pairs, grouped by node, each node's
+    /// ascending; a fact naming a node twice is listed once.
     facts: Vec<(u32, u32)>,
+    unary_off: Vec<u32>,
+    /// Unary relation ids, grouped by node, each node's ascending.
+    unary: Vec<u32>,
 }
 
 impl Incidence {
     pub(crate) fn build(structure: &Structure) -> Self {
+        let sig = structure.signature();
         let n = structure.cardinality();
-        let mut pairs: Vec<(Node, (u32, u32))> = Vec::new();
-        for rel in structure.signature().rel_ids() {
-            let r = structure.relation(rel);
-            if r.arity() < 2 {
-                continue; // unary facts handled by direct lookup
-            }
-            for (i, t) in r.iter().enumerate() {
-                for &c in t {
-                    pairs.push((c, (rel.0, i as u32)));
+        let (offsets, facts) = node_csr(n, |push| {
+            for rel in sig.rel_ids() {
+                let r = structure.relation(rel);
+                if r.arity() < 2 {
+                    continue;
+                }
+                for (i, t) in r.iter().enumerate() {
+                    for (p, &c) in t.iter().enumerate() {
+                        if !t[..p].contains(&c) {
+                            push(c, (rel.0, i as u32));
+                        }
+                    }
                 }
             }
+        });
+        let (unary_off, unary) = node_csr(n, |push| {
+            for rel in sig.rel_ids().filter(|&rel| sig.arity(rel) == 1) {
+                for t in structure.relation(rel).iter() {
+                    push(t[0], rel.0);
+                }
+            }
+        });
+        Incidence {
+            offsets,
+            facts,
+            unary_off,
+            unary,
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut offsets = vec![0u32; n + 1];
-        for &(a, _) in &pairs {
-            offsets[a.index() + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let facts = pairs.into_iter().map(|(_, f)| f).collect();
-        Incidence { offsets, facts }
     }
 
     #[inline]
     pub(crate) fn facts_of(&self, a: Node) -> &[(u32, u32)] {
-        let lo = self.offsets[a.index()] as usize;
-        let hi = self.offsets[a.index() + 1] as usize;
-        &self.facts[lo..hi]
+        &self.facts[self.offsets[a.index()] as usize..self.offsets[a.index() + 1] as usize]
     }
+
+    #[inline]
+    pub(crate) fn unary_of(&self, a: Node) -> &[u32] {
+        &self.unary[self.unary_off[a.index()] as usize..self.unary_off[a.index() + 1] as usize]
+    }
+}
+
+/// A per-node CSR over `0..n` by counting sort: `emit` runs twice, once to
+/// count each node's entries and once to place them, so each node's row
+/// keeps emission order.
+fn node_csr<T: Copy + Default>(
+    n: usize,
+    emit: impl Fn(&mut dyn FnMut(Node, T)),
+) -> (Vec<u32>, Vec<T>) {
+    let mut offsets = vec![0u32; n + 1];
+    emit(&mut |a, _| offsets[a.index() + 1] += 1);
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut next: Vec<u32> = offsets[..n].to_vec();
+    let mut data = vec![T::default(); offsets[n] as usize];
+    emit(&mut |a, x| {
+        data[next[a.index()] as usize] = x;
+        next[a.index()] += 1;
+    });
+    (offsets, data)
 }
 
 #[cfg(test)]
@@ -418,6 +460,127 @@ mod tests {
                 assert_eq!(records, facts, "one key record per fact, {t:?} at {r}");
             }
         }
+    }
+
+    /// Unary, binary and ternary relations with interleaved ids over 0..8:
+    /// self-loops, a ternary fact with repeated components, and nodes in
+    /// zero (2, 4, 6), one and three (5) unary relations.
+    fn interleaved() -> Structure {
+        let sig = Arc::new(Signature::new(&[
+            ("U", 1),
+            ("E", 2),
+            ("V", 1),
+            ("T", 3),
+            ("W", 1),
+        ]));
+        let rel = |name| sig.rel(name).unwrap();
+        let mut b = Structure::builder(sig.clone(), 8);
+        for (u, v) in [
+            (0, 1),
+            (1, 1),
+            (1, 2),
+            (3, 3),
+            (4, 5),
+            (5, 4),
+            (6, 7),
+            (7, 0),
+        ] {
+            b.fact(rel("E"), &[node(u), node(v)]).unwrap();
+        }
+        for t in [[0, 2, 4], [3, 3, 1], [5, 5, 5], [6, 2, 6]] {
+            b.fact(rel("T"), &t.map(node)).unwrap();
+        }
+        for (name, nodes) in [("U", &[0, 5][..]), ("V", &[1, 5, 7]), ("W", &[3, 5])] {
+            for &v in nodes {
+                b.fact(rel(name), &[node(v)]).unwrap();
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// The key as written with a fresh fact list, gathered by a scan of
+    /// every relation, and one `contains` probe per unary relation per
+    /// member.
+    fn reference_key(s: &Structure, members: &[Node], tuple: &[Node]) -> Vec<u32> {
+        let sig = s.signature();
+        let local = |c: &Node| members.binary_search(c).ok().map(|l| l as u32);
+        let mut out = vec![members.len() as u32];
+        out.extend(tuple.iter().map(|c| local(c).unwrap()));
+        out.push(KEY_SEP);
+        let mut fact_ids: Vec<(u32, u32)> = Vec::new();
+        for rel in sig.rel_ids().filter(|&rel| sig.arity(rel) >= 2) {
+            for (i, t) in s.relation(rel).iter().enumerate() {
+                if t.iter().any(|c| local(c).is_some()) {
+                    fact_ids.push((rel.0, i as u32));
+                }
+            }
+        }
+        for (rel, i) in fact_ids {
+            let t = s.relation(RelId(rel)).tuple(i as usize);
+            if let Some(ids) = t.iter().map(local).collect::<Option<Vec<u32>>>() {
+                out.push(rel);
+                out.extend(ids);
+            }
+        }
+        out.push(KEY_SEP);
+        for rel in sig.rel_ids().filter(|&rel| sig.arity(rel) == 1) {
+            for (li, &m) in members.iter().enumerate() {
+                if s.relation(rel).contains(&[m]) {
+                    out.push(rel.0);
+                    out.push(li as u32);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn local_key_matches_per_relation_scan() {
+        let s = interleaved();
+        let mut key = Vec::new();
+        for mask in 0u32..256 {
+            let members: Vec<Node> = (0..8).filter(|i| mask >> i & 1 == 1).map(node).collect();
+            let tuples: Vec<Vec<Node>> = match members.as_slice() {
+                [] => vec![vec![]],
+                [a] => vec![vec![], vec![*a]],
+                [a, .., b] => vec![vec![], vec![*b, *a, *b]],
+            };
+            for t in tuples {
+                s.neighborhood_key_with_members(&members, &t, &mut key);
+                assert_eq!(key, reference_key(&s, &members, &t), "{mask:08b} {t:?}");
+            }
+            let reference = reference_key(&s, &members, &[]);
+            let built = structure_from_key(s.signature(), members.len(), &reference[1..]);
+            assert_eq!(s.induced(&members).structure(), &built, "{mask:08b}");
+        }
+    }
+
+    #[test]
+    fn incidence_rows_are_sorted_and_distinct() {
+        let s = interleaved();
+        let sig = s.signature();
+        let inc = s.incidence();
+        for a in s.domain() {
+            let mut facts: Vec<(u32, u32)> = Vec::new();
+            let mut unary: Vec<u32> = Vec::new();
+            for rel in sig.rel_ids() {
+                for (i, t) in s.relation(rel).iter().enumerate() {
+                    match sig.arity(rel) {
+                        1 if t[0] == a => unary.push(rel.0),
+                        2.. if t.contains(&a) => facts.push((rel.0, i as u32)),
+                        _ => {}
+                    }
+                }
+            }
+            assert_eq!(inc.facts_of(a), facts.as_slice(), "{a:?}");
+            assert_eq!(inc.unary_of(a), unary.as_slice(), "{a:?}");
+        }
+        assert_eq!(inc.unary_of(node(5)).len(), 3);
+        assert_eq!(
+            inc.facts_of(node(3)).len(),
+            2,
+            "E(3, 3) and T(3, 3, 1), once each"
+        );
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! Allocation regression test for Gaifman balls.
+//! Allocation regression test for Gaifman balls and neighborhood keys.
 //!
 //! `GaifmanGraph::ball` used to allocate and zero one visited bit per node
 //! of the whole graph on every call, so a 7-node ball on a 40,000-node
 //! cycle cost ~5 KB of allocation and a memset, and preprocessing, which
 //! takes one ball per tuple and position, grew quadratically in `n`. A
 //! ball must instead allocate only its output once the calling thread has
-//! searched a graph that large.
+//! searched a graph that large. Likewise a neighborhood key, written once
+//! per element set of every cluster tuple, must allocate nothing once the
+//! calling thread has written one as large and the output buffer is warm.
 //!
 //! Kept as its own test binary (single `#[test]`) because the counting
 //! `#[global_allocator]` observes the whole process; concurrent tests would
 //! pollute the count.
 
-use lowdeg_storage::{node, GaifmanGraph, Signature, Structure};
+use lowdeg_storage::{ball_of_tuple, node, GaifmanGraph, Signature, Structure};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,14 +63,25 @@ fn count_bytes(f: impl FnOnce()) -> usize {
     BYTES.load(Ordering::SeqCst)
 }
 
-fn cycle(n: u32) -> GaifmanGraph {
-    let sig = Arc::new(Signature::new(&[("E", 2)]));
-    let e = sig.rel("E").unwrap();
-    let mut b = Structure::builder(sig, n as usize);
+/// The cycle `0 → 1 → … → n-1 → 0`, with every third node in `U` and
+/// every fifth in `V`.
+fn colored_cycle(n: u32) -> Structure {
+    let sig = Arc::new(Signature::new(&[("U", 1), ("E", 2), ("V", 1)]));
+    let rel = |name| sig.rel(name).unwrap();
+    let mut b = Structure::builder(sig.clone(), n as usize);
     for i in 0..n {
-        b.edge(e, node(i), node((i + 1) % n)).unwrap();
+        b.edge(rel("E"), node(i), node((i + 1) % n)).unwrap();
+        for (name, every) in [("U", 3), ("V", 5)] {
+            if i % every == 0 {
+                b.fact(rel(name), &[node(i)]).unwrap();
+            }
+        }
     }
-    GaifmanGraph::build(&b.finish().unwrap())
+    b.finish().unwrap()
+}
+
+fn cycle(n: u32) -> GaifmanGraph {
+    GaifmanGraph::build(&colored_cycle(n))
 }
 
 #[test]
@@ -93,5 +106,19 @@ fn ball_allocates_only_its_output() {
     assert_eq!(
         bytes_large, bytes_small,
         "a ball's allocation must not grow with the graph"
+    );
+
+    let s = colored_cycle(1_000);
+    let tuple = [node(10), node(20)];
+    let members = ball_of_tuple(s.gaifman(), &tuple, 3);
+    let mut key = Vec::new();
+    // the first key builds the incidence index and sizes the scratch
+    s.neighborhood_key_with_members(&members, &tuple, &mut key);
+    let first = key.clone();
+    let bytes_key = count_bytes(|| s.neighborhood_key_with_members(&members, &tuple, &mut key));
+    assert_eq!(key, first);
+    assert_eq!(
+        bytes_key, 0,
+        "a warm neighborhood key allocated {bytes_key} bytes"
     );
 }
